@@ -113,7 +113,8 @@ class ReplayScore:
     #: fewer than two tenants; inf = some tenant's p99 is zero while
     #: another's is not)
     fairness_p99: float = 1.0
-    #: offload-service accounting snapshot (None for legacy FIFO runs)
+    #: per-device lane accounting snapshot (None on the serial shape,
+    #: whose one lane the queue-level fields above already describe)
     service: dict | None = None
 
     def window(self, name: str) -> WindowScore:
@@ -305,8 +306,8 @@ def score_run(run: ReplayRun, *, recovery_margin_s: float = 0.0) -> ReplayScore:
             expired += 1
         if o.record is None or o.start_s is None:
             continue
-        # the offload service records the pipeline finish (D2H done);
-        # the legacy FIFO never sets it, so its latency stays start + E
+        # per-device lanes record the pipeline finish (D2H done); the
+        # serial shape leaves it None, so its latency is start + E
         finish = (
             o.finish_s
             if o.finish_s is not None
@@ -366,8 +367,6 @@ def score_run(run: ReplayRun, *, recovery_margin_s: float = 0.0) -> ReplayScore:
             fairness = hi / lo
         elif hi > 0.0:
             fairness = math.inf
-    service_obj = getattr(run, "service", None)
-    service_snapshot = service_obj.stats.snapshot() if service_obj else None
 
     return ReplayScore(
         launches=len(full_path),
@@ -401,5 +400,5 @@ def score_run(run: ReplayRun, *, recovery_margin_s: float = 0.0) -> ReplayScore:
         windows=tuple(scored_windows),
         tenants=tenant_scores,
         fairness_p99=fairness,
-        service=service_snapshot,
+        service=q.snapshot() if run.service.config.overlap else None,
     )
