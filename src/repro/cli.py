@@ -542,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
         "service",
         help=(
             "replay a multi-tenant trace through the offload service, "
-            "twinned against the legacy FIFO (exit 1 when a self-check "
+            "twinned against the serial FIFO (exit 1 when a self-check "
             "fails)"
         ),
     )

@@ -1,11 +1,13 @@
-"""Multi-tenant offload-service experiment: service vs legacy FIFO twins.
+"""Multi-tenant offload-service experiment: per-device lanes vs serial FIFO twins.
 
 Not a paper artefact — the companion to :mod:`.replay` for the offload
 service (docs/ROBUSTNESS.md).  One calibrated multi-tenant trace is
-replayed twice per scenario — once through the legacy single-server
-FIFO, once through the :class:`~repro.replay.OffloadService` — so every
-comparison is causal: same requests, same chaos, same policy/memo; the
-only delta is the scheduler.
+replayed twice per scenario through the :class:`~repro.replay.OffloadService`
+— once in its serial preset (the single-server FIFO every replay runs by
+default), once with per-device lanes — so every comparison is causal:
+same requests, same chaos, same policy/memo; the only delta is the lane
+shape.  The serial twin's fields and payload keys keep their historical
+``legacy`` names.
 
 The grid crosses tenant mix with load shape:
 
@@ -20,14 +22,14 @@ The grid crosses tenant mix with load shape:
   completion latency vs the serial FIFO;
 * ***-burst**   — the trace compressed past single-server saturation:
   the service's per-device server pools must keep the completion p99
-  below the legacy twin's.
+  below the serial twin's.
 
 Gates (``ServiceRow.ok`` / ``ServiceResult.passed``): per row,
 steady-state selection accuracy stays within
-:data:`MAX_SERVICE_ACCURACY_DELTA` of the legacy twin and per-tenant
+:data:`MAX_SERVICE_ACCURACY_DELTA` of the serial twin and per-tenant
 p99 fairness stays under :data:`MAX_FAIRNESS_P99`; across the grid, at
 least :data:`MIN_OVERLAP_WINS` scenarios must show the service beating
-the legacy FIFO on the tail the scenario stresses (chaos-window p99 for
+the serial FIFO on the tail the scenario stresses (chaos-window p99 for
 storms, trace-wide p99 for bursts).  ``benchmarks/bench_service.py``
 enforces the same numbers from ``benchmarks/traffic_thresholds.json``.
 """
@@ -66,7 +68,7 @@ __all__ = [
 ]
 
 #: Self-check thresholds (mirrored by benchmarks/traffic_thresholds.json).
-MAX_SERVICE_ACCURACY_DELTA = 0.01  # |steady accuracy - legacy twin|
+MAX_SERVICE_ACCURACY_DELTA = 0.01  # |steady accuracy - serial twin|
 MAX_FAIRNESS_P99 = 3.0  # max/min per-tenant p99 ratio
 MIN_OVERLAP_WINS = 1  # scenarios where the service beats the FIFO tail
 
@@ -82,24 +84,24 @@ SERVICE_SCENARIOS = (
 #: the heavy-tenant mix of the skewed scenarios
 SKEWED_WEIGHTS = (0.7, 0.2, 0.1)
 #: offered load of the burst scenarios, as a multiple of the single
-#: server's capacity — past 1.0 the legacy FIFO must queue unboundedly
+#: server's capacity — past 1.0 the serial FIFO must queue unboundedly
 BURST_UTILIZATION = 1.6
 
 
 @dataclass(frozen=True)
 class ServiceRow:
-    """One scenario: the service score and its legacy-FIFO twin."""
+    """One scenario: the per-device-lane score and its serial-FIFO twin."""
 
     scenario: str
     shape: str  # "steady" | "storm" | "burst"
     tenant_weights: tuple[float, ...] | None  # None = uniform
     score: ReplayScore  # the offload-service run
-    legacy: ReplayScore  # same trace through the legacy FIFO
+    legacy: ReplayScore  # same trace through the serial preset
     outcome_counts: dict
 
     @property
     def accuracy_delta(self) -> float:
-        """Steady-state selection accuracy, service minus legacy twin."""
+        """Steady-state selection accuracy, service minus serial twin."""
         return self.score.steady_accuracy - self.legacy.steady_accuracy
 
     @property
@@ -255,7 +257,7 @@ def _service_outcome(
     policy: MemoizedPolicy,
     memo: ExecutionMemo,
 ) -> tuple[str, "tuple[float, ...] | None", ReplayScore, ReplayScore, dict]:
-    """One scenario's (shape, weights, service score, legacy score, counts).
+    """One scenario's (shape, weights, service score, serial score, counts).
 
     Shared by the sequential loop and the parallel worker task, so the
     two paths cannot drift.
