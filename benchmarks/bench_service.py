@@ -1,14 +1,14 @@
-"""Scores the multi-tenant offload service against its legacy-FIFO twins.
+"""Scores the offload service's per-device lanes against their serial-FIFO twins.
 
 Checks the invariants the offload service promises (docs/ROBUSTNESS.md):
 
 * every scenario keeps steady-state selection accuracy within the
-  stored delta of its legacy twin (the service may change *when*
+  stored delta of its serial twin (the service may change *when*
   launches run, never *what* is selected);
 * per-tenant p99 completion latency stays within the stored fairness
   ratio (max/min over tenants), uniform and skewed mixes alike;
 * at least the stored number of scenarios show transfer/compute overlap
-  beating the legacy serial FIFO on the tail the scenario stresses
+  beating the serial FIFO on the tail the scenario stresses
   (chaos-window p99 for fault storms, trace-wide p99 for bursts);
 * every scenario's completion p99 is finite and both twins served the
   whole trace;

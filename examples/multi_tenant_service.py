@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Three tenants share one node through the multi-tenant offload service.
 
-The legacy replay pipeline queues every launch behind one FIFO server,
-so a CPU-bound request waits for a GPU-bound one and every transfer
+Every replay runs through the offload service.  Its default, the
+serial preset, queues every launch behind one FIFO server, so a
+CPU-bound request waits for a GPU-bound one and every transfer
 serializes with every compute.  This walkthrough replays the identical
-8,000-launch trace twice — once through that FIFO, once through the
-offload service (`ReplayConfig.service=True`) — with a skewed tenant
+8,000-launch trace twice — once through that serial FIFO, once through
+per-device lanes (`ReplayConfig.service=True`) — with a skewed tenant
 mix (one heavy tenant, two light ones) and a fault storm in the middle,
 and then compares what an operator cares about:
 
@@ -64,27 +65,27 @@ def _replay(service: bool):
 
 def main() -> None:
     print(
-        f"replaying {WORKLOAD.launches} launches x 2 (legacy FIFO, then the "
-        f"offload service) on {PLATFORM_P9_V100.name}"
+        f"replaying {WORKLOAD.launches} launches x 2 (serial FIFO, then "
+        f"per-device lanes) on {PLATFORM_P9_V100.name}"
     )
     print(f"tenant shares {WORKLOAD.tenant_weights}, storm over "
           f"[{STORM.start_s:g}s, {STORM.stop_s:g}s) simulated")
 
-    legacy_run, legacy = _replay(service=False)
+    _, serial = _replay(service=False)
     service_run, svc = _replay(service=True)
 
     print("\n=== the tail (same trace, two queueing models) ===")
-    print(f"{'':24}{'legacy FIFO':>14}{'service':>14}")
-    print(f"{'completion p50':24}{legacy.completion_p50_s:>13.4f}s"
+    print(f"{'':24}{'serial FIFO':>14}{'lanes':>14}")
+    print(f"{'completion p50':24}{serial.completion_p50_s:>13.4f}s"
           f"{svc.completion_p50_s:>13.4f}s")
-    print(f"{'completion p99':24}{legacy.completion_p99_s:>13.4f}s"
+    print(f"{'completion p99':24}{serial.completion_p99_s:>13.4f}s"
           f"{svc.completion_p99_s:>13.4f}s")
-    print(f"{'storm-window p99':24}{legacy.chaos_completion_p99_s:>13.4f}s"
+    print(f"{'storm-window p99':24}{serial.chaos_completion_p99_s:>13.4f}s"
           f"{svc.chaos_completion_p99_s:>13.4f}s")
-    print(f"{'steady accuracy':24}{legacy.steady_accuracy:>13.2%} "
+    print(f"{'steady accuracy':24}{serial.steady_accuracy:>13.2%} "
           f"{svc.steady_accuracy:>13.2%}")
 
-    print("\n=== per-tenant tails (service run) ===")
+    print("\n=== per-tenant tails (per-device lanes) ===")
     for t in svc.tenants:
         print(
             f"tenant {t.tenant:10} {t.launches:5} launches   "
@@ -103,9 +104,9 @@ def main() -> None:
             f"{lane['transfers_waived']} H2D transfers waived"
         )
     print(
-        "\nThe FIFO twin funnels all three tenants through one server, so\n"
+        "\nThe serial twin funnels all three tenants through one server, so\n"
         "the storm's retries stall everyone behind the sick device.  The\n"
-        "service keeps the host lane flowing, overlaps H2D with compute on\n"
+        "lanes keep the host flowing, overlap H2D with compute on\n"
         "the accelerator lane, and batches same-kernel arrivals onto one\n"
         "transfer — the tail shrinks while the *selections* stay put."
     )

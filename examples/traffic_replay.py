@@ -4,9 +4,10 @@
 The experiments sweep the kernel grid uniformly; production traffic does
 not.  This walkthrough generates a 10,000-launch seeded trace (Zipf
 kernel popularity, bursty arrivals, mixed dataset sizes), replays it
-through the model-guided offloading runtime behind a bounded admission
-queue, and opens a ninety-percent fault storm over a two-second window
-in the middle of the run.  The recovery report at the end answers the
+through the model-guided offloading runtime behind the replay's one
+admission path — the offload service's serial preset, a bounded
+single-server FIFO — and opens a ninety-percent fault storm over a
+four-second window in the middle of the run.  The recovery report at the end answers the
 questions an operator would ask:
 
 * did the storm leak into the calm stretches?  (steady-state accuracy
