@@ -2,21 +2,24 @@
 
 At "compile" time, the framework stores the static products of analysis for
 every outlined target region: the symbolic IPDA strides, the instruction
-loadout skeleton, the symbolic parallel-iteration count, and symbolic
-transfer sizes.  At execution time, the OpenMP runtime queries the entry by
+loadout skeleton, the symbolic parallel-iteration count, symbolic
+transfer sizes and, once per host CPU, the lowered parallel band the MCA
+scoreboard prices.  At execution time, the OpenMP runtime queries the entry by
 region key, binds the missing runtime values, and hands completed model
 inputs to the performance models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..ir import Region, validate_region
 from ..ir.dataflow import RegionDataflow, analyze_transfers
 from ..ir.printer import region_to_text
 from ..ipda import BoundIPDA, IPDAResult, analyze_region
+from ..machines import CPUDescriptor
+from ..mca import LoweredLevel, find_band_level, lower_region
 from ..obs.tracer import current_tracer
 from ..parallel.cache import current_cache
 from ..symbolic import Expr
@@ -42,6 +45,26 @@ class RegionAttributes:
     #: bit-identical to the historical behaviour); "inferred" prices them
     #: from the dataflow analysis (drops provably wasted directions)
     transfer_mode: str = "declared"
+    #: (host descriptor, its band level) pairs filled by ``band_level``
+    _bands: list[tuple[CPUDescriptor, LoweredLevel]] = field(
+        default_factory=list, init=False, compare=False, repr=False
+    )
+
+    def band_level(self, cpu: CPUDescriptor) -> LoweredLevel:
+        """The innermost parallel band level lowered for ``cpu``.
+
+        Lowering is compile-time work: it depends on the region and the
+        host descriptor only, so each record lowers once per descriptor
+        and every launch reuses the level.  Descriptors are matched by
+        value, not by name: a same-name variant built with
+        ``dataclasses.replace`` (an ablation, a test) gets its own level.
+        """
+        for known, level in self._bands:
+            if known is cpu or known == cpu:
+                return level
+        level = find_band_level(lower_region(self.region, cpu))
+        self._bands.append((cpu, level))
+        return level
 
     def bind(self, env: Mapping[str, int]) -> "BoundAttributes":
         """Complete the record with runtime values (Figure 2, runtime side).

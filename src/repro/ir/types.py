@@ -8,8 +8,10 @@ computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["DType", "f32", "f64", "i32", "i64"]
 
@@ -35,6 +37,8 @@ class DType:
     @property
     def np(self) -> np.dtype:
         """The matching numpy dtype (for the functional executor)."""
+        import numpy as np
+
         return np.dtype(
             {
                 "f32": np.float32,

@@ -14,7 +14,7 @@ accumulator serialising on FMA latency) that a naive latency sum misses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from ..machines import CPUDescriptor
@@ -111,19 +111,6 @@ def schedule_ops(
     )
 
 
-@dataclass
-class _Renamer:
-    """Renames vregs per unrolled copy while threading loop-carried regs."""
-
-    next_vreg: int
-    carried: dict[int, int] = field(default_factory=dict)
-
-    def fresh(self) -> int:
-        v = self.next_vreg
-        self.next_vreg += 1
-        return v
-
-
 def unroll(
     body: Sequence[MachineOp],
     copies: int,
@@ -178,9 +165,16 @@ def steady_state_cycles(
 ) -> float:
     """Asymptotic cycles per iteration of ``body`` under the scoreboard.
 
-    Schedules ``warmup + measure`` renamed copies and differences the two
-    schedule lengths, eliminating pipeline fill effects.
+    Schedules ``warmup + measure`` renamed copies in one pass and
+    differences the schedule length after ``warmup`` copies from the
+    length after all of them, eliminating pipeline fill effects.
+    ``latency_of`` must depend on an op's ``(opcode, tag)`` only, which
+    every renamed copy shares: it is evaluated once per body op.
     """
+    if warmup < 1:
+        raise ValueError(f"warmup must be >= 1, got {warmup}")
+    if measure < 1:
+        raise ValueError(f"measure must be >= 1, got {measure}")
     if not body:
         return 0.0
     tracer = current_tracer()
@@ -211,29 +205,37 @@ def _cached_steady_state(
     is folded in by *evaluating it over the body ops*: both in-tree
     overrides are pure functions of ``(opcode, tag)``, which the renamed
     unrolled copies preserve, so the evaluated latencies determine the
-    schedule exactly.
+    schedule exactly.  The scoreboard reuses the same evaluation.
     """
+    if latency_of is None:
+        latencies = [float(cpu.latency(op.opcode)) for op in body]
+    else:
+        latencies = [float(latency_of(op)) for op in body]
     cache = current_cache()
     if not cache.enabled:
-        return _steady_state(body, cpu, carried_regs, warmup, measure, latency_of)
+        return _steady_state(body, cpu, carried_regs, warmup, measure, latencies)
     payload = {
         "ops": [[op.opcode, op.dest, list(op.srcs), op.tag] for op in body],
         "carried": sorted(carried_regs),
         "warmup": warmup,
         "measure": measure,
-        "latencies": (
-            None
-            if latency_of is None
-            else [float(latency_of(op)) for op in body]
-        ),
+        "latencies": None if latency_of is None else latencies,
     }
     return cache.get_or_compute(
         "mca.steady_state",
         payload,
         cpu,
-        lambda: _steady_state(body, cpu, carried_regs, warmup, measure, latency_of),
+        lambda: _steady_state(body, cpu, carried_regs, warmup, measure, latencies),
         validate=lambda v: isinstance(v, (int, float)),
     )
+
+
+# How a source register of a body op is renamed in unrolled copy ``c``
+# (see :func:`unroll`); each kind maps to the offset added to the register.
+_LOCAL = 0  # defined earlier in the body: this copy's definition
+_CARRIED = 1  # loop-carried, defined in the body: the previous copy's one
+_PINNED = 2  # loop-carried, never defined: always the register itself
+_INVARIANT = 3  # anything else: the register shifted by ``base * c``
 
 
 def _steady_state(
@@ -242,12 +244,77 @@ def _steady_state(
     carried_regs: frozenset[int],
     warmup: int,
     measure: int,
-    latency_of: Callable[[MachineOp], float] | None,
+    latencies: Sequence[float],
 ) -> float:
-    short = schedule_ops(
-        unroll(body, warmup, carried_regs), cpu, latency_of=latency_of
-    ).total_cycles
-    long = schedule_ops(
-        unroll(body, warmup + measure, carried_regs), cpu, latency_of=latency_of
-    ).total_cycles
+    """Schedule ``unroll(body, warmup + measure)`` in one scoreboard pass.
+
+    The body becomes a table of (port, latency, occupancy, dest, sources)
+    rows built once; each copy then renames registers by integer offsets
+    that follow :func:`unroll` exactly, including its quirk that copy 1
+    reads a non-carried register ``s`` defined later in the body as
+    ``s + base``, which no copy defines.  The short schedule length is read at the
+    ``warmup``-copy boundary of the same pass.  That equals scheduling
+    ``unroll(body, warmup)`` separately: the greedy in-order scoreboard
+    never lets a later op change an earlier op's issue cycle, and
+    ``unroll(body, warmup)`` is a prefix of ``unroll(body, warmup +
+    measure)``.
+    """
+    base = max(
+        max((op.dest for op in body), default=-1),
+        max((max(op.srcs, default=-1) for op in body), default=-1),
+    ) + 1
+    port_index: dict[str, int] = {}
+    units: list[list[float]] = []  # per port: each unit's next free cycle
+    carried_defined = {
+        op.dest for op in body if op.dest >= 0 and op.dest in carried_regs
+    }
+    defined: set[int] = set()
+    table = []
+    for op, lat in zip(body, latencies):
+        port = port_index.get(op.port)
+        if port is None:
+            port = port_index[op.port] = len(units)
+            units.append([0.0] * max(1, cpu.ports.get(op.port, 1)))
+        srcs = []
+        for s in op.srcs:
+            if s in defined:
+                kind = _LOCAL
+            elif s in carried_regs:
+                kind = _CARRIED if s in carried_defined else _PINNED
+            else:
+                kind = _INVARIANT
+            srcs.append((s, kind))
+        occupancy = lat if op.opcode in UNPIPELINED else 1.0
+        table.append((port, lat, occupancy, op.dest, tuple(srcs)))
+        if op.dest >= 0:
+            defined.add(op.dest)
+
+    width = max(1, cpu.dispatch_width)
+    ready: dict[int, float] = {}  # renamed vreg -> cycle its value is available
+    finish = 0.0
+    short = 0.0
+    idx = 0
+    for c in range(warmup + measure):
+        if c == warmup:
+            short = max(finish, 1.0)
+        dest_shift = base * (c + 1) if c else 0
+        offsets = (dest_shift, base * c if c > 1 else 0, 0, base * c)
+        for port, lat, occupancy, dest, srcs in table:
+            earliest = idx // width  # the op's dispatch cycle
+            idx += 1
+            for s, kind in srcs:
+                t = ready.get(s + offsets[kind], 0.0)
+                if t > earliest:
+                    earliest = t
+            free = units[port]
+            first_free = min(free)
+            unit = free.index(first_free)
+            issue = first_free if first_free > earliest else earliest
+            free[unit] = issue + occupancy
+            done = issue + lat
+            if dest >= 0:
+                ready[dest + dest_shift] = done
+            if done > finish:
+                finish = done
+    long = max(finish, 1.0)
     return max((long - short) / measure, 0.05)

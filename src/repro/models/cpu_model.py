@@ -28,10 +28,16 @@ from typing import Callable, Mapping
 from ..analysis import InstructionLoadout, nest_trips
 from ..analysis.tripcount import PAPER_LOOP_TRIPS
 from ..codegen import CPUPlan, OMPSchedule, plan_cpu_execution
-from ..ipda import analyze_region
+from ..ipda import IPDAResult, analyze_region
 from ..ir import Region, count_reductions
 from ..machines import CPUDescriptor
-from ..mca import MachineOp, machine_cycles_per_iter
+from ..mca import (
+    LoweredLevel,
+    MachineOp,
+    find_band_level,
+    level_cycles_per_iteration,
+    lower_region,
+)
 from ..symbolic import EvalError
 
 __all__ = ["CPUPrediction", "predict_cpu_time"]
@@ -90,6 +96,8 @@ def predict_cpu_time(
     vectorize: bool = True,
     schedule: OMPSchedule = OMPSchedule.STATIC,
     chunk_size: int | None = None,
+    ipda: IPDAResult | None = None,
+    band: LoweredLevel | None = None,
 ) -> CPUPrediction:
     """Evaluate the Liao model for one region launch.
 
@@ -99,6 +107,11 @@ def predict_cpu_time(
     most loaded thread between the fork and the join.  A dynamic schedule
     pays Liao's ``Schedule_times × Schedule_c`` with the per-chunk dispatch
     cost instead of the one-off static partitioning cost.
+
+    ``ipda`` and ``band`` are the region's compile-time products: its IPDA
+    result and its innermost parallel band lowered for ``cpu`` under
+    ``vectorize``.  The attribute database stores both, so a launch only
+    binds values; either one left out is computed here from ``region``.
     """
     plan = plan_cpu_execution(
         parallel_iterations,
@@ -108,12 +121,14 @@ def predict_cpu_time(
         chunk_size=chunk_size,
     )
     trip_of = nest_trips(region, env or {}, default=PAPER_LOOP_TRIPS)
-    classes = _classify_accesses(
-        region, env or {}, cpu, plan.threads_per_core, trip_of
-    )
+    if ipda is None:
+        ipda = analyze_region(region)
+    if band is None:
+        band = find_band_level(lower_region(region, cpu, vectorize=vectorize))
+    classes = _classify_accesses(ipda, env or {}, cpu, trip_of)
     latency_of = _ipda_load_latency(classes, cpu)
-    mc_per_iter = machine_cycles_per_iter(
-        region, cpu, trip_of, vectorize=vectorize, latency_of=latency_of
+    mc_per_iter = level_cycles_per_iteration(
+        band, cpu, trip_of, latency_of=latency_of
     )
     # SMT sharing: with T threads per core, each thread sees a slice of the
     # core's issue capacity.  The critical-path thread therefore pays
@@ -185,10 +200,9 @@ class _AccessClass:
 
 
 def _classify_accesses(
-    region: Region,
+    ipda: IPDAResult,
     env: Mapping[str, float],
     cpu: CPUDescriptor,
-    threads_per_core: int,
     trip_of=None,
 ) -> list[_AccessClass]:
     """The predictor's ``Cache_c`` memory classes (Section II.C).
@@ -200,7 +214,6 @@ def _classify_accesses(
     the detailed hierarchy remains the simulator's (and real hardware's)
     edge, the gap Section IV.A.1 calls the model's primary limitation.
     """
-    ipda = analyze_region(region)
     line = float(cpu.cacheline_bytes)
     aggregate_l3 = cpu.l3_kib_per_core * 1024.0 * cpu.cores
     out: list[_AccessClass] = []

@@ -90,10 +90,9 @@ def predict_both(
     static abstraction everywhere — the degraded predictor Section IV.E's
     error discussion contemplates — and is exercised as an ablation.
     """
+    attributes = bound.attributes
     loadout = (
-        bound.loadout
-        if use_runtime_tripcounts
-        else bound.attributes.static_loadout
+        bound.loadout if use_runtime_tripcounts else attributes.static_loadout
     )
     env = dict(bound.env) if use_runtime_tripcounts else {}
     cpu_pred = predict_cpu_time(
@@ -103,6 +102,8 @@ def predict_both(
         platform.host,
         num_threads=num_threads,
         env=env,
+        ipda=attributes.ipda,
+        band=attributes.band_level(platform.host),
     )
     plan = plan_gpu_launch(
         bound.parallel_iterations,

@@ -20,11 +20,12 @@ Deviations from Polybench/ACC, recorded here and in DESIGN.md:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from ..ir import Region
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["BenchmarkSpec", "KernelCase", "MODES", "TEST_SIZE", "BENCHMARK_SIZE"]
 

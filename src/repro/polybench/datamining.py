@@ -12,12 +12,13 @@ CORR computes the full correlation matrix including the diagonal.
 
 from __future__ import annotations
 
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from ..ir import Region, cmp, select, sqrt
 from .base import BenchmarkSpec, square_sizes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["COVAR", "CORR", "CORR_EPS"]
 
@@ -65,6 +66,8 @@ def _build_covar() -> list[Region]:
 
 
 def _ref_covar(arrays: dict[str, np.ndarray], scalars: Mapping[str, float]) -> None:
+    import numpy as np
+
     data = arrays["data"]
     arrays["mean"][:] = data.sum(axis=0) / np.float32(scalars["float_n"])
     data -= arrays["mean"]
@@ -130,6 +133,8 @@ def _build_corr() -> list[Region]:
 
 
 def _ref_corr(arrays: dict[str, np.ndarray], scalars: Mapping[str, float]) -> None:
+    import numpy as np
+
     data = arrays["data"]
     float_n = np.float32(scalars["float_n"])
     mean = data.sum(axis=0) / float_n

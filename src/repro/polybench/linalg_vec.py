@@ -7,12 +7,13 @@ columns and exercise the coalescing/caching asymmetry between devices.
 
 from __future__ import annotations
 
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from ..ir import Region
 from .base import BenchmarkSpec, square_sizes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ATAX", "BICG", "MVT", "GESUMMV"]
 

@@ -10,12 +10,13 @@ extents are not 1100/9600; see DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from ..ir import Region
 from .base import BenchmarkSpec, square_sizes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["CONV2D", "CONV3D", "CONV3D_TEST_SIZE", "CONV3D_BENCHMARK_SIZE"]
 
@@ -51,6 +52,8 @@ def _build_conv2d() -> list[Region]:
 
 
 def _ref_conv2d(arrays: dict[str, np.ndarray], scalars: Mapping[str, float]) -> None:
+    import numpy as np
+
     A, B = arrays["A"], arrays["B"]
     acc = np.zeros_like(A[1:-1, 1:-1], dtype=np.float64)
     coeffs = {
@@ -106,6 +109,8 @@ def _build_conv3d() -> list[Region]:
 
 
 def _ref_conv3d(arrays: dict[str, np.ndarray], scalars: Mapping[str, float]) -> None:
+    import numpy as np
+
     A, B = arrays["A"], arrays["B"]
     terms = [
         (C11, (-1, -1, -1)), (C13, (1, -1, -1)),

@@ -17,15 +17,16 @@ loops whose bounds are not plain parameters).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .analysis import InstructionLoadout, PAPER_BRANCH_PROBABILITY, extract_loadout
 from .analysis.tripcount import PAPER_LOOP_TRIPS, TripFn
 from .ir import If, Loop, Region
 from .sim import ExecutionProfile, allocate_arrays, execute_region
 from .symbolic import EvalError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["RegionProfile", "collect_profile", "profiled_trip_fn", "profiled_loadout"]
 

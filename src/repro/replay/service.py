@@ -78,9 +78,9 @@ class AdmissionConfig:
 
     ``capacity`` counts waiting *and* in-service launches; ``None``
     disables admission control entirely (infinite queue, nothing shed).
-    ``resume_depth`` (defer only) is the depth the queue must drain to
-    before parked requests re-enter; ``defer_capacity`` bounds the park
-    buffer.
+    ``resume_depth`` (defer only) is the depth the queue must drain below
+    before parked requests re-enter, so it is at least 1; ``defer_capacity``
+    bounds the park buffer.
     """
 
     capacity: int | None = None
@@ -97,8 +97,9 @@ class AdmissionConfig:
             )
         if self.defer_capacity < 1:
             raise ValueError("defer_capacity must be >= 1")
-        if self.resume_depth is not None and self.resume_depth < 0:
-            raise ValueError("resume_depth must be >= 0")
+        if self.resume_depth is not None and self.resume_depth < 1:
+            # lanes resume while depth < resume_depth: 0 would park forever
+            raise ValueError("resume_depth must be >= 1")
 
     @property
     def bounded(self) -> bool:

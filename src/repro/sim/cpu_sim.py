@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..codegen import CPUPlan, OMPSchedule, plan_cpu_execution
-from ..ipda import analyze_region
+from ..ipda import IPDAResult, analyze_region
 from ..ir import Region
 from ..ir.visit import count_reductions, memory_accesses
 from ..machines import CPUDescriptor
@@ -93,13 +93,13 @@ def cpu_memory_hierarchy(
 
 def _access_specs(
     region: Region,
+    ipda: IPDAResult,
     env: Mapping[str, int],
     plan: CPUPlan,
     trip_of,
 ) -> tuple[list[AccessSpec], list[list[int]]]:
     """Build per-thread access specs + stencil groups for the region."""
     accesses = memory_accesses(region)
-    ipda = analyze_region(region)
     band_vars = [lp.var.name for lp in region.parallel_band()]
 
     # Per-thread trips of each band loop: inner band dims run fully; the
@@ -199,8 +199,9 @@ def _simulate_cpu(
     )
     mem = cpu_memory_hierarchy(cpu, plan.threads_per_core)
     trips = nest_trips(region, env)
+    ipda = analyze_region(region)
 
-    specs, groups = _access_specs(region, env, plan, trips)
+    specs, groups = _access_specs(region, ipda, env, plan, trips)
     localities: dict[int, AccessLocality] = {}
     for group in groups:
         leader = group[0]
@@ -234,7 +235,6 @@ def _simulate_cpu(
     compute_seconds = cpu.cycles_to_seconds(compute_cycles)
 
     busy_threads = min(plan.num_threads, parallel_iters)
-    ipda = analyze_region(region)
     outer_band_var = region.parallel_band()[0].var.name
     total_dram = 0.0
     l2_traffic = 0.0  # per-thread bytes refilled from L2

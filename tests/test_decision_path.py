@@ -1,0 +1,160 @@
+"""The runtime decision path does per-launch work only.
+
+``predict_both`` takes the region's IPDA result and lowered band level
+from its compile-time record instead of recomputing them; these tests pin
+that the shortcut changes no number, that the lowering memo tells apart
+same-name CPU descriptors, and that the decision path imports no numpy.
+"""
+
+import dataclasses
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+from repro.analysis import ProgramAttributeDatabase
+from repro.machines import PLATFORM_P8_K80, PLATFORM_P9_V100, POWER9
+from repro.models import predict_both, predict_cpu_time
+from repro.polybench import SUITE, benchmark_by_name
+from repro.sim import simulate_cpu
+
+PLATFORMS = (PLATFORM_P8_K80, PLATFORM_P9_V100)
+SRC = Path(__file__).resolve().parent.parent / "src"
+#: what the benchmark workloads import: decisions, sweeps and replays
+DECISION_MODULES = (
+    "repro.models",
+    "repro.analysis",
+    "repro.calibrate",
+    "repro.polybench",
+    "repro.replay",
+    "repro.runtime",
+    "repro.experiments",
+)
+
+
+def _environments(spec, rng):
+    """The test and benchmark datasets plus one odd-sized launch shape."""
+    odd = {p: round(2.0 ** rng.uniform(6, 12)) for p in spec.env("test")}
+    return (spec.env("test"), spec.env("benchmark"), odd)
+
+
+def _records():
+    db = ProgramAttributeDatabase()
+    rng = random.Random(13)
+    for spec in SUITE:
+        for region in spec.build():
+            yield db.compile_region(region), _environments(spec, rng)
+
+
+def _ops(level):
+    yield from level.leaf_ops
+    for sub in level.sub_loops:
+        yield from _ops(sub)
+    for then_lv, else_lv in level.sub_branches:
+        yield from _ops(then_lv)
+        yield from _ops(else_lv)
+
+
+class TestLoweringMemo:
+    def test_predict_both_equals_from_scratch_prediction(self):
+        checked = 0
+        for attrs, envs in _records():
+            for platform in PLATFORMS:
+                for env in envs:
+                    bound = attrs.bind(env)
+                    fresh = predict_cpu_time(
+                        attrs.region,
+                        bound.loadout,
+                        bound.parallel_iterations,
+                        platform.host,
+                        env=dict(env),
+                    )
+                    assert predict_both(bound, platform).cpu == fresh, (
+                        attrs.region.name,
+                        platform.name,
+                    )
+                    checked += 1
+        assert checked == 24 * 2 * 3
+
+    def test_same_name_descriptors_get_their_own_lowering(self):
+        no_fma = dataclasses.replace(POWER9, has_fma=False)
+        assert no_fma.name == POWER9.name and no_fma != POWER9
+        attrs = ProgramAttributeDatabase().compile_region(
+            benchmark_by_name("gemm").build()[0]
+        )
+        fused = attrs.band_level(POWER9)
+        unfused = attrs.band_level(no_fma)
+        assert any(op.opcode in ("fma", "vfma") for op in _ops(fused))
+        assert not any(op.opcode in ("fma", "vfma") for op in _ops(unfused))
+        # each descriptor keeps its own level on later launches
+        assert attrs.band_level(POWER9) is fused
+        assert attrs.band_level(no_fma) is unfused
+
+        env = benchmark_by_name("gemm").env("test")
+        bound = attrs.bind(env)
+        for host in (POWER9, no_fma, POWER9):
+            platform = dataclasses.replace(PLATFORM_P9_V100, host=host)
+            fresh = predict_cpu_time(
+                attrs.region,
+                bound.loadout,
+                bound.parallel_iterations,
+                host,
+                env=dict(env),
+            )
+            assert predict_both(bound, platform).cpu == fresh
+
+    def test_memo_is_not_part_of_record_identity(self):
+        attrs = ProgramAttributeDatabase().compile_region(
+            benchmark_by_name("gemm").build()[0]
+        )
+        before = repr(attrs)
+        twin = dataclasses.replace(attrs)
+        attrs.band_level(POWER9)
+        assert repr(attrs) == before
+        assert attrs == twin
+
+
+class TestDecisionWork:
+    def test_predict_both_runs_no_ipda(self, monkeypatch):
+        import repro.models.cpu_model as cpu_model
+
+        spec = benchmark_by_name("atax")
+        attrs = ProgramAttributeDatabase().compile_region(spec.build()[0])
+        bound = attrs.bind(spec.env("test"))
+
+        def forbidden(region):
+            raise AssertionError("IPDA re-run at decision time")
+
+        monkeypatch.setattr(cpu_model, "analyze_region", forbidden)
+        assert predict_both(bound, PLATFORM_P9_V100).cpu.seconds > 0
+
+    def test_simulate_cpu_runs_ipda_once(self, monkeypatch):
+        import repro.sim.cpu_sim as cpu_sim
+
+        calls = []
+        original = cpu_sim.analyze_region
+
+        def counting(region):
+            calls.append(region.name)
+            return original(region)
+
+        monkeypatch.setattr(cpu_sim, "analyze_region", counting)
+        spec = benchmark_by_name("gemm")
+        simulate_cpu(spec.build()[0], POWER9, spec.env("test"))
+        assert len(calls) == 1
+
+
+def test_decision_path_imports_no_numpy():
+    """numpy costs ~14 MB of RSS; only the functional executor needs it."""
+    code = "import sys\n" + "".join(f"import {m}\n" for m in DECISION_MODULES)
+    code += "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,21 @@
 """Unit tests for the MCA scoreboard scheduler."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.machines import POWER8, POWER9
-from repro.mca import MachineOp, schedule_ops, steady_state_cycles, unroll
+from repro.machines import GENERIC_X86, POWER8, POWER9
+from repro.mca import (
+    OPCODE_PORT,
+    LoweredLevel,
+    MachineOp,
+    lower_region,
+    schedule_ops,
+    steady_state_cycles,
+    unroll,
+)
+from repro.polybench import SUITE
+
+CPUS = (POWER8, POWER9, GENERIC_X86)
 
 
 def op(opcode, dest=-1, srcs=()):
@@ -132,3 +143,144 @@ class TestSteadyState:
         cyc = steady_state_cycles(body, POWER9)
         # 2 FP pipes: n ops take at least n/2 and at most n cycles + slack
         assert n / 2 - 0.6 <= cyc <= n + 1
+
+
+def two_pass(body, cpu, carried, *, warmup=4, measure=16, latency_of=None):
+    """The reference: schedule the short and long unrolls separately."""
+    short = schedule_ops(
+        unroll(body, warmup, carried), cpu, latency_of=latency_of
+    ).total_cycles
+    long = schedule_ops(
+        unroll(body, warmup + measure, carried), cpu, latency_of=latency_of
+    ).total_cycles
+    return max((long - short) / measure, 0.05)
+
+
+@st.composite
+def bodies(draw):
+    """Bodies whose sources may name registers defined later, or never."""
+    regs = draw(st.integers(1, 10))
+    reg = st.integers(0, regs - 1)
+    ops = draw(
+        st.lists(
+            st.builds(
+                MachineOp,
+                st.sampled_from(sorted(OPCODE_PORT)),
+                st.one_of(st.just(-1), reg),
+                st.lists(reg, max_size=3).map(tuple),
+                st.sampled_from(("", "load A acc:0", "load B acc:1")),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    carried = draw(st.frozensets(st.integers(0, regs), max_size=4))
+    return ops, carried
+
+
+class TestOnePassScoreboard:
+    """steady_state_cycles == the two-pass unroll + schedule_ops reference."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        case=bodies(),
+        cpu=st.sampled_from(CPUS),
+        latencies=st.dictionaries(
+            st.tuples(
+                st.sampled_from(sorted(OPCODE_PORT)),
+                st.sampled_from(("", "load A acc:0", "load B acc:1")),
+            ),
+            st.sampled_from((0.5, 1.0, 3.0, 7.25, 40.0)),
+        ),
+        warmup=st.integers(1, 5),
+        measure=st.integers(1, 20),
+    )
+    def test_matches_two_pass_reference(
+        self, case, cpu, latencies, warmup, measure
+    ):
+        body, carried = case
+
+        def latency_of(op):  # a pure function of (opcode, tag)
+            return latencies.get(
+                (op.opcode, op.tag), float(cpu.latency(op.opcode))
+            )
+
+        for override in (None, latency_of):
+            got = steady_state_cycles(
+                body,
+                cpu,
+                carried_regs=carried,
+                warmup=warmup,
+                measure=measure,
+                latency_of=override,
+            )
+            want = two_pass(
+                body,
+                cpu,
+                carried,
+                warmup=warmup,
+                measure=measure,
+                latency_of=override,
+            )
+            assert got == want
+
+    @pytest.mark.parametrize("warmup,measure", [(1, 1), (1, 2), (4, 16)])
+    def test_reads_of_later_definitions(self, warmup, measure):
+        # v1 is read before its definition: copies 0 and 1 see it ready at
+        # cycle 0, later copies read the previous copy's definition
+        body = [MachineOp("fadd", 0, (1,)), MachineOp("fdiv", 1, (0,))]
+        got = steady_state_cycles(body, POWER9, warmup=warmup, measure=measure)
+        want = two_pass(
+            body, POWER9, frozenset(), warmup=warmup, measure=measure
+        )
+        assert got == want
+
+    def test_every_polybench_level_matches(self):
+        """Exact on every lowered level of the 24 suite regions."""
+
+        def levels(level: LoweredLevel):
+            yield level
+            for sub in level.sub_loops:
+                yield from levels(sub)
+            for then_lv, else_lv in level.sub_branches:
+                yield from levels(then_lv)
+                yield from levels(else_lv)
+
+        checked = 0
+        for cpu in CPUS:
+
+            def slow_loads(op, cpu=cpu):  # (opcode, tag)-pure, like the models
+                bump = 11.5 if " acc:" in op.tag else 0.0
+                return float(cpu.latency(op.opcode)) + bump
+
+            for spec in SUITE:
+                for region in spec.build():
+                    for level in levels(lower_region(region, cpu)):
+                        if not level.leaf_ops:
+                            continue
+                        for override in (None, slow_loads):
+                            got = steady_state_cycles(
+                                level.leaf_ops,
+                                cpu,
+                                carried_regs=level.carried,
+                                latency_of=override,
+                            )
+                            want = two_pass(
+                                level.leaf_ops,
+                                cpu,
+                                level.carried,
+                                latency_of=override,
+                            )
+                            assert got == want, (region.name, cpu.name)
+                            checked += 1
+        assert checked >= 3 * 24 * 2
+
+    @pytest.mark.parametrize("warmup", [0, -1])
+    def test_warmup_below_one_rejected(self, warmup):
+        with pytest.raises(ValueError, match="warmup"):
+            steady_state_cycles([op("fadd", 0)], POWER9, warmup=warmup)
+
+    @pytest.mark.parametrize("measure", [0, -3])
+    def test_measure_below_one_rejected(self, measure):
+        with pytest.raises(ValueError, match="measure"):
+            steady_state_cycles([op("fadd", 0)], POWER9, measure=measure)

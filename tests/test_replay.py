@@ -209,6 +209,8 @@ class TestAdmissionQueue:
             AdmissionConfig(policy="drop")
         with pytest.raises(ValueError):
             AdmissionConfig(defer_capacity=0)
+        with pytest.raises(ValueError, match="resume_depth must be >= 1"):
+            AdmissionConfig(policy="defer", capacity=4, resume_depth=0)
         assert AdmissionConfig(capacity=8).effective_resume_depth == 4
         assert AdmissionConfig(capacity=8, resume_depth=2).effective_resume_depth == 2
 
