@@ -390,9 +390,11 @@ class TestTransfersCLI:
         assert "Suite transfer parity" in out
         assert "dead-debug-buffer" in out and "FIXED" in out
 
-    def test_transfers_json_payload(self, capsys):
+    def test_transfers_json_payload(self, capsys, grid_pin):
         assert main(["transfers", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        grid_pin("transfers-test", out.removesuffix("\n"))
+        payload = json.loads(out)
         assert payload["passed"] is True
         assert len(payload["suite"]) == len(all_kernel_cases("test"))
         by_name = {s["scenario"]: s for s in payload["scenarios"]}

@@ -28,7 +28,7 @@ from repro.replay import (
 )
 from repro.replay.workload import build_catalog
 from repro.runtime import ExecutionMemo, ModelGuided, OffloadingRuntime
-from repro.util import derive_seed
+from repro.util import derive_seed, emit_json
 
 
 @pytest.fixture(scope="module")
@@ -436,7 +436,7 @@ class TestEngine:
 
 
 class TestExperiment:
-    def test_small_grid_passes_and_serializes(self, shared):
+    def test_small_grid_passes_and_serializes(self, shared, grid_pin):
         from repro.experiments import run_replay
 
         result = run_replay(
@@ -449,6 +449,7 @@ class TestExperiment:
         payload = result.to_payload()
         assert json.loads(json.dumps(payload)) == payload
         assert result.render()
+        grid_pin("replay-1000", emit_json(payload))
 
     def test_unknown_scenario_rejected(self):
         from repro.experiments import run_replay

@@ -40,6 +40,7 @@ from repro.runtime import (
     Bulkhead,
     ExecutionMemo,
 )
+from repro.util import emit_json
 
 
 GOLDEN = Path(__file__).parent / "golden" / "replay_serial.json"
@@ -490,7 +491,7 @@ class TestCoverageEdges:
             for o in degraded
         )
 
-    def test_experiment_small_grid_passes_and_serializes(self):
+    def test_experiment_small_grid_passes_and_serializes(self, grid_pin):
         from repro.experiments import run_service
 
         result = run_service(
@@ -505,6 +506,7 @@ class TestCoverageEdges:
         payload = result.to_payload()
         assert json.loads(json.dumps(payload)) == payload
         assert result.render()
+        grid_pin("service-1000", emit_json(payload))
 
     def test_experiment_rejects_bad_grids(self):
         from repro.experiments import run_service
