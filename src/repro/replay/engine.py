@@ -115,15 +115,7 @@ class ReplayConfig:
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     chaos: ChaosSchedule = field(default_factory=ChaosSchedule)
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    num_threads: int | None = None
     multi_device: bool = False
-    attach_sentinel: bool = True
-    attach_watchdog: bool = True
-    watchdog_factor: float = 8.0
-    #: simulated-time half-life of the accelerator health penalty; decay
-    #: is what lets a post-storm runtime forgive the card instead of
-    #:  pinning borderline kernels to the host forever
-    health_decay_halflife_s: float | None = 5.0
     #: per-request end-to-end deadline budget (simulated seconds); queue
     #: wait, retry backoff and watchdog burn are charged against it.  A
     #: request whose budget drains while queueing runs the host-only
@@ -131,12 +123,7 @@ class ReplayConfig:
     budget_s: float | None = None
     #: arm speculative host backups (a HedgePolicy on the runtime)
     hedge: bool = False
-    hedge_quantile: float = 0.95
     hedge_min_samples: int = 8
-    hedge_low_budget_factor: float = 2.0
-    #: classic tail-at-scale arming: every sketch-ready launch hedges,
-    #: but only primaries that outlive the p-quantile delay ever pay
-    hedge_on_slow: bool = True
     #: bounded scheduled-work slots per device (a Bulkhead on the
     #: runtime); saturated devices reroute pre-dispatch.  None = off.
     bulkhead_slots: int | None = None
@@ -199,18 +186,16 @@ class ReplayEngine:
 
     def _build_runtime(self):
         cfg = self.config
-        sentinel = DriftSentinel() if cfg.attach_sentinel else None
-        watchdog = (
-            Watchdog(factor=cfg.watchdog_factor) if cfg.attach_watchdog else None
-        )
         common = dict(
             platform=cfg.platform,
-            num_threads=cfg.num_threads,
-            sentinel=sentinel,
-            watchdog=watchdog,
+            sentinel=DriftSentinel(),
+            watchdog=Watchdog(factor=8.0),
             metrics=MetricsRegistry(),
             memo=self.memo,
-            health_decay_halflife_s=cfg.health_decay_halflife_s,
+            # simulated-time half-life of the accelerator health penalty:
+            # decay lets a post-storm runtime forgive the card instead of
+            # pinning borderline kernels to the host forever
+            health_decay_halflife_s=5.0,
             # mixed dataset sizes per region: one drift stream per
             # (region, env) so size changes never read as residual shifts
             sentinel_stream_by_env=True,
@@ -227,11 +212,13 @@ class ReplayEngine:
         if cfg.bulkhead_slots is not None:
             runtime.bulkheads = Bulkhead(cfg.bulkhead_slots)
         if cfg.hedge:
+            # classic tail-at-scale arming: every sketch-ready launch
+            # hedges, but only primaries that outlive the p95 delay pay
             runtime.hedge = HedgePolicy(
-                quantile=cfg.hedge_quantile,
+                quantile=0.95,
                 min_samples=cfg.hedge_min_samples,
-                low_budget_factor=cfg.hedge_low_budget_factor,
-                on_slow=cfg.hedge_on_slow,
+                low_budget_factor=2.0,
+                on_slow=True,
             )
         return runtime
 

@@ -161,7 +161,6 @@ class OffloadingRuntime:
     db: ProgramAttributeDatabase = field(default_factory=ProgramAttributeDatabase)
     injector: FaultInjector | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    apply_health_penalty: bool = True
     lint_gate: LintGate | None = None
     sentinel: DriftSentinel | None = None
     watchdog: Watchdog | None = None

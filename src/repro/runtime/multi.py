@@ -145,7 +145,6 @@ class MultiDeviceRuntime:
     db: ProgramAttributeDatabase = field(default_factory=ProgramAttributeDatabase)
     injector: FaultInjector | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    apply_health_penalty: bool = True
     lint_gate: LintGate | None = None
     sentinel: DriftSentinel | None = None
     watchdog: Watchdog | None = None
@@ -224,7 +223,7 @@ class MultiDeviceRuntime:
         if self.sentinel is not None and region_name is not None:
             # 1.0 unless this device's stream is DRIFTED
             predicted *= self.sentinel.correction(outcome.device_name, region_name)
-        if outcome.kind == "cpu" or not self.apply_health_penalty:
+        if outcome.kind == "cpu":
             return predicted
         return predicted * self.health[outcome.device_name].penalty()
 
