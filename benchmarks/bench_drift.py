@@ -1,18 +1,15 @@
 """Scores the drift sentinel across the calibration-skew scenario grid.
 
-Checks the invariants the drift subsystem promises (docs/ROBUSTNESS.md):
+The checks are the grid's own, ``DriftResult.failures`` (thresholds
+beside them in ``repro/experiments/drift.py``, docs/ROBUSTNESS.md): the
+zero-skew control stays bit-identical and never drifts, every skew is
+detected within :data:`MAX_DETECTION_LATENCY` launches and healed to
+within :data:`MAX_RECOVERY_GAP` of the unskewed baseline, and the
+transient skew is re-promoted to CALIBRATED after it ends.
 
-* the zero-skew control stays bit-identical to the sentinel-off baseline
-  and never reaches DRIFTED;
-* every injected skew is detected within the stored detection-latency
-  threshold, and the self-healing selector's post-recovery accuracy lands
-  within the stored gap of the unskewed baseline;
-* the transient skew is re-promoted to CALIBRATED after it ends.
-
-The thresholds live in ``benchmarks/drift_thresholds.json`` so CI fails
-on a regression without editing code.  ``python benchmarks/bench_drift.py
---tiny`` runs a reduced grid without pytest — the CI smoke target — and
-writes the ``BENCH_drift.json`` summary next to the working directory.
+``python benchmarks/bench_drift.py --tiny`` runs a reduced grid without
+pytest — the CI smoke target — and writes the ``BENCH_drift.json``
+summary next to the working directory.
 """
 
 import json
@@ -20,44 +17,9 @@ import sys
 from pathlib import Path
 
 from repro.experiments import run_drift
-
-THRESHOLDS_PATH = Path(__file__).resolve().parent / "drift_thresholds.json"
+from repro.experiments.drift import MAX_DETECTION_LATENCY, MAX_RECOVERY_GAP
 
 _printed = False
-
-
-def load_thresholds() -> dict:
-    return json.loads(THRESHOLDS_PATH.read_text())
-
-
-def check(result, thresholds: dict) -> list[str]:
-    """Every threshold violation in the grid, as human-readable strings."""
-    max_latency = thresholds["max_detection_latency_launches"]
-    max_gap = thresholds["max_recovery_gap"]
-    failures: list[str] = []
-    for row in result.rows:
-        if row.bit_identical is not None:  # the zero-skew control
-            if not row.bit_identical:
-                failures.append(f"{row.scenario}: records not bit-identical")
-            if row.detection_launch is not None:
-                failures.append(f"{row.scenario}: spurious drift detection")
-            continue
-        if row.detection_latency is None:
-            failures.append(f"{row.scenario}: skew never detected")
-        elif row.detection_latency > max_latency:
-            failures.append(
-                f"{row.scenario}: detection latency {row.detection_latency} "
-                f"> {max_latency} launches"
-            )
-        if row.recovery_gap > max_gap:
-            failures.append(
-                f"{row.scenario}: recovery gap {row.recovery_gap:.3f} "
-                f"> {max_gap}"
-            )
-    transient = result.get("transient")
-    if transient.repromote_launch is None:
-        failures.append("transient: never re-promoted to CALIBRATED")
-    return failures
 
 
 def _run():
@@ -72,25 +34,26 @@ def _run():
 
 def test_drift_regeneration(benchmark):
     result = benchmark.pedantic(_run, rounds=1, iterations=1)
-    assert check(result, load_thresholds()) == []
-    assert result.passed
+    assert not result.failures
 
 
 def main(argv: list[str] | None = None) -> int:
     """Smoke entry point: reduced grid, no pytest-benchmark needed."""
     args = sys.argv[1:] if argv is None else argv
     launches, start = (72, 18) if "--tiny" in args else (96, 24)
-    thresholds = load_thresholds()
     result = run_drift(launches=launches, start=start)
     print(result.render())
+    thresholds = {
+        "max_detection_latency": MAX_DETECTION_LATENCY,
+        "max_recovery_gap": MAX_RECOVERY_GAP,
+    }
     payload = {**result.to_payload(), "thresholds": thresholds}
     out = Path("BENCH_drift.json")
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
-    failures = check(result, thresholds)
-    for failure in failures:
+    for failure in result.failures:
         print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return 1 if result.failures else 0
 
 
 if __name__ == "__main__":

@@ -1,13 +1,15 @@
 """Scores every policy under the injected-fault scenario grid.
 
-Checks the robustness invariants the fault-tolerance subsystem promises
-(docs/ROBUSTNESS.md):
+The checks are the grid's own, ``FaultsResult.failures`` (thresholds
+beside them in ``repro/experiments/faults.py``, docs/ROBUSTNESS.md):
 
 * fault-free runs suffer zero faults, retries and fallbacks;
 * under the dead-GPU scenario every launch still completes (via host
-  fallback) and the circuit breaker ends away from CLOSED;
+  fallback) at a cost within a retry-overhead hair of always-cpu, and
+  the circuit breaker ends away from CLOSED;
 * under flaky transfers the health-aware model-guided selector stays at
-  the degraded-oracle optimum while blind always-gpu pays for retries.
+  the degraded-oracle optimum while blind always-gpu pays for retries;
+* the OOM-prone scenario's footprint trigger forces fallbacks.
 
 ``python benchmarks/bench_faults.py --tiny`` runs a reduced grid without
 pytest — the CI smoke target.
@@ -32,48 +34,17 @@ def _run():
 
 def test_faults_regeneration(benchmark):
     result = benchmark.pedantic(_run, rounds=1, iterations=1)
-
-    # the control arm is untouched by the machinery
-    for policy in ("always-gpu", "always-cpu", "model-guided", "oracle"):
-        clean = result.get("fault-free", policy)
-        assert clean.faults == clean.retries == clean.fallbacks == 0
-        assert clean.breaker_state == "closed"
-        assert clean.vs_oracle >= 1.0
-
-    # dead GPU: all launches complete, the breaker leaves CLOSED, and the
-    # always-gpu policy falls back on every single launch
-    dead = result.get("dead-gpu", "always-gpu")
-    assert dead.fallbacks == dead.launches
-    assert dead.breaker_state != "closed"
-    # ... at a cost within a retry-overhead hair of always-cpu
-    dead_cpu = result.get("dead-gpu", "always-cpu")
-    assert dead.total_seconds <= dead_cpu.total_seconds * 1.01
-
-    # flaky transfers: retries happen, yet every policy completes and the
-    # model-guided selector stays at the degraded-oracle optimum.  (No
-    # ordering vs always-gpu: each policy's dispatch sequence draws its
-    # own fault pattern, so a blind policy can land under 1.0 by luck.)
-    flaky_gpu = result.get("flaky-transfer", "always-gpu")
-    flaky_mg = result.get("flaky-transfer", "model-guided")
-    assert flaky_gpu.faults > 0 and flaky_gpu.retries > 0
-    assert flaky_mg.vs_oracle <= 1.02
-
-    # OOM-prone: the footprint trigger fires only on benchmark-size data
-    oom = result.get("oom-prone", "always-gpu")
-    assert 0 < oom.fallbacks
+    assert not result.failures
 
 
 def main(argv: list[str] | None = None) -> int:
     """Smoke entry point: tiny grid, no pytest-benchmark needed."""
     args = sys.argv[1:] if argv is None else argv
-    launches = 4 if "--tiny" in args else 12
-    result = run_faults(launches=launches)
+    result = run_faults(launches=4 if "--tiny" in args else 12)
     print(result.render())
-    clean = result.get("fault-free", "model-guided")
-    assert clean.faults == 0 and clean.fallbacks == 0
-    dead = result.get("dead-gpu", "always-gpu")
-    assert dead.fallbacks == dead.launches, "dead-GPU launch failed to fall back"
-    return 0
+    for failure in result.failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if result.failures else 0
 
 
 if __name__ == "__main__":

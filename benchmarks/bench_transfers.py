@@ -1,11 +1,12 @@
 """Scores declared vs dataflow-inferred transfer sizing (docs/LINT.md).
 
-Checks the contract of the array-liveness analysis end to end:
+The checks are the report's own, ``TransfersResult.failures``:
 
 * the clean Polybench suite keeps byte-identical sizing and identical
   selector decisions under ``inferred_transfers=True``;
 * every over-mapped scenario tightens (never widens) both directions;
-* at least one scenario flips the selector decision onto the true
+* the defensively mapped vecadd recovers its copy-in (MAP002), and the
+  dead debug buffer (MAP004) flips the selector decision onto the true
   oracle target while recovering real transfer seconds.
 
 ``python benchmarks/bench_transfers.py`` prints the report without
@@ -31,30 +32,12 @@ def _run():
 
 def test_transfers_regeneration(benchmark):
     result = benchmark.pedantic(_run, rounds=1, iterations=1)
-
-    # clean maps: inference must not move a byte or a decision
-    assert all(row.agrees for row in result.suite)
-
-    # scenarios: inference only drops transfers, never invents them
-    for row in result.scenarios:
-        assert row.tightened
-        assert row.wasted_seconds >= 0
-
-    # the defensively-mapped vecadd recovers its wasted copy-in
-    defensive = result.scenario("defensive-tofrom")
-    assert defensive.inferred_to_device < defensive.declared_to_device
-    assert "MAP002" in defensive.map_codes
-
-    # the dead debug buffer flips the selector onto the oracle target
-    deadbuf = result.scenario("dead-debug-buffer")
-    assert deadbuf.fixed and deadbuf.wasted_seconds > 0
-    assert "MAP004" in deadbuf.map_codes
-
-    assert result.passed
+    assert not result.failures
 
 
 if __name__ == "__main__":
     result = _run()
-    ok = result.passed
-    print(f"\nself-check: {'PASS' if ok else 'FAIL'}")
-    sys.exit(0 if ok else 1)
+    for failure in result.failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    print(f"\nself-check: {'FAIL' if result.failures else 'PASS'}")
+    sys.exit(1 if result.failures else 0)

@@ -47,8 +47,8 @@ __all__ = [
     "MAX_RECOVERY_GAP",
 ]
 
-#: Self-check thresholds (also asserted by benchmarks/bench_drift.py).
-MAX_DETECTION_LATENCY = 12  # launches from skew onset to first DRIFTED
+#: Self-check thresholds (see DriftScore.failures).
+MAX_DETECTION_LATENCY = 8  # launches from skew onset to first DRIFTED
 MAX_RECOVERY_GAP = 0.05  # baseline tail accuracy - healed tail accuracy
 
 #: (benchmark, region, mode) cycle: six kernels whose true CPU/GPU ratios
@@ -158,16 +158,32 @@ class DriftScore:
     watchdog_overruns: int
 
     @property
-    def ok(self) -> bool:
-        """Did this scenario meet the drift subsystem's promises?"""
+    def failures(self) -> tuple[str, ...]:
+        """The drift subsystem's promises this scenario breaks."""
+        name = self.scenario
+        out = []
         if self.bit_identical is not None:  # control scenario
-            return self.bit_identical and self.detection_launch is None
+            if not self.bit_identical:
+                out.append(f"{name}: records not bit-identical")
+            if self.detection_launch is not None:
+                out.append(f"{name}: spurious drift detection")
+            return tuple(out)
         if self.detection_latency is None:
-            return False
-        return (
-            self.detection_latency <= MAX_DETECTION_LATENCY
-            and self.recovery_gap <= MAX_RECOVERY_GAP
-        )
+            out.append(f"{name}: skew never detected")
+        elif not self.detection_latency <= MAX_DETECTION_LATENCY:
+            out.append(
+                f"{name}: detection latency {self.detection_latency} "
+                f"> {MAX_DETECTION_LATENCY} launches"
+            )
+        if not self.recovery_gap <= MAX_RECOVERY_GAP:
+            out.append(
+                f"{name}: recovery gap {self.recovery_gap:.3f} > {MAX_RECOVERY_GAP}"
+            )
+        return tuple(out)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 @dataclass(frozen=True)
@@ -185,8 +201,16 @@ class DriftResult:
         raise KeyError(scenario)
 
     @property
+    def failures(self) -> tuple[str, ...]:
+        out = [f for row in self.rows for f in row.failures]
+        transient = next((r for r in self.rows if r.scenario == "transient"), None)
+        if transient is not None and transient.repromote_launch is None:
+            out.append("transient: never re-promoted to CALIBRATED")
+        return tuple(out)
+
+    @property
     def passed(self) -> bool:
-        return all(row.ok for row in self.rows)
+        return not self.failures
 
     def render(self) -> str:
         def fmt(launch: int | None) -> str:

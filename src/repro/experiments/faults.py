@@ -19,9 +19,20 @@ from ..polybench import benchmark_by_name
 from ..runtime import LaunchRecord, OffloadingRuntime, Policy, policy_by_name
 from ..util import render_table
 
-__all__ = ["FaultScore", "FaultsResult", "run_faults", "DEFAULT_FAULT_POLICIES"]
+__all__ = [
+    "FaultScore",
+    "FaultsResult",
+    "run_faults",
+    "DEFAULT_FAULT_POLICIES",
+    "MAX_DEAD_GPU_OVERHEAD",
+    "MAX_FLAKY_VS_ORACLE",
+]
 
 DEFAULT_FAULT_POLICIES = ("always-gpu", "always-cpu", "model-guided", "oracle")
+
+#: Self-check thresholds (see FaultsResult.failures).
+MAX_DEAD_GPU_OVERHEAD = 1.01  # dead-gpu always-gpu total / always-cpu total
+MAX_FLAKY_VS_ORACLE = 1.02  # model-guided total / degraded oracle, flaky link
 
 #: (benchmark, mode) cycle the launch sequence draws from; the benchmark
 #: datasets exceed the oom-prone scenario's 256 MiB usable memory while the
@@ -69,39 +80,59 @@ class FaultsResult:
             return None
 
     @property
-    def passed(self) -> bool:
-        """The robustness invariants bench_faults.py enforces, as one flag.
+    def failures(self) -> tuple[str, ...]:
+        """The robustness invariants the grid breaks, as readable strings.
 
         Checks apply to whichever (scenario, policy) cells the grid
         actually contains, so reduced grids still self-check.
         """
+        out = []
         for row in self.rows:
             if row.scenario != "fault-free":
                 continue
+            name = f"fault-free/{row.policy}"
             if row.faults or row.retries or row.fallbacks:
-                return False
-            if row.breaker_state != "closed" or row.vs_oracle < 1.0:
-                return False
+                out.append(f"{name}: the control arm faulted, retried or fell back")
+            if row.breaker_state != "closed":
+                out.append(f"{name}: breaker ended {row.breaker_state}")
+            if not row.vs_oracle >= 1.0:
+                out.append(f"{name}: {row.vs_oracle:.4f}x beats the oracle")
         dead = self._maybe("dead-gpu", "always-gpu")
-        if dead is not None and (
-            dead.fallbacks != dead.launches or dead.breaker_state == "closed"
-        ):
-            return False
+        if dead is not None:
+            if dead.fallbacks != dead.launches:
+                out.append("dead-gpu/always-gpu: dead-GPU launch failed to fall back")
+            if dead.breaker_state == "closed":
+                out.append("dead-gpu/always-gpu: breaker never left closed")
+            # the host fallbacks cost within a retry-overhead hair of
+            # always-cpu
+            dead_cpu = self._maybe("dead-gpu", "always-cpu")
+            if dead_cpu is not None and not (
+                dead.total_seconds <= dead_cpu.total_seconds * MAX_DEAD_GPU_OVERHEAD
+            ):
+                out.append(
+                    f"dead-gpu/always-gpu: {dead.total_seconds:.6f}s > "
+                    f"{MAX_DEAD_GPU_OVERHEAD} x always-cpu {dead_cpu.total_seconds:.6f}s"
+                )
         flaky_gpu = self._maybe("flaky-transfer", "always-gpu")
-        flaky_mg = self._maybe("flaky-transfer", "model-guided")
-        if flaky_gpu is not None and (
-            flaky_gpu.faults == 0 or flaky_gpu.retries == 0
-        ):
-            return False
+        if flaky_gpu is not None and (flaky_gpu.faults == 0 or flaky_gpu.retries == 0):
+            out.append("flaky-transfer/always-gpu: no transfer faults retried")
         # no ordering vs always-gpu: each policy's dispatch sequence draws
         # its own fault pattern, so a blind policy can land under 1.0 by
         # luck — the invariant is that model-guided stays at the optimum
-        if flaky_mg is not None and flaky_mg.vs_oracle > 1.02:
-            return False
+        flaky_mg = self._maybe("flaky-transfer", "model-guided")
+        if flaky_mg is not None and not flaky_mg.vs_oracle <= MAX_FLAKY_VS_ORACLE:
+            out.append(
+                f"flaky-transfer/model-guided: {flaky_mg.vs_oracle:.4f}x "
+                f"> {MAX_FLAKY_VS_ORACLE}x the degraded oracle"
+            )
         oom = self._maybe("oom-prone", "always-gpu")
         if oom is not None and oom.fallbacks == 0:
-            return False
-        return True
+            out.append("oom-prone/always-gpu: the footprint trigger never fell back")
+        return tuple(out)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def render(self) -> str:
         body = [

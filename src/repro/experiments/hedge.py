@@ -21,8 +21,8 @@ causal:
 
 Per cell the grid reports the hedge-rate, win-rate, duplicated-work
 fraction, the chaos-affected p99 completion latency of both arms, and
-both arms' expiry counts.  Gates (:attr:`HedgeCell.ok`): every cell
-arms at least one backup and stays under
+both arms' expiry counts.  Gates (:attr:`HedgeCell.failures`): every
+cell arms at least one backup and stays under
 :data:`~.replay.MAX_HEDGE_EXTRA_FRACTION` duplicated work; the
 unbudgeted cells must win at least once and strictly cut the
 chaos-affected p99 vs their unhedged twin.  Budgeted cells gate only on
@@ -36,20 +36,10 @@ import math
 from dataclasses import dataclass
 
 from ..machines import PLATFORM_P9_V100, Platform
-from ..replay import (
-    ChaosSchedule,
-    ChaosWindow,
-    MemoizedPolicy,
-    ReplayConfig,
-    ReplayEngine,
-    ReplayScore,
-    WorkloadConfig,
-    generate_requests,
-    score_run,
-)
-from ..runtime import ExecutionMemo
+from ..replay import ReplayConfig, ReplayScore, score_run
 from ..util import render_table
-from .replay import MAX_HEDGE_EXTRA_FRACTION, _probe_mean_service
+from .replay import MAX_HEDGE_EXTRA_FRACTION, MIN_HEDGE_WINS
+from .traffic import calibrate
 
 __all__ = [
     "BUDGET_FACTORS",
@@ -91,18 +81,40 @@ class HedgeCell:
         )
 
     @property
-    def ok(self) -> bool:
-        h = self.hedged
-        if h.overhead_nonfinite or not math.isfinite(h.overhead_p99_s):
-            return False
+    def failures(self) -> tuple[str, ...]:
+        """Every check this cell fails, as human-readable strings."""
+        h, name = self.hedged, f"{self.flavour}/{self.budget_label}"
+        out = []
+        if h.overhead_nonfinite:
+            out.append(
+                f"{name}: {h.overhead_nonfinite} nonfinite "
+                "dispatch-overhead observations"
+            )
+        if not math.isfinite(h.overhead_p99_s):
+            out.append(f"{name}: dispatch-overhead p99 not finite")
         # a hedge that never arms measures nothing; one that duplicates
         # more than the ceiling is a cost bug in any cell
-        if h.hedged == 0 or h.hedge_extra_fraction > MAX_HEDGE_EXTRA_FRACTION:
-            return False
+        if h.hedged == 0:
+            out.append(f"{name}: no backups armed")
+        if h.hedge_extra_fraction > MAX_HEDGE_EXTRA_FRACTION:
+            out.append(
+                f"{name}: duplicated-work fraction "
+                f"{h.hedge_extra_fraction:.4f} > {MAX_HEDGE_EXTRA_FRACTION}"
+            )
         if self.budget_s is None:
             # unbudgeted: the causal comparison must show a strict win
-            return h.hedge_wins > 0 and self.p99_improvement_s > 0.0
-        return True
+            if h.hedge_wins < MIN_HEDGE_WINS:
+                out.append(f"{name}: {h.hedge_wins} hedge wins < {MIN_HEDGE_WINS}")
+            if not self.p99_improvement_s > 0.0:
+                out.append(
+                    f"{name}: chaos p99 {h.chaos_completion_p99_s:.6f}s not "
+                    f"below unhedged {self.unhedged.chaos_completion_p99_s:.6f}s"
+                )
+        return tuple(out)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 @dataclass(frozen=True)
@@ -123,8 +135,12 @@ class HedgeResult:
         raise KeyError((flavour, budget_label))
 
     @property
+    def failures(self) -> tuple[str, ...]:
+        return tuple(f for cell in self.cells for f in cell.failures)
+
+    @property
     def passed(self) -> bool:
-        return all(cell.ok for cell in self.cells)
+        return not self.failures
 
     def render(self) -> str:
         def ms(x: float) -> str:
@@ -204,66 +220,44 @@ def run_hedge(
 ) -> HedgeResult:
     """Run the hedged-vs-unhedged grid over one calibrated trace."""
     factors = BUDGET_FACTORS if budget_factors is None else budget_factors
-    memo = ExecutionMemo()
-    policy = MemoizedPolicy()
-    probe_launches = max(min(launches, 2_000), 200)
-    mean_service = _probe_mean_service(
-        platform, seed, probe_launches, policy, memo
-    )
+    trace = calibrate(platform, launches, seed)
+    workload = trace.workload(utilization)
+    requests = trace.requests(workload)
+    window = trace.window(requests)
 
-    workload = WorkloadConfig(
-        launches=launches,
-        seed=seed,
-        mean_interarrival_s=mean_service / utilization,
-    )
-    requests = generate_requests(workload)
-    # the same mid-trace window carve as the replay scenario grid
-    w_start = requests[int(0.45 * launches)].arrival_s
-    w_stop = requests[int(0.55 * launches)].arrival_s
-    margin = w_stop - w_start
-
-    def chaos_for(kind: str) -> ChaosSchedule:
-        window = ChaosWindow(
-            name=kind,
-            kind=kind,
-            start_s=w_start,
-            stop_s=w_stop,
-            probability=0.75 if kind == "fault-storm" else 0.35,
+    def arm(flavour: str, budget_s: float | None, hedge: bool) -> ReplayScore:
+        run = trace.run(
+            ReplayConfig(
+                platform=platform,
+                workload=workload,
+                chaos=trace.chaos(flavour, window),
+                budget_s=budget_s,
+                hedge=hedge,
+            ),
+            requests,
         )
-        return ChaosSchedule(windows=(window,), seed=seed)
+        return score_run(run, recovery_margin_s=window[1] - window[0])
 
-    cells: list[HedgeCell] = []
-    for flavour in flavours:
-        for label, factor in factors.items():
-            budget_s = None if factor is None else factor * mean_service
-            scores: list[ReplayScore] = []
-            for hedge in (True, False):
-                cfg = ReplayConfig(
-                    platform=platform,
-                    workload=workload,
-                    chaos=chaos_for(flavour),
-                    budget_s=budget_s,
-                    hedge=hedge,
-                )
-                run = ReplayEngine(cfg, policy=policy, memo=memo).run(
-                    requests=requests
-                )
-                scores.append(score_run(run, recovery_margin_s=margin))
-            cells.append(
-                HedgeCell(
-                    flavour=flavour,
-                    budget_label=label,
-                    budget_s=budget_s,
-                    hedged=scores[0],
-                    unhedged=scores[1],
-                )
-            )
-
+    budgets = {
+        label: None if factor is None else factor * trace.mean_service_s
+        for label, factor in factors.items()
+    }
+    cells = [
+        HedgeCell(
+            flavour=flavour,
+            budget_label=label,
+            budget_s=budget_s,
+            hedged=arm(flavour, budget_s, hedge=True),
+            unhedged=arm(flavour, budget_s, hedge=False),
+        )
+        for flavour in flavours
+        for label, budget_s in budgets.items()
+    ]
     return HedgeResult(
         cells=tuple(cells),
         launches=launches,
         seed=seed,
         platform_name=platform.name,
-        mean_service_s=mean_service,
+        mean_service_s=trace.mean_service_s,
         utilization=utilization,
     )

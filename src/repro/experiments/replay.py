@@ -28,14 +28,15 @@ a scenario grid:
   completion latency vs its unhedged twin, and duplicate at most
   :data:`MAX_HEDGE_EXTRA_FRACTION` of the served seconds.
 
-Gates (``ReplayRow.ok`` / ``ReplayResult.passed``): chaos scenarios keep
-steady-state selection accuracy within :data:`MAX_ACCURACY_DROP` of the
-baseline, detect every window within :data:`MAX_TTD_FRACTION` of its
-duration and recover within :data:`MAX_TTR_S`; every scenario's
-dispatch-overhead p99 is finite; overload scenarios keep the queue depth
-bounded by its capacity while shedding/degrading/deferring a nonzero
-fraction.  ``benchmarks/bench_replay.py`` enforces the same numbers from
-``benchmarks/traffic_thresholds.json`` at the 10⁵-launch scale.
+Gates (``ReplayRow.failures``; ``ReplayResult.passed`` when the grid has
+none): chaos scenarios keep steady-state selection accuracy within
+:data:`MAX_ACCURACY_DROP` of the baseline, detect every window within
+:data:`MAX_TTD_FRACTION` of its duration and recover within
+:data:`MAX_TTR_S`; every scenario's dispatch-overhead p99 is finite;
+overload scenarios keep the queue depth bounded by its capacity while
+shedding/degrading/deferring a nonzero fraction.  The CLI and
+``benchmarks/bench_replay.py`` (at the 10⁵-launch scale) both judge by
+these checks.
 """
 
 from __future__ import annotations
@@ -44,39 +45,28 @@ import math
 from dataclasses import dataclass
 
 from ..machines import PLATFORM_P9_V100, Platform
-from ..parallel import SweepEngine
-from ..replay import (
-    AdmissionConfig,
-    ChaosSchedule,
-    ChaosWindow,
-    MemoizedPolicy,
-    ReplayConfig,
-    ReplayEngine,
-    ReplayScore,
-    WorkloadConfig,
-    generate_requests,
-    score_run,
-)
-from ..runtime import ExecutionMemo
+from ..replay import AdmissionConfig, ReplayConfig, ReplayScore, score_run
 from ..util import render_table
-from .common import _resolve_platform
+from .traffic import CalibratedTrace, calibrate, fan_out
 
 __all__ = [
     "MAX_ACCURACY_DROP",
     "MAX_TTD_FRACTION",
     "MAX_TTR_S",
     "MAX_HEDGE_EXTRA_FRACTION",
+    "MIN_HEDGE_WINS",
     "REPLAY_SCENARIOS",
     "ReplayRow",
     "ReplayResult",
     "run_replay",
 ]
 
-#: Self-check thresholds (mirrored by benchmarks/traffic_thresholds.json).
+#: Self-check thresholds (see ReplayRow.failures).
 MAX_ACCURACY_DROP = 0.01  # steady-state accuracy loss vs the no-chaos baseline
 MAX_TTD_FRACTION = 0.25  # detection within this fraction of the window
 MAX_TTR_S = 2.0  # simulated seconds from window close to clean recovery
 MAX_HEDGE_EXTRA_FRACTION = 0.15  # duplicated work hedging may burn
+MIN_HEDGE_WINS = 1  # races a hedged backup must win
 
 REPLAY_SCENARIOS = (
     "steady",
@@ -116,50 +106,85 @@ class ReplayRow:
         return self.baseline_steady_accuracy - self.score.steady_accuracy
 
     @property
-    def ok(self) -> bool:
-        s = self.score
-        if s.overhead_nonfinite or not math.isfinite(s.overhead_p99_s):
-            return False
+    def failures(self) -> tuple[str, ...]:
+        """Every check this scenario fails, as human-readable strings."""
+        s, name = self.score, self.scenario
+        out = []
+        if s.overhead_nonfinite:
+            out.append(
+                f"{name}: {s.overhead_nonfinite} nonfinite "
+                "dispatch-overhead observations"
+            )
+        if not math.isfinite(s.overhead_p99_s):
+            out.append(f"{name}: dispatch-overhead p99 not finite")
         if self.flavour == "baseline":
-            return (
-                s.shed_fraction == 0.0
-                and s.degraded_fraction == 0.0
-                and s.fault_events == 0
-                and s.fallbacks == 0
-            )
-        if self.flavour == "chaos":
+            if s.fault_events or s.fallbacks:
+                out.append(f"{name}: chaos-free baseline faulted")
+            if s.shed_fraction or s.degraded_fraction:
+                out.append(f"{name}: chaos-free baseline shed traffic")
+        elif self.flavour == "chaos":
             if self.accuracy_drop > MAX_ACCURACY_DROP:
-                return False
+                out.append(
+                    f"{name}: steady accuracy dropped "
+                    f"{self.accuracy_drop:.4f} > {MAX_ACCURACY_DROP} vs baseline"
+                )
             for w in s.windows:
-                if not w.detected or w.ttd_s > MAX_TTD_FRACTION * (
-                    w.stop_s - w.start_s
-                ):
-                    return False
-                if not w.recovered or w.ttr_s > MAX_TTR_S:
-                    return False
-            return True
-        if self.flavour == "hedged":
-            # hedging must actually fire, win at least once, cut the
-            # chaos-affected p99 completion latency vs the unhedged twin
-            # (the trace-wide p99 is pinned by steady-state burst peaks
-            # no backup can touch), and stay under the duplicated-work
-            # ceiling — a hedge that only burns is a bug
+                duration = w.stop_s - w.start_s
+                if not w.detected:
+                    out.append(f"{name}: window never detected")
+                elif w.ttd_s > MAX_TTD_FRACTION * duration:
+                    out.append(
+                        f"{name}: ttd {w.ttd_s:.3f}s > "
+                        f"{MAX_TTD_FRACTION:g} x {duration:.3f}s window"
+                    )
+                if not w.recovered:
+                    out.append(f"{name}: never recovered")
+                elif w.ttr_s > MAX_TTR_S:
+                    out.append(f"{name}: ttr {w.ttr_s:.3f}s > {MAX_TTR_S}s")
+        elif self.flavour == "hedged":
+            # hedging must actually fire, win, cut the chaos-affected p99
+            # completion latency vs the unhedged twin (the trace-wide p99
+            # is pinned by steady-state burst peaks no backup can touch),
+            # and stay under the duplicated-work ceiling — a hedge that
+            # only burns is a bug
             u = self.unhedged
-            return (
-                u is not None
-                and s.hedged > 0
-                and s.hedge_wins > 0
-                and s.chaos_completion_p99_s < u.chaos_completion_p99_s
-                and s.hedge_extra_fraction <= MAX_HEDGE_EXTRA_FRACTION
-            )
-        # overload: the bound must hold and the policy must visibly shed
-        if self.capacity is not None and s.max_queue_depth > self.capacity:
-            return False
-        if self.scenario == "overload-reject":
-            return s.shed_fraction > 0.0 and s.degraded_fraction == 0.0
-        if self.scenario == "overload-degrade":
-            return s.degraded_fraction > 0.0 and s.shed_fraction == 0.0
-        return s.deferred > 0 and s.resumed > 0  # overload-defer
+            if u is None or s.hedged == 0:
+                out.append(f"{name}: no backups armed")
+            elif s.hedge_wins < MIN_HEDGE_WINS:
+                out.append(f"{name}: {s.hedge_wins} hedge wins < {MIN_HEDGE_WINS}")
+            elif not s.chaos_completion_p99_s < u.chaos_completion_p99_s:
+                out.append(
+                    f"{name}: chaos p99 {s.chaos_completion_p99_s:.6f}s "
+                    f"not below unhedged {u.chaos_completion_p99_s:.6f}s"
+                )
+            if not s.hedge_extra_fraction <= MAX_HEDGE_EXTRA_FRACTION:
+                out.append(
+                    f"{name}: duplicated-work fraction "
+                    f"{s.hedge_extra_fraction:.4f} > {MAX_HEDGE_EXTRA_FRACTION}"
+                )
+        else:  # overload: the bound must hold and the policy must visibly shed
+            if self.capacity is not None and s.max_queue_depth > self.capacity:
+                out.append(
+                    f"{name}: queue depth {s.max_queue_depth} "
+                    f"exceeded capacity {self.capacity}"
+                )
+            if name == "overload-reject":
+                if not s.shed_fraction > 0.0:
+                    out.append("overload-reject: nothing shed")
+                if s.degraded_fraction != 0.0:
+                    out.append("overload-reject: degraded traffic to host")
+            elif name == "overload-degrade":
+                if not s.degraded_fraction > 0.0:
+                    out.append("overload-degrade: nothing degraded to host")
+                if s.shed_fraction != 0.0:
+                    out.append("overload-degrade: shed traffic")
+            elif s.deferred == 0 or s.resumed == 0:
+                out.append("overload-defer: nothing deferred and resumed")
+        return tuple(out)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 @dataclass(frozen=True)
@@ -182,8 +207,12 @@ class ReplayResult:
         raise KeyError(scenario)
 
     @property
+    def failures(self) -> tuple[str, ...]:
+        return tuple(f for row in self.rows for f in row.failures)
+
+    @property
     def passed(self) -> bool:
-        return all(row.ok for row in self.rows)
+        return not self.failures
 
     def render(self) -> str:
         def pct(x: float) -> str:
@@ -275,161 +304,51 @@ class ReplayResult:
         }
 
 
-def _probe_mean_service(
-    platform: Platform,
-    seed: int,
-    launches: int,
-    policy: MemoizedPolicy,
-    memo: ExecutionMemo,
-) -> float:
-    """Chaos-free mean service time of the workload mix (deterministic)."""
-    cfg = ReplayConfig(
-        platform=platform,
-        workload=WorkloadConfig(launches=launches, seed=seed),
-    )
-    run = ReplayEngine(cfg, policy=policy, memo=memo).run()
-    records = run.records
-    return sum(r.executed_seconds for r in records) / len(records)
-
-
-def _scenario_outcome(
+def _replay_scenario(
+    trace: CalibratedTrace,
     name: str,
-    *,
-    platform: Platform,
-    seed: int,
-    workload: WorkloadConfig,
-    overload_workload: WorkloadConfig,
-    requests,
-    w_start: float,
-    w_stop: float,
-    margin: float,
+    utilization: float,
+    overload_utilization: float,
     capacity: int,
-    policy: MemoizedPolicy,
-    memo: ExecutionMemo,
 ) -> tuple[str, ReplayScore, dict, "ReplayScore | None"]:
-    """One scenario's (flavour, score, outcome_counts, unhedged twin).
-
-    The single scenario body shared by the sequential loop (which passes
-    the run-wide memo/policy/requests) and by the parallel worker task
-    (which rebuilds the same inputs deterministically from scalars), so
-    the two paths cannot drift.
-    """
-
-    def chaos_for(kind: str) -> ChaosSchedule:
-        # the chaos scenario names coincide with the window kinds
-        window = ChaosWindow(
-            name=kind,
-            kind=kind,
-            start_s=w_start,
-            stop_s=w_stop,
-            probability=0.75 if kind == "fault-storm" else 0.35,
-            gpu_scale=6.0 if kind == "hw-drift" else 1.0,
+    """One scenario's (flavour, score, outcome_counts, unhedged twin)."""
+    if name in _OVERLOAD_POLICIES:
+        run = trace.run(
+            ReplayConfig(
+                platform=trace.platform,
+                workload=trace.workload(overload_utilization),
+                admission=AdmissionConfig(
+                    capacity=capacity,
+                    policy=_OVERLOAD_POLICIES[name],
+                    defer_capacity=max(capacity * 8, 64),
+                ),
+            )
         )
-        return ChaosSchedule(windows=(window,), seed=seed)
+        return "overload", score_run(run), run.outcome_counts(), None
+    workload = trace.workload(utilization)
+    requests = trace.requests(workload)
+    window = trace.window(requests)
 
-    unhedged = None
+    def replay(**extra):
+        run = trace.run(
+            ReplayConfig(platform=trace.platform, workload=workload, **extra),
+            requests,
+        )
+        return run, score_run(run, recovery_margin_s=window[1] - window[0])
+
+    if name == "steady":
+        run, score = replay()
+        return "baseline", score, run.outcome_counts(), None
     if name == "hedged-chaos":
-        # the hedged arm and its unhedged twin share the trace and
-        # the fault-storm chaos; the *only* delta is the HedgePolicy,
-        # so the chaos-tail p99 comparison is causal
-        flavour = "hedged"
-        run = ReplayEngine(
-            ReplayConfig(
-                platform=platform,
-                workload=workload,
-                chaos=chaos_for("fault-storm"),
-                hedge=True,
-            ),
-            policy=policy,
-            memo=memo,
-        ).run(requests=requests)
-        score = score_run(run, recovery_margin_s=margin)
-        plain = ReplayEngine(
-            ReplayConfig(
-                platform=platform,
-                workload=workload,
-                chaos=chaos_for("fault-storm"),
-            ),
-            policy=policy,
-            memo=memo,
-        ).run(requests=requests)
-        unhedged = score_run(plain, recovery_margin_s=margin)
-    elif name in _OVERLOAD_POLICIES:
-        flavour = "overload"
-        cfg = ReplayConfig(
-            platform=platform,
-            workload=overload_workload,
-            admission=AdmissionConfig(
-                capacity=capacity,
-                policy=_OVERLOAD_POLICIES[name],
-                defer_capacity=max(capacity * 8, 64),
-            ),
-        )
-        run = ReplayEngine(cfg, policy=policy, memo=memo).run()
-        score = score_run(run)
-    else:
-        flavour = "baseline" if name == "steady" else "chaos"
-        cfg = ReplayConfig(
-            platform=platform,
-            workload=workload,
-            chaos=(ChaosSchedule() if name == "steady" else chaos_for(name)),
-        )
-        run = ReplayEngine(cfg, policy=policy, memo=memo).run(
-            requests=requests
-        )
-        score = score_run(run, recovery_margin_s=margin)
-    return flavour, score, run.outcome_counts(), unhedged
-
-
-def _replay_scenario_task(
-    task: tuple,
-) -> tuple[str, ReplayScore, dict, "ReplayScore | None"]:
-    """Worker task: one replay scenario, rebuilt from shipped scalars.
-
-    Only the platform *name* and a handful of floats/ints travel with
-    the chunk; the worker regenerates the identical seeded trace and
-    chaos windows (``generate_requests`` is deterministic in the
-    workload config) with its own fresh memo/policy, so scores are
-    bit-identical to the sequential loop's.
-    """
-    (
-        plat_name,
-        name,
-        launches,
-        seed,
-        utilization,
-        overload_utilization,
-        capacity,
-        mean_service,
-    ) = task
-    platform = _resolve_platform(plat_name)
-    workload = WorkloadConfig(
-        launches=launches,
-        seed=seed,
-        mean_interarrival_s=mean_service / utilization,
-    )
-    requests = generate_requests(workload)
-    w_start = requests[int(0.45 * launches)].arrival_s
-    w_stop = requests[int(0.55 * launches)].arrival_s
-    overload_workload = WorkloadConfig(
-        launches=launches,
-        seed=seed,
-        mean_interarrival_s=mean_service / overload_utilization,
-    )
-    return _scenario_outcome(
-        name,
-        platform=platform,
-        seed=seed,
-        workload=workload,
-        overload_workload=overload_workload,
-        requests=requests,
-        w_start=w_start,
-        w_stop=w_stop,
-        margin=w_stop - w_start,
-        capacity=capacity,
-        policy=MemoizedPolicy(),
-        memo=ExecutionMemo(),
-    )
+        # the hedged arm and its unhedged twin share the trace and the
+        # fault-storm chaos; the *only* delta is the HedgePolicy, so the
+        # chaos-tail p99 comparison is causal
+        run, score = replay(chaos=trace.chaos("fault-storm", window), hedge=True)
+        _, unhedged = replay(chaos=trace.chaos("fault-storm", window))
+        return "hedged", score, run.outcome_counts(), unhedged
+    # the chaos scenario names coincide with the window kinds
+    run, score = replay(chaos=trace.chaos(name, window))
+    return "chaos", score, run.outcome_counts(), None
 
 
 def run_replay(
@@ -448,8 +367,7 @@ def run_replay(
 
     ``jobs``/``chunk`` fan whole scenarios over the persistent
     warm-worker pool; rows come back in scenario-declaration order with
-    payloads identical to the sequential loop (each worker regenerates
-    the same seeded trace from the shipped scalars).
+    payloads identical to the sequential loop.
     """
     unknown = set(scenarios) - set(REPLAY_SCENARIOS)
     if unknown:
@@ -457,68 +375,17 @@ def run_replay(
     if "steady" not in scenarios:
         raise ValueError("the steady baseline scenario is required")
 
-    memo = ExecutionMemo()
-    policy = MemoizedPolicy()
-    probe_launches = max(min(launches, 2_000), 200)
-    mean_service = _probe_mean_service(
-        platform, seed, probe_launches, policy, memo
+    trace = calibrate(platform, launches, seed)
+    outcomes = fan_out(
+        _replay_scenario,
+        trace,
+        scenarios,
+        utilization,
+        overload_utilization,
+        capacity,
+        jobs=jobs,
+        chunk=chunk,
     )
-    mean_interarrival = mean_service / utilization
-
-    workload = WorkloadConfig(
-        launches=launches, seed=seed, mean_interarrival_s=mean_interarrival
-    )
-    requests = generate_requests(workload)
-    # chaos occupies the middle tenth of the trace, in *actual* arrival
-    # time (windows carve the exact same request prefix for every seed)
-    w_start = requests[int(0.45 * launches)].arrival_s
-    w_stop = requests[int(0.55 * launches)].arrival_s
-    margin = w_stop - w_start  # recovery margin: one window length
-
-    overload_workload = WorkloadConfig(
-        launches=launches,
-        seed=seed,
-        mean_interarrival_s=mean_service / overload_utilization,
-    )
-
-    engine = SweepEngine(jobs, chunk=chunk)
-    if engine.parallel:
-        outcomes = engine.map(
-            _replay_scenario_task,
-            [
-                (
-                    platform.name,
-                    name,
-                    launches,
-                    seed,
-                    utilization,
-                    overload_utilization,
-                    capacity,
-                    mean_service,
-                )
-                for name in scenarios
-            ],
-            labels=list(scenarios),
-        )
-    else:
-        outcomes = [
-            _scenario_outcome(
-                name,
-                platform=platform,
-                seed=seed,
-                workload=workload,
-                overload_workload=overload_workload,
-                requests=requests,
-                w_start=w_start,
-                w_stop=w_stop,
-                margin=margin,
-                capacity=capacity,
-                policy=policy,
-                memo=memo,
-            )
-            for name in scenarios
-        ]
-
     rows: list[ReplayRow] = []
     baseline_steady = math.nan
     for name, (flavour, score, counts, unhedged) in zip(scenarios, outcomes):
@@ -541,8 +408,8 @@ def run_replay(
         launches=launches,
         seed=seed,
         platform_name=platform.name,
-        mean_service_s=mean_service,
-        mean_interarrival_s=mean_interarrival,
+        mean_service_s=trace.mean_service_s,
+        mean_interarrival_s=trace.mean_service_s / utilization,
         utilization=utilization,
         overload_utilization=overload_utilization,
     )

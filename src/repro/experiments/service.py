@@ -24,14 +24,15 @@ The grid crosses tenant mix with load shape:
   the service's per-device server pools must keep the completion p99
   below the serial twin's.
 
-Gates (``ServiceRow.ok`` / ``ServiceResult.passed``): per row,
-steady-state selection accuracy stays within
-:data:`MAX_SERVICE_ACCURACY_DELTA` of the serial twin and per-tenant
-p99 fairness stays under :data:`MAX_FAIRNESS_P99`; across the grid, at
-least :data:`MIN_OVERLAP_WINS` scenarios must show the service beating
-the serial FIFO on the tail the scenario stresses (chaos-window p99 for
-storms, trace-wide p99 for bursts).  ``benchmarks/bench_service.py``
-enforces the same numbers from ``benchmarks/traffic_thresholds.json``.
+Gates (``ServiceRow.failures``; ``ServiceResult.passed`` when the grid
+has none): per row, steady-state selection accuracy stays within
+:data:`MAX_SERVICE_ACCURACY_DELTA` of the serial twin, per-tenant
+percentiles are recorded and their p99 fairness stays under
+:data:`MAX_FAIRNESS_P99`; across the grid, at least
+:data:`MIN_OVERLAP_WINS` scenarios must show the service beating the
+serial FIFO on the tail the scenario stresses (chaos-window p99 for
+storms, trace-wide p99 for bursts).  The CLI and
+``benchmarks/bench_service.py`` both judge by these checks.
 """
 
 from __future__ import annotations
@@ -40,22 +41,9 @@ import math
 from dataclasses import dataclass
 
 from ..machines import PLATFORM_P9_V100, Platform
-from ..parallel import SweepEngine
-from ..replay import (
-    ChaosSchedule,
-    ChaosWindow,
-    MemoizedPolicy,
-    ReplayConfig,
-    ReplayEngine,
-    ReplayScore,
-    WorkloadConfig,
-    generate_requests,
-    score_run,
-)
-from ..runtime import ExecutionMemo
+from ..replay import ChaosSchedule, ReplayConfig, ReplayScore, score_run
 from ..util import render_table
-from .common import _resolve_platform
-from .replay import _probe_mean_service
+from .traffic import CalibratedTrace, calibrate, fan_out
 
 __all__ = [
     "MAX_SERVICE_ACCURACY_DELTA",
@@ -67,7 +55,7 @@ __all__ = [
     "run_service",
 ]
 
-#: Self-check thresholds (mirrored by benchmarks/traffic_thresholds.json).
+#: Self-check thresholds (see ServiceRow.failures and ServiceResult.failures).
 MAX_SERVICE_ACCURACY_DELTA = 0.01  # |steady accuracy - serial twin|
 MAX_FAIRNESS_P99 = 3.0  # max/min per-tenant p99 ratio
 MIN_OVERLAP_WINS = 1  # scenarios where the service beats the FIFO tail
@@ -115,22 +103,40 @@ class ServiceRow:
         return self.score.completion_p99_s < self.legacy.completion_p99_s
 
     @property
-    def ok(self) -> bool:
-        s = self.score
+    def failures(self) -> tuple[str, ...]:
+        """Every check this scenario fails, as human-readable strings."""
+        s, name = self.score, self.scenario
+        out = []
         if not math.isfinite(s.completion_p99_s):
-            return False
+            out.append(f"{name}: completion p99 not finite")
         if s.overhead_nonfinite:
-            return False
+            out.append(
+                f"{name}: {s.overhead_nonfinite} nonfinite "
+                "dispatch-overhead observations"
+            )
         # both twins served the whole trace (conservation across lanes)
         if s.requests != self.legacy.requests or s.launches != self.legacy.launches:
-            return False
+            out.append(
+                f"{name}: twins disagree on served launches "
+                f"({s.launches} vs {self.legacy.launches})"
+            )
         if abs(self.accuracy_delta) > MAX_SERVICE_ACCURACY_DELTA:
-            return False
-        if not (
-            math.isfinite(s.fairness_p99) and s.fairness_p99 <= MAX_FAIRNESS_P99
-        ):
-            return False
-        return True
+            out.append(
+                f"{name}: steady accuracy moved {self.accuracy_delta:+.4f} "
+                f"vs the FIFO twin (|delta| > {MAX_SERVICE_ACCURACY_DELTA})"
+            )
+        if not (math.isfinite(s.fairness_p99) and s.fairness_p99 <= MAX_FAIRNESS_P99):
+            out.append(
+                f"{name}: tenant p99 fairness {s.fairness_p99:.3f} "
+                f"> {MAX_FAIRNESS_P99}"
+            )
+        if not s.tenants:
+            out.append(f"{name}: no per-tenant percentiles recorded")
+        return tuple(out)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 @dataclass(frozen=True)
@@ -157,11 +163,18 @@ class ServiceResult:
         return sum(1 for row in self.rows if row.overlap_win)
 
     @property
+    def failures(self) -> tuple[str, ...]:
+        out = [f for row in self.rows for f in row.failures]
+        if self.overlap_wins < MIN_OVERLAP_WINS:
+            out.append(
+                f"only {self.overlap_wins} overlap wins across the grid "
+                f"(< {MIN_OVERLAP_WINS}): pipelining never beat the serial FIFO"
+            )
+        return tuple(out)
+
+    @property
     def passed(self) -> bool:
-        return (
-            all(row.ok for row in self.rows)
-            and self.overlap_wins >= MIN_OVERLAP_WINS
-        )
+        return not self.failures
 
     def render(self) -> str:
         def pct(x: float) -> str:
@@ -244,91 +257,34 @@ class ServiceResult:
         }
 
 
-def _service_outcome(
+def _service_scenario(
+    trace: CalibratedTrace,
     name: str,
-    *,
-    platform: Platform,
-    seed: int,
-    launches: int,
     tenants: int,
-    mean_service: float,
     utilization: float,
     burst_utilization: float,
-    policy: MemoizedPolicy,
-    memo: ExecutionMemo,
 ) -> tuple[str, "tuple[float, ...] | None", ReplayScore, ReplayScore, dict]:
-    """One scenario's (shape, weights, service score, serial score, counts).
-
-    Shared by the sequential loop and the parallel worker task, so the
-    two paths cannot drift.
-    """
+    """One scenario's (shape, weights, service score, serial score, counts)."""
     mix, shape = name.split("-", 1)
     weights = SKEWED_WEIGHTS if mix == "skewed" else None
-    util = burst_utilization if shape == "burst" else utilization
-    workload = WorkloadConfig(
-        launches=launches,
-        seed=seed,
-        mean_interarrival_s=mean_service / util,
+    workload = trace.workload(
+        burst_utilization if shape == "burst" else utilization,
         tenants=tenants,
         tenant_weights=weights,
     )
-    requests = generate_requests(workload)
+    requests = trace.requests(workload)
     chaos = ChaosSchedule()
     margin = 0.0
     if shape == "storm":
-        w_start = requests[int(0.45 * launches)].arrival_s
-        w_stop = requests[int(0.55 * launches)].arrival_s
-        margin = w_stop - w_start
-        chaos = ChaosSchedule(
-            windows=(
-                ChaosWindow(
-                    name="storm",
-                    kind="fault-storm",
-                    start_s=w_start,
-                    stop_s=w_stop,
-                    probability=0.75,
-                ),
-            ),
-            seed=seed,
-        )
-    base = dict(platform=platform, workload=workload, chaos=chaos)
-    legacy_run = ReplayEngine(
-        ReplayConfig(**base), policy=policy, memo=memo
-    ).run(requests=requests)
-    service_run = ReplayEngine(
-        ReplayConfig(**base, service=True), policy=policy, memo=memo
-    ).run(requests=requests)
+        window = trace.window(requests)
+        chaos = trace.chaos("fault-storm", window, name="storm")
+        margin = window[1] - window[0]
+    base = dict(platform=trace.platform, workload=workload, chaos=chaos)
+    legacy_run = trace.run(ReplayConfig(**base), requests)
+    service_run = trace.run(ReplayConfig(**base, service=True), requests)
     legacy = score_run(legacy_run, recovery_margin_s=margin)
     score = score_run(service_run, recovery_margin_s=margin)
     return shape, weights, score, legacy, service_run.outcome_counts()
-
-
-def _service_scenario_task(
-    task: tuple,
-) -> tuple[str, "tuple[float, ...] | None", ReplayScore, ReplayScore, dict]:
-    """Worker task: one service scenario, rebuilt from shipped scalars."""
-    (
-        plat_name,
-        name,
-        launches,
-        seed,
-        tenants,
-        utilization,
-        burst_utilization,
-        mean_service,
-    ) = task
-    return _service_outcome(
-        name,
-        platform=_resolve_platform(plat_name),
-        seed=seed,
-        launches=launches,
-        tenants=tenants,
-        mean_service=mean_service,
-        utilization=utilization,
-        burst_utilization=burst_utilization,
-        policy=MemoizedPolicy(),
-        memo=ExecutionMemo(),
-    )
 
 
 def run_service(
@@ -355,49 +311,17 @@ def run_service(
     if tenants < 2:
         raise ValueError("the service experiment needs >= 2 tenants")
 
-    memo = ExecutionMemo()
-    policy = MemoizedPolicy()
-    probe_launches = max(min(launches, 2_000), 200)
-    mean_service = _probe_mean_service(
-        platform, seed, probe_launches, policy, memo
+    trace = calibrate(platform, launches, seed)
+    outcomes = fan_out(
+        _service_scenario,
+        trace,
+        scenarios,
+        tenants,
+        utilization,
+        burst_utilization,
+        jobs=jobs,
+        chunk=chunk,
     )
-
-    engine = SweepEngine(jobs, chunk=chunk)
-    if engine.parallel:
-        outcomes = engine.map(
-            _service_scenario_task,
-            [
-                (
-                    platform.name,
-                    name,
-                    launches,
-                    seed,
-                    tenants,
-                    utilization,
-                    burst_utilization,
-                    mean_service,
-                )
-                for name in scenarios
-            ],
-            labels=list(scenarios),
-        )
-    else:
-        outcomes = [
-            _service_outcome(
-                name,
-                platform=platform,
-                seed=seed,
-                launches=launches,
-                tenants=tenants,
-                mean_service=mean_service,
-                utilization=utilization,
-                burst_utilization=burst_utilization,
-                policy=policy,
-                memo=memo,
-            )
-            for name in scenarios
-        ]
-
     rows = tuple(
         ServiceRow(
             scenario=name,
@@ -417,7 +341,7 @@ def run_service(
         seed=seed,
         platform_name=platform.name,
         tenants=tenants,
-        mean_service_s=mean_service,
+        mean_service_s=trace.mean_service_s,
         utilization=utilization,
         burst_utilization=burst_utilization,
     )

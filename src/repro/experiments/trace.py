@@ -35,15 +35,26 @@ class TraceResult:
     metrics: MetricsRegistry
 
     @property
-    def passed(self) -> bool:
+    def failures(self) -> tuple[str, ...]:
         """Self-check: the sweep recorded what it claims it recorded."""
         if not self.records or len(self.records) != len(self.region_names):
-            return False
+            return (
+                f"{len(self.records)} records for {len(self.region_names)} regions",
+            )
         counters = self.metrics.snapshot()["counters"]
         launches = sum(
             v for k, v in counters.items() if k.startswith("launches_total")
         )
-        return launches == len(self.records) and len(self.tracer.spans) > 0
+        out = []
+        if launches != len(self.records):
+            out.append(f"launches_total counted {launches} of {len(self.records)} launches")
+        if not self.tracer.spans:
+            out.append("no spans recorded")
+        return tuple(out)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def chrome_json(self) -> str:
         """The sweep as Chrome trace-event JSON (open in Perfetto)."""

@@ -144,21 +144,42 @@ class TransfersResult:
         raise KeyError(name)
 
     @property
-    def passed(self) -> bool:
+    def failures(self) -> tuple[str, ...]:
         """Self-check: clean suite untouched, scenarios only improve.
 
         * every clean suite kernel keeps byte-identical sizing and the
           same selector decision;
         * every scenario tightens (never widens) both directions and
           recovers non-negative transfer time;
-        * at least one scenario flips the selector decision onto the
+        * the defensive ``tofrom`` recovers its copy-in (MAP002), and the
+          dead debug buffer (MAP004) flips the selector decision onto the
           true oracle target while recovering real transfer seconds.
         """
-        if not all(row.agrees for row in self.suite):
-            return False
-        if not all(s.tightened and s.wasted_seconds >= 0 for s in self.scenarios):
-            return False
-        return any(s.fixed and s.wasted_seconds > 0 for s in self.scenarios)
+        out = [
+            f"{row.region}: inferred sizing or decision drifted from declared"
+            for row in self.suite
+            if not row.agrees
+        ]
+        for s in self.scenarios:
+            if not s.tightened:
+                out.append(f"{s.scenario}: inference widened a transfer")
+            if not s.wasted_seconds >= 0:
+                out.append(f"{s.scenario}: inferred transfers cost more time")
+        defensive = self.scenario("defensive-tofrom")
+        if not defensive.inferred_to_device < defensive.declared_to_device:
+            out.append("defensive-tofrom: copy-in bytes not recovered")
+        if "MAP002" not in defensive.map_codes:
+            out.append("defensive-tofrom: MAP002 not reported")
+        deadbuf = self.scenario("dead-debug-buffer")
+        if not (deadbuf.fixed and deadbuf.wasted_seconds > 0):
+            out.append("dead-debug-buffer: no flip onto the oracle recovering transfer time")
+        if "MAP004" not in deadbuf.map_codes:
+            out.append("dead-debug-buffer: MAP004 not reported")
+        return tuple(out)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def to_payload(self) -> dict:
         """JSON-ready summary of both sections."""

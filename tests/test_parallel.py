@@ -17,6 +17,7 @@ import pytest
 
 from repro.experiments.common import clear_caches, measure_suite, predict_suite
 from repro.experiments.replay import run_replay
+from repro.experiments.service import run_service
 from repro.experiments.trace import run_trace
 from repro.obs import MetricsRegistry, Tracer
 from repro.parallel import (
@@ -384,6 +385,19 @@ class TestDifferentialReplay:
         kwargs = dict(launches=400, seed=7, scenarios=self.SCENARIOS)
         seq = run_replay(**kwargs)
         par = run_replay(jobs=2, **kwargs)
+        assert [r.scenario for r in par.rows] == list(self.SCENARIOS)
+        assert par == seq
+
+
+class TestDifferentialService:
+    """run_service(jobs=N) rows match the sequential scenario loop."""
+
+    SCENARIOS = ("uniform-steady", "uniform-storm", "skewed-burst")
+
+    def test_service_rows_match_sequential(self):
+        kwargs = dict(launches=400, seed=7, scenarios=self.SCENARIOS)
+        seq = run_service(**kwargs)
+        par = run_service(jobs=2, **kwargs)
         assert [r.scenario for r in par.rows] == list(self.SCENARIOS)
         assert par == seq
 
