@@ -38,10 +38,10 @@ def drive(title: str, scenario: str, launches: int) -> None:
         print(
             f"{i:>3} {rec.requested_target:>7} {rec.target:>7} "
             f"{rec.attempts:>5} {len(rec.fault_events):>6} "
-            f"{rec.fallback or '-':>18} {runtime.health.penalty():>8.2f} "
-            f"{runtime.health.breaker.state.value:>9}"
+            f"{rec.fallback or '-':>18} {runtime.health[0].penalty():>8.2f} "
+            f"{runtime.health[0].breaker.state.value:>9}"
         )
-    h = runtime.health
+    h = runtime.health[0]
     print(
         f"device health: {h.successes} ok / {h.failures} failed, "
         f"faults by type {h.fault_counts or '{}'}, "

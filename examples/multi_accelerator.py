@@ -18,7 +18,7 @@ from repro.machines import (
     TESLA_V100,
 )
 from repro.polybench import all_kernel_cases
-from repro.runtime import MultiDeviceRuntime
+from repro.runtime import OffloadingRuntime
 from repro.util import render_table
 
 DUAL = Platform(
@@ -32,7 +32,7 @@ DUAL = Platform(
 
 
 def main() -> None:
-    runtime = MultiDeviceRuntime(DUAL)
+    runtime = OffloadingRuntime(DUAL)
     rows = []
     wins: dict[str, int] = {}
     correct = 0
@@ -40,15 +40,15 @@ def main() -> None:
     for case in cases:
         runtime.compile_region(case.region)
         rec = runtime.launch(case.name, case.env)
-        wins[rec.chosen] = wins.get(rec.chosen, 0) + 1
+        wins[rec.requested_target] = wins.get(rec.requested_target, 0) + 1
         correct += rec.decision_correct
         rows.append(
             [case.name]
-            + [f"{o.measured_seconds * 1e3:.2f}" for o in rec.outcomes]
-            + [rec.chosen.split(" via")[0], "ok" if rec.decision_correct else "MISS"]
+            + [f"{o.measured_seconds * 1e3:.2f}" for o in rec.candidates]
+            + [rec.requested_target.split(" via")[0], "ok" if rec.decision_correct else "MISS"]
         )
     headers = ["kernel"] + [
-        o.device_name + " (ms)" for o in rec.outcomes
+        o.device_name + " (ms)" for o in rec.candidates
     ] + ["chosen", ""]
     print(render_table(headers, rows, title=f"Three-way selection on {DUAL.name}"))
     print(f"\ndecision accuracy vs three-way oracle: {correct}/{len(cases)}")

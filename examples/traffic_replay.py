@@ -84,7 +84,7 @@ def main() -> None:
     print(f"fault events    {score.fault_events} injected, {score.fallbacks} fallbacks")
     print(f"time to detect  {w.ttd_s * 1e3:.1f} ms after the window opened")
     print(f"time to recover {w.ttr_s * 1e3:.1f} ms after it closed")
-    health = run.runtime.health
+    health = run.runtime.health[0]
     print(
         f"device health   penalty {health.penalty():.2f}, "
         f"breaker {health.breaker.state.value} at the horizon"

@@ -247,7 +247,7 @@ def run_faults(
                     faults=sum(len(r.fault_events) for r in records),
                     retries=sum(max(r.attempts - 1, 0) for r in records),
                     fallbacks=sum(r.fell_back for r in records),
-                    breaker_state=runtime.health.breaker.state.value,
+                    breaker_state=runtime.health[0].breaker.state.value,
                     vs_oracle=total / oracle_total if oracle_total > 0 else float("nan"),
                 )
             )

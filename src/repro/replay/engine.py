@@ -2,8 +2,9 @@
 
 ``ReplayEngine`` marries the pieces: a generated request trace
 (:mod:`.workload`), a chaos schedule compiled onto the runtime's
-simulated clock (:mod:`.chaos`), one of the offloading runtimes, and the
-one admission path, :class:`~.service.OffloadService`.  The service runs
+simulated clock (:mod:`.chaos`), the offloading runtime over the
+platform's host and every accelerator, and the one admission path,
+:class:`~.service.OffloadService`.  The service runs
 the serial preset (a single-server FIFO) unless ``ReplayConfig.service``
 asks for ``service_config``.  Per request it
 
@@ -39,8 +40,8 @@ from ..runtime import (
     Bulkhead,
     ExecutionMemo,
     HedgePolicy,
+    LaunchRecord,
     ModelGuided,
-    MultiDeviceRuntime,
     OffloadingRuntime,
 )
 from .chaos import ChaosSchedule
@@ -115,7 +116,6 @@ class ReplayConfig:
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     chaos: ChaosSchedule = field(default_factory=ChaosSchedule)
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    multi_device: bool = False
     #: per-request end-to-end deadline budget (simulated seconds); queue
     #: wait, retry backoff and watchdog burn are charged against it.  A
     #: request whose budget drains while queueing runs the host-only
@@ -130,7 +130,8 @@ class ReplayConfig:
     #: the lane shape the admission path runs: ``service_config``
     #: (per-device lanes, batching, phase overlap by default) when True,
     #: the serial preset :meth:`ServiceConfig.serial` — one
-    #: single-server FIFO lane — when False
+    #: single-server FIFO lane — when False.  Per-device lanes model one
+    #: accelerator lane, so a multi-accelerator platform runs serial only.
     service: bool = False
     service_config: ServiceConfig = field(default_factory=ServiceConfig)
 
@@ -143,7 +144,7 @@ class ReplayRun:
     requests: list[LaunchRequest]
     outcomes: list[ReplayOutcome]
     metrics: MetricsRegistry
-    runtime: object  # OffloadingRuntime | MultiDeviceRuntime
+    runtime: OffloadingRuntime
     horizon_s: float  # last service finish (or last arrival if none)
     service: OffloadService  # the lanes the trace ran through
 
@@ -153,7 +154,7 @@ class ReplayRun:
         return self.service.stats
 
     @property
-    def records(self) -> list:
+    def records(self) -> list[LaunchRecord]:
         return [o.record for o in self.outcomes if o.record is not None]
 
     @property
@@ -184,10 +185,12 @@ class ReplayEngine:
         self._db = db
         self.runtime = self._build_runtime()
 
-    def _build_runtime(self):
+    def _build_runtime(self) -> OffloadingRuntime:
         cfg = self.config
-        common = dict(
+        runtime = OffloadingRuntime(
             platform=cfg.platform,
+            policy=self.policy,
+            db=self._db if self._db is not None else ProgramAttributeDatabase(),
             sentinel=DriftSentinel(),
             watchdog=Watchdog(factor=8.0),
             metrics=MetricsRegistry(),
@@ -196,16 +199,7 @@ class ReplayEngine:
             # decay lets a post-storm runtime forgive the card instead of
             # pinning borderline kernels to the host forever
             health_decay_halflife_s=5.0,
-            # mixed dataset sizes per region: one drift stream per
-            # (region, env) so size changes never read as residual shifts
-            sentinel_stream_by_env=True,
         )
-        if self._db is not None:
-            common["db"] = self._db
-        if cfg.multi_device:
-            runtime = MultiDeviceRuntime(**common)
-        else:
-            runtime = OffloadingRuntime(policy=self.policy, **common)
         # chaos compiles onto the runtime's own clock
         runtime.injector = cfg.chaos.build_injector(runtime.clock)
         runtime.time_dilation = cfg.chaos.build_dilation(runtime.clock)
@@ -237,18 +231,10 @@ class ReplayEngine:
             tenant=request.tenant,
         )
 
-    @staticmethod
-    def _device_key(record) -> str:
-        """The bulkhead booking key: target kind (single) or device name."""
-        target = getattr(record, "target", None)
-        if target is not None:
-            return target
-        return record.executed_device or record.chosen
-
-    def _book(self, record, finish_s: float) -> None:
+    def _book(self, record: LaunchRecord, finish_s: float) -> None:
         bulkheads = self.runtime.bulkheads
         if bulkheads is not None:
-            bulkheads.book(self._device_key(record), finish_s)
+            bulkheads.book(record.device, finish_s)
 
     def run(self, requests: list[LaunchRequest] | None = None) -> ReplayRun:
         cfg = self.config
@@ -259,8 +245,11 @@ class ReplayEngine:
         if requests is None:
             requests = generate_requests(cfg.workload, cases)
         shape = cfg.service_config if cfg.service else ServiceConfig.serial()
-        if cfg.multi_device and shape.overlap:
-            raise ValueError("per-device lanes drive the single-accelerator runtime only")
+        if shape.overlap and len(cfg.platform.accelerators) > 1:
+            raise ValueError(
+                "per-device lanes model one accelerator; run "
+                f"{cfg.platform.name!r} on the serial preset (service=False)"
+            )
         service = OffloadService(self, shape)
         outcomes, horizon = service.run(requests)
         metrics = self.runtime.metrics

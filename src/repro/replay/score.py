@@ -180,20 +180,10 @@ class ReplayScore:
         }
 
 
-def _decision_correct(record) -> bool:
-    # LaunchRecord and MultiLaunchRecord both expose decision_correct
-    return record.decision_correct
-
-
 def _is_clean_gpu(record) -> bool:
     if record.fault_events or record.fallback is not None:
         return False
-    target = getattr(record, "target", None)
-    if target is not None:
-        return target == "gpu"
-    # multi-device: executed on a non-host device
-    executed = record.executed_device or record.chosen
-    return record.outcome_of(executed).kind == "gpu"
+    return record.target == "gpu"
 
 
 def _fault_window_latencies(
@@ -266,9 +256,9 @@ def score_run(run: ReplayRun, *, recovery_margin_s: float = 0.0) -> ReplayScore:
             w.start_s <= start_s < w.stop_s + recovery_margin_s for w in windows
         )
 
-    correct = sum(1 for o in full_path if _decision_correct(o.record))
+    correct = sum(1 for o in full_path if o.record.decision_correct)
     steady = [o for o in full_path if not in_any_window(o.start_s or 0.0)]
-    steady_correct = sum(1 for o in steady if _decision_correct(o.record))
+    steady_correct = sum(1 for o in steady if o.record.decision_correct)
 
     overhead = QuantileSketch()
     overhead_zero = 0
@@ -288,7 +278,7 @@ def score_run(run: ReplayRun, *, recovery_margin_s: float = 0.0) -> ReplayScore:
         if o.record.fallback is not None:
             fallbacks += 1
         fault_events += len(o.record.fault_events)
-        h = getattr(o.record, "hedge", None)
+        h = o.record.hedge
         if h is not None:
             hedged += 1
             if h.winner == "backup":

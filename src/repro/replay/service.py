@@ -53,7 +53,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from ..runtime import Budget
+from ..runtime import Budget, LaunchRecord
 
 __all__ = [
     "ADMISSION_POLICIES",
@@ -160,7 +160,7 @@ class ReplayOutcome:
     arrival_s: float
     outcome: str  # "ok" | "resumed" | "degraded" | "shed" | "expired"
     start_s: float | None = None  # service start (None when never launched)
-    record: object | None = None  # LaunchRecord / MultiLaunchRecord / None
+    record: LaunchRecord | None = None  # None when never launched
     #: pipeline completion (D2H done) on per-device lanes; the serial
     #: shape has no pipeline, leaves it None, and the scorer uses
     #: start + executed_seconds
@@ -441,14 +441,15 @@ class OffloadService:
             attrs = rt.db.lookup(request.case.region_name)
             env = request.case.env_dict()
             memo = rt.memo
+            host, accel = rt._host, rt._accels[0]
             if memo is not None:
                 bound = memo.bound(attrs, env)
-                cpu_s = memo.execution(rt._host, attrs, env).seconds
-                gpu_s = memo.execution(rt._accel, attrs, env).seconds
+                cpu_s = memo.execution(host, attrs, env).seconds
+                gpu_s = memo.execution(accel, attrs, env).seconds
             else:
                 bound = attrs.bind(env)
-                cpu_s = rt._host.execute(attrs.region, env).seconds
-                gpu_s = rt._accel.execute(attrs.region, env).seconds
+                cpu_s = host.execute(attrs.region, env).seconds
+                gpu_s = accel.execute(attrs.region, env).seconds
             target, _ = self.engine.policy.choose(
                 bound,
                 rt.platform,
@@ -631,17 +632,18 @@ class OffloadService:
         seconds.  Host launches are all compute.
         """
         executed = max(record.executed_seconds, 0.0)
-        if getattr(record, "target", None) != "gpu":
+        if record.target != "gpu":
             return 0.0, executed, 0.0
         fractions = self._phase_fractions.get(request.case)
         if fractions is None:
             rt = self.runtime
             attrs = rt.db.lookup(request.case.region_name)
             env = request.case.env_dict()
+            accel = rt._accels[0]
             if rt.memo is not None:
-                detail = rt.memo.execution(rt._accel, attrs, env).detail
+                detail = rt.memo.execution(accel, attrs, env).detail
             else:
-                detail = rt._accel.execute(attrs.region, env).detail
+                detail = accel.execute(attrs.region, env).detail
             fractions = (0.0, 1.0, 0.0)
             if isinstance(detail, tuple) and len(detail) == 2:
                 kernel, xfer = detail

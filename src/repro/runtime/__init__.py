@@ -20,7 +20,6 @@ from .dispatch import (
     FALLBACK_HEDGE,
     Budget,
     Bulkhead,
-    DispatchCore,
     HedgeOutcome,
     HedgePolicy,
 )
@@ -32,9 +31,13 @@ from .policies import (
     Policy,
     policy_by_name,
 )
-from .framework import ADMISSION_DEGRADED, LaunchRecord, OffloadingRuntime
+from .framework import (
+    ADMISSION_DEGRADED,
+    DeviceOutcome,
+    LaunchRecord,
+    OffloadingRuntime,
+)
 from .memo import ExecutionMemo
-from .multi import DeviceOutcome, MultiDeviceRuntime, MultiLaunchRecord
 
 __all__ = [
     "ADMISSION_DEGRADED",
@@ -42,13 +45,10 @@ __all__ = [
     "FALLBACK_HEDGE",
     "Budget",
     "Bulkhead",
-    "DispatchCore",
     "HedgeOutcome",
     "HedgePolicy",
     "ExecutionMemo",
     "DeviceOutcome",
-    "MultiDeviceRuntime",
-    "MultiLaunchRecord",
     "AcceleratorDevice",
     "Device",
     "ExecutionRecord",

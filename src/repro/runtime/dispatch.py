@@ -1,25 +1,5 @@
-"""The unified dispatch core both offloading runtimes parameterize.
-
-Both :class:`~repro.runtime.OffloadingRuntime` (host + one accelerator)
-and :class:`~repro.runtime.MultiDeviceRuntime` (host + N accelerators)
-run the same pipeline per launch::
-
-    predict -> lint-gate -> select -> admit -> resilient-launch
-            -> record / drift / metrics
-
-Before this module each runtime carried its own copy of every stage, and
-every robustness subsystem (faults, lint, drift, obs, replay) had to be
-wired twice.  :class:`DispatchCore` owns the shared stages; the runtimes
-keep only their genuinely different selection logic (a binary policy
-choice vs. an N-way health-corrected argmin).  The core reads its
-collaborators (``injector``, ``lint_gate``, ``sentinel``, ``watchdog``,
-``metrics``, ``memo``, ``time_dilation``, ``bulkheads``, ``hedge``)
-*dynamically* off the owning runtime — the replay engine assigns the
-injector and the chaos dilation hook after runtime construction, so the
-core must never snapshot them.
-
-Three robustness mechanisms the duplication previously blocked live
-here (docs/ROBUSTNESS.md):
+"""The dispatch mechanisms :class:`~repro.runtime.OffloadingRuntime` runs
+per launch, beside its one launch body (docs/ROBUSTNESS.md):
 
 * :class:`Budget` — a per-request end-to-end deadline on the simulated
   clock.  Threaded through retry backoff
@@ -33,34 +13,26 @@ here (docs/ROBUSTNESS.md):
   confidence is low (drift-flagged stream, circuit half-open) or the
   remaining budget is tight, a host backup starts after a
   quantile-derived delay; the first finisher on the simulated clock
-  wins, the loser is cancelled, and the duplicated work is attributed
-  honestly (:class:`HedgeOutcome` provenance on the record, metrics).
+  wins (:func:`hedge_resolve`), the loser is cancelled, and the
+  duplicated work is attributed honestly (:class:`HedgeOutcome`
+  provenance on the record, metrics).
 * :class:`Bulkhead` — bounded scheduled-work slots per device, so one
   browned-out card's ballooning service times cannot monopolize
-  dispatch: saturated devices are skipped pre-dispatch
+  dispatch: saturated devices are skipped in the dispatch chain
   (:data:`FALLBACK_BULKHEAD`) and the work reroutes.
 
 All three default **off** (``None`` on the runtime); disabled, every
-record is bit-identical to the pre-core runtimes — the differential
+record is bit-identical to a runtime without them — the differential
 suite in ``tests/test_dispatch.py`` pins this.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Mapping
 
-from ..faults import (
-    BudgetExhausted,
-    DeadlineExceeded,
-    FaultEvent,
-    dispatch_with_retries,
-    region_footprint_bytes,
-)
-from ..faults.health import BreakerState
-from ..faults.resilient import FALLBACK_BREAKER, FALLBACK_BUDGET, FALLBACK_DEADLINE, FALLBACK_HEALTH
 from ..obs import QuantileSketch
 
 __all__ = [
@@ -70,7 +42,8 @@ __all__ = [
     "Bulkhead",
     "HedgeOutcome",
     "HedgePolicy",
-    "DispatchCore",
+    "case_key",
+    "hedge_resolve",
 ]
 
 #: A device whose bulkhead slots were all booked rerouted this launch.
@@ -121,14 +94,14 @@ class Bulkhead:
 
     The replay engine books every served launch as ``(device, finish
     time)``; a device whose unfinished bookings at the current simulated
-    time have reached ``limit`` refuses new dispatches, which the core
+    time have reached ``limit`` refuses new dispatches, which the runtime
     turns into a :data:`FALLBACK_BULKHEAD` reroute.  Bookings may finish
     **out of order** — the offload service schedules several servers and
     overlapped transfer phases per device, so a later booking can finish
-    before an earlier one — and :meth:`pending` drains every finished
-    booking, not just a sorted prefix (a stale early entry behind a late
-    one would otherwise read as phantom load and pin the bulkhead
-    saturated forever).  The point is isolation:
+    before an earlier one — so each device's finish times sit in a
+    min-heap and :meth:`pending` pops every elapsed one (a stale early
+    entry behind a late one would otherwise read as phantom load and pin
+    the bulkhead saturated forever).  The point is isolation:
     a brownout that balloons one device's service times saturates *its*
     slots only, and traffic keeps flowing through the other backend
     instead of queueing behind the sick one.
@@ -138,7 +111,7 @@ class Bulkhead:
         if limit < 1:
             raise ValueError(f"bulkhead limit must be >= 1, got {limit}")
         self.limit = limit
-        self._pending: dict[str, deque[float]] = {}
+        self._pending: dict[str, list[float]] = {}  # min-heaps of finish times
         self.max_pending: dict[str, int] = {}
         self.rejections: dict[str, int] = {}
 
@@ -148,25 +121,19 @@ class Bulkhead:
         if q is None:
             return 0
         while q and q[0] <= now:
-            q.popleft()
-        # multi-server bookings are not sorted: sweep out any finished
-        # entry a still-running earlier booking is hiding behind
-        if q and any(t <= now for t in q):
-            live = [t for t in q if t > now]
-            q.clear()
-            q.extend(live)
+            heappop(q)
         return len(q)
 
     def allows(self, device_name: str, now: float) -> bool:
         return self.pending(device_name, now) < self.limit
 
     def reject(self, device_name: str) -> None:
-        """Account one saturated-reroute (called by the core)."""
+        """Account one saturated-reroute (called by the runtime)."""
         self.rejections[device_name] = self.rejections.get(device_name, 0) + 1
 
     def book(self, device_name: str, finish_s: float) -> None:
-        q = self._pending.setdefault(device_name, deque())
-        q.append(finish_s)
+        q = self._pending.setdefault(device_name, [])
+        heappush(q, finish_s)
         if len(q) > self.max_pending.get(device_name, 0):
             self.max_pending[device_name] = len(q)
 
@@ -281,193 +248,11 @@ class HedgePolicy:
             return "slow"
         return None
 
-
-class DispatchCore:
-    """The shared per-launch pipeline stages, bound to one runtime.
-
-    Holds only a reference to its owner and reads the optional
-    collaborators off it at call time (the replay engine attaches the
-    injector and chaos dilation *after* construction).  Stateless apart
-    from the owner reference — all accounting lives on the runtime, the
-    health objects and the policy objects, exactly where it lived before
-    the extraction.
-    """
-
-    def __init__(self, owner):
-        self.owner = owner
-
-    # -- launch inputs ------------------------------------------------------
-    def bound(self, attrs, env: Mapping[str, int]):
-        """Memo-aware runtime binding of a region's attributes."""
-        memo = self.owner.memo
-        return memo.bound(attrs, env) if memo is not None else attrs.bind(env)
-
-    def footprint(self, attrs, env: Mapping[str, int]) -> int:
-        memo = self.owner.memo
-        if memo is not None:
-            return memo.footprint(attrs, env, region_footprint_bytes)
-        return region_footprint_bytes(attrs.region, env)
-
-    def measure(self, device, attrs, env: Mapping[str, int]) -> float:
-        """One device's simulated seconds, memoized and dilation-scaled."""
-        owner = self.owner
-        if owner.memo is not None:
-            seconds = owner.memo.execution(device, attrs, env).seconds
-        else:
-            seconds = device.execute(attrs.region, env).seconds
-        if owner.time_dilation is not None:
-            seconds *= owner.time_dilation(device.kind)
-        return seconds
-
-    def sentinel_key(self, region_name: str, env: Mapping[str, int]) -> str:
-        """The drift-stream key for one launch (see sentinel_stream_by_env)."""
-        if not self.owner.sentinel_stream_by_env:
-            return region_name
-        sizes = ",".join(f"{k}={env[k]}" for k in sorted(env))
-        return f"{region_name}@{sizes}"
-
-    @staticmethod
-    def case_key(region_name: str, env: Mapping[str, int]) -> str:
-        """The hedge-sketch key: always per (region, env), never pooled."""
-        sizes = ",".join(f"{k}={env[k]}" for k in sorted(env))
-        return f"{region_name}@{sizes}"
-
-    def lint_decision(self, region):
-        gate = self.owner.lint_gate
-        return gate.decide(region) if gate is not None else None
-
-    @staticmethod
-    def transfer_provenance(bound) -> str | None:
-        """Record a transfer source only when it deviates from the default."""
-        mode = bound.transfer_mode
-        return None if mode == "declared" else mode
-
-    # -- admission ----------------------------------------------------------
-    def bulkhead_blocks(self, device_name: str) -> bool:
-        """Is this device's bulkhead saturated right now?  Counts rejects."""
-        bulkheads = getattr(self.owner, "bulkheads", None)
-        if bulkheads is None:
-            return False
-        if bulkheads.allows(device_name, self.owner.clock.now):
-            return False
-        bulkheads.reject(device_name)
-        return True
-
-    def pre_dispatch_reroute(
-        self, health, prediction, bulkhead_key: str
-    ) -> tuple[str, str | None]:
-        """Health feedback: skip an open-breaker or saturated device,
-        penalize a flaky one (the two-device runtime's gate)."""
-        if not health.breaker.allows():
-            return "cpu", FALLBACK_BREAKER
-        if self.bulkhead_blocks(bulkhead_key):
-            return "cpu", FALLBACK_BULKHEAD
-        if prediction is not None:
-            penalty = health.penalty()
-            if (
-                penalty > 1.0
-                and prediction.gpu.seconds * penalty >= prediction.cpu.seconds
-            ):
-                return "cpu", FALLBACK_HEALTH
-        return "gpu", None
-
-    # -- resilient launch ---------------------------------------------------
-    def attempt(
+    def plan(
         self,
-        *,
-        health,
-        device,
-        attrs,
-        env: Mapping[str, int],
-        launch_index: int,
-        budget: Budget | None = None,
-    ):
-        """One accelerator's bounded-retry dispatch under the fault plan."""
-        owner = self.owner
-        return dispatch_with_retries(
-            injector=owner.injector,
-            retry=owner.retry,
-            clock=owner.clock,
-            health=health,
-            device_name=device.name,
-            launch_index=launch_index,
-            footprint_bytes=self.footprint(attrs, env),
-            memory_bytes=int(device.gpu.mem_size_gib * 2**30),
-            budget=budget,
-        )
-
-    # -- watchdog / budget kill ---------------------------------------------
-    def kill_overrun(
-        self,
-        *,
-        health,
         device_name: str,
-        basis_seconds: float,
-        observed_seconds: float,
-        launch_index: int,
-        attempt: int,
-        budget: Budget | None = None,
-        detail: str = "",
-    ) -> tuple[FaultEvent, float, str] | None:
-        """Kill a dispatch that overran its deadline; feed the breaker.
-
-        The deadline is the watchdog's ``predicted × factor + slack``,
-        tightened to the remaining budget when one is attached and
-        poorer.  Returns ``(event, burned_seconds, fallback_label)`` —
-        the caller adds the burn to its overhead — or None within
-        bounds.  The burn is advanced on the clock and charged to the
-        budget here, so every caller accounts it identically.
-        """
-        owner = self.owner
-        deadline = owner.watchdog.deadline(basis_seconds)
-        source = "watchdog"
-        if budget is not None and budget.remaining() < deadline:
-            deadline, source = budget.remaining(), "budget"
-        if observed_seconds <= deadline:
-            return None
-        if source == "watchdog":
-            err: BudgetExhausted | DeadlineExceeded = DeadlineExceeded(
-                f"device time {observed_seconds:.3e}s exceeded watchdog "
-                f"deadline {deadline:.3e}s{detail}",
-                device_name=device_name,
-                launch_index=launch_index,
-                attempt=attempt,
-                deadline_seconds=deadline,
-                observed_seconds=observed_seconds,
-            )
-            fallback = FALLBACK_DEADLINE
-        else:
-            err = BudgetExhausted(
-                f"device time {observed_seconds:.3e}s exceeded remaining "
-                f"budget {deadline:.3e}s",
-                device_name=device_name,
-                launch_index=launch_index,
-                attempt=attempt,
-                budget_seconds=budget.total_s,
-                remaining_seconds=deadline,
-            )
-            fallback = FALLBACK_BUDGET
-        health.record_failure(err)
-        event = FaultEvent(
-            device_name=err.device_name,
-            launch_index=err.launch_index,
-            attempt=err.attempt,
-            error_type=type(err).__name__,
-            message=str(err),
-        )
-        # the deadline's worth of device time was burned before the kill
-        owner.clock.advance(deadline)
-        if budget is not None:
-            budget.charge(deadline)
-        return event, deadline, fallback
-
-    # -- hedging -------------------------------------------------------------
-    def hedge_plan(
-        self,
+        case_key: str,
         *,
-        device_name: str,
-        region_name: str,
-        env: Mapping[str, int],
         drift_flagged: bool,
         half_open: bool,
         budget: Budget | None,
@@ -475,15 +260,12 @@ class DispatchCore:
     ) -> tuple[str, float] | None:
         """Decide pre-dispatch whether to arm a host backup.
 
-        Returns ``(trigger, delay_s)`` or None.  None whenever no hedge
-        policy is attached, the trigger conditions are calm, or the
-        case's accelerator-seconds sketch is still under-sampled — the
-        no-plan path touches nothing, keeping records bit-identical.
+        Returns ``(trigger, delay_s)`` or None.  None whenever the
+        trigger conditions are calm or the case's accelerator-seconds
+        sketch is still under-sampled — the no-plan path touches
+        nothing, keeping records bit-identical.
         """
-        policy = getattr(self.owner, "hedge", None)
-        if policy is None:
-            return None
-        trigger = policy.trigger(
+        trigger = self.trigger(
             drift_flagged=drift_flagged,
             half_open=half_open,
             budget=budget,
@@ -491,189 +273,68 @@ class DispatchCore:
         )
         if trigger is None:
             return None
-        delay = policy.delay(device_name, self.case_key(region_name, env))
+        delay = self.delay(device_name, case_key)
         if delay is None or not math.isfinite(delay):
             return None
         return trigger, delay
 
-    @staticmethod
-    def hedge_resolve(
-        plan: tuple[str, float] | None,
-        *,
-        primary_ok: bool,
-        primary_seconds: float,
-        backup_seconds: float,
-        overhead_seconds: float,
-    ) -> HedgeOutcome | None:
-        """Race the armed backup against the primary on the simulated clock.
 
-        All times are offsets from dispatch begin.  A successful primary
-        finishes at ``overhead + primary_seconds``; a failed one died at
-        ``overhead`` (backoff burned before giving up).  The backup
-        starts at ``delay`` and finishes at ``delay + backup_seconds``.
-        First finisher wins; ties go to the primary (deterministic).
-        Returns None when the backup never started — that launch is
-        byte-identical to an unhedged one.
-        """
-        if plan is None:
-            return None
-        trigger, delay = plan
-        if primary_ok:
-            primary_finish = overhead_seconds + primary_seconds
-            if delay >= primary_finish:
-                return None  # primary won before the backup would start
-            backup_finish = delay + backup_seconds
-            if backup_finish < primary_finish:
-                # cancel the primary: it burned until the backup finished
-                return HedgeOutcome(
-                    trigger=trigger,
-                    delay_s=delay,
-                    winner="backup",
-                    completion_s=backup_finish,
-                    extra_work_s=backup_seconds,
-                )
-            # primary won the race; the backup burned from delay until then
+def case_key(region_name: str, env: Mapping[str, int]) -> str:
+    """The per-(region, env) key of drift streams and hedge sketches."""
+    sizes = ",".join(f"{k}={env[k]}" for k in sorted(env))
+    return f"{region_name}@{sizes}"
+
+
+def hedge_resolve(
+    plan: tuple[str, float] | None,
+    *,
+    primary_ok: bool,
+    primary_seconds: float,
+    backup_seconds: float,
+    overhead_seconds: float,
+) -> HedgeOutcome | None:
+    """Race the armed backup against the primary on the simulated clock.
+
+    All times are offsets from dispatch begin.  A successful primary
+    finishes at ``overhead + primary_seconds``; a failed one died at
+    ``overhead`` (backoff burned before giving up).  The backup
+    starts at ``delay`` and finishes at ``delay + backup_seconds``.
+    First finisher wins; ties go to the primary (deterministic).
+    Returns None when the backup never started — that launch is
+    byte-identical to an unhedged one.
+    """
+    if plan is None:
+        return None
+    trigger, delay = plan
+    if primary_ok:
+        primary_finish = overhead_seconds + primary_seconds
+        if delay >= primary_finish:
+            return None  # primary won before the backup would start
+        backup_finish = delay + backup_seconds
+        if backup_finish < primary_finish:
+            # cancel the primary: it burned until the backup finished
             return HedgeOutcome(
                 trigger=trigger,
                 delay_s=delay,
-                winner="primary",
-                completion_s=primary_finish,
-                extra_work_s=primary_finish - delay,
+                winner="backup",
+                completion_s=backup_finish,
+                extra_work_s=backup_seconds,
             )
-        # primary failed at `overhead`; the backup is the only finisher
-        if delay >= overhead_seconds:
-            return None  # the serial fallback starts no later anyway
+        # primary won the race; the backup burned from delay until then
         return HedgeOutcome(
             trigger=trigger,
             delay_s=delay,
-            winner="backup",
-            completion_s=delay + backup_seconds,
-            extra_work_s=0.0,  # the fallback would run the backup regardless
+            winner="primary",
+            completion_s=primary_finish,
+            extra_work_s=primary_finish - delay,
         )
-
-    def hedge_observe(
-        self,
-        device_name: str,
-        region_name: str,
-        env: Mapping[str, int],
-        seconds: float,
-    ) -> None:
-        """Feed a case's accelerator seconds into the delay sketch."""
-        policy = getattr(self.owner, "hedge", None)
-        if policy is not None:
-            policy.observe(device_name, self.case_key(region_name, env), seconds)
-
-    @staticmethod
-    def half_open(health) -> bool:
-        return health.breaker.state is BreakerState.HALF_OPEN
-
-    # -- sentinel -------------------------------------------------------------
-    def observe_sentinel_pair(
-        self,
-        stream_key: str,
-        prediction,
-        cpu_seconds: float,
-        gpu_seconds: float,
-    ) -> None:
-        """Feed both streams; count verdict transitions when metrics are on."""
-        owner = self.owner
-        sentinel, metrics = owner.sentinel, owner.metrics
-        before = (
-            {dev: sentinel.state(dev, stream_key) for dev in ("cpu", "gpu")}
-            if metrics is not None
-            else None
-        )
-        sentinel.observe("cpu", stream_key, prediction.cpu.seconds, cpu_seconds)
-        sentinel.observe("gpu", stream_key, prediction.gpu.seconds, gpu_seconds)
-        if metrics is not None:
-            for dev in ("cpu", "gpu"):
-                after = sentinel.state(dev, stream_key)
-                if after is not before[dev]:
-                    metrics.counter(
-                        "drift_transitions_total", device=dev, to=after.value
-                    ).inc()
-
-    # -- metrics --------------------------------------------------------------
-    def record_metrics(
-        self,
-        record,
-        *,
-        executed_device: str,
-        retries_labels: Mapping[str, str],
-        healths,
-        pred_triples,
-    ) -> None:
-        """Fold one launch's outcome into the registry (observe-only).
-
-        ``healths`` is an iterable of (device name, DeviceHealth);
-        ``pred_triples`` of (device label, predicted s, observed s).
-        Zero-overhead launches (no retries, no deadline burn — the memo
-        fast path among them) are counted separately instead of
-        collapsing the overhead sketch's lowest bucket, so the p50/p99
-        tails reflect real dispatch work.
-        """
-        metrics = self.owner.metrics
-        metrics.counter("launches_total", device=executed_device).inc()
-        tenant = getattr(record, "tenant", None)
-        if tenant is not None:
-            metrics.counter("tenant_launches_total", tenant=tenant).inc()
-        sketch = metrics.quantiles("dispatch_overhead_seconds")
-        if record.overhead_seconds != 0.0:
-            sketch.observe(record.overhead_seconds)
-        else:
-            metrics.counter("dispatch_overhead_zero_total").inc()
-        if record.admission is not None:
-            metrics.counter("admission_total", outcome=record.admission).inc()
-        if record.fallback is not None:
-            metrics.counter("fallbacks_total", reason=record.fallback).inc()
-        if record.attempts > 1:
-            metrics.counter("retries_total", **retries_labels).inc(
-                record.attempts - 1
-            )
-        for ev in record.fault_events:
-            metrics.counter("fault_events_total", type=ev.error_type).inc()
-        for name, health in healths:
-            metrics.gauge("breaker_open_transitions", device=name).set(
-                health.breaker.transitions.count("open")
-            )
-        if record.lint is not None:
-            metrics.counter("lint_findings_total", severity="error").inc(
-                record.lint.errors
-            )
-            metrics.counter("lint_findings_total", severity="warning").inc(
-                record.lint.warnings
-            )
-            if record.lint.blocked:
-                metrics.counter("lint_blocked_total").inc()
-        drift = record.drift
-        if drift is not None:
-            if isinstance(drift, tuple):  # multi-device (device, state) pairs
-                for device, state in drift:
-                    metrics.counter(
-                        "drift_flagged_total", device=device, state=state
-                    ).inc()
-            else:
-                metrics.counter(
-                    "drift_decisions_total", mode=drift.mode
-                ).inc()
-        hedge = getattr(record, "hedge", None)
-        if hedge is not None:
-            metrics.counter(
-                "hedged_launches_total",
-                trigger=hedge.trigger,
-                winner=hedge.winner,
-            ).inc()
-            metrics.quantiles("hedge_extra_work_seconds").observe(
-                hedge.extra_work_s
-            )
-        for device, predicted, observed in pred_triples:
-            if (
-                predicted > 0.0
-                and observed > 0.0
-                and math.isfinite(predicted)
-                and math.isfinite(observed)
-            ):
-                metrics.histogram(
-                    "prediction_abs_log_error", device=device
-                ).observe(abs(math.log10(predicted / observed)))
-        metrics.gauge("sim_clock_seconds").set(self.owner.clock.now)
+    # primary failed at `overhead`; the backup is the only finisher
+    if delay >= overhead_seconds:
+        return None  # the serial fallback starts no later anyway
+    return HedgeOutcome(
+        trigger=trigger,
+        delay_s=delay,
+        winner="backup",
+        completion_s=delay + backup_seconds,
+        extra_work_s=0.0,  # the fallback would run the backup regardless
+    )

@@ -1,60 +1,94 @@
 """The offloading decision runtime (Figure 2, end to end).
 
-``OffloadingRuntime`` owns the Program Attribute Database and the platform.
-``compile_region`` is the compile-time half: outline, analyse, store
-attributes.  ``launch`` is the runtime half: bind runtime values, ask the
-policy for a target, dispatch to that device, and record everything the
-experiments need (both device times are simulated so policies can be scored
-against the oracle without re-running).
+``OffloadingRuntime`` owns the Program Attribute Database and the platform:
+the host plus every slot in ``platform.accelerators``.  Section II.A lets
+the host "schedule kernel execution either on the host itself or any of
+the available accelerators", so a host with one GPU is the N = 1 case of
+one decision, not a separate runtime.  ``compile_region`` is the
+compile-time half: outline, analyse, store attributes.  ``launch`` is the
+runtime half, one body at every N: bind runtime values, measure every
+device, select, apply the lint gate, run the dispatch chain (the requested
+accelerator first, the host last), then the watchdog and the hedge,
+observe, and record everything the experiments need (every device is
+simulated so policies can be scored against the oracle without
+re-running).
+
+Only selection and drift bookkeeping depend on the accelerator count:
+
+* **N = 1** — the policy picks ``cpu`` or ``gpu``; a flaky card's health
+  penalty can still send the launch to the host (``FALLBACK_HEALTH``),
+  and with a sentinel attached the
+  :class:`~repro.drift.SelfHealingSelector` degrades the pick gracefully
+  while a stream is flagged (``record.drift``).
+* **N > 1** — the policy predicts once per slot, against a one-slot
+  platform view named ``host+gpu``; the lowest prediction wins, scaled by
+  each accelerator's health penalty and, for DRIFTED streams, the
+  sentinel's correction, and accelerators with an open breaker are not
+  selectable.  The other accelerators follow the pick in the dispatch
+  chain, cheapest first.  The record lists every candidate
+  (``record.candidates``) and each flagged drift stream
+  (``record.drift_flags``).
+
+Each device gets one label, decided at construction: its kind
+(``cpu``/``gpu``) at N = 1 and its name at N > 1.  The label names the
+bulkhead slot, the drift stream and the ``device`` metric label, and the
+record carries it as ``requested_target`` and ``device``; ``target`` is
+always the kind of the device that ran the launch.
 
 Dispatch is resilient (docs/ROBUSTNESS.md): an optional
 :class:`~repro.faults.FaultInjector` makes accelerator attempts fail, and
 the runtime answers with bounded retry + exponential backoff (on a
-simulated clock), automatic host fallback, a per-device circuit breaker
-and a :class:`~repro.faults.DeviceHealth` penalty that steers the
-model-guided selector away from a flaky card.  With no injector the fast
-path is taken and every record is bit-identical to the pre-fault-tolerance
-runtime.
-
-Dispatch is also *gated* (docs/LINT.md): an optional
-:class:`~repro.lint.LintGate` refuses to offload regions whose parallel
-band carries race-severity lint findings — raising, forcing the host, or
-merely recording, per its mode.  Lint-clean regions leave no trace in the
-record (``lint=None``), so they too stay bit-identical.
-
-Dispatch is finally *drift-aware* (docs/ROBUSTNESS.md): an optional
+simulated clock), automatic fallback down the chain, a per-device circuit
+breaker and a :class:`~repro.faults.DeviceHealth` penalty that steers
+selection away from a flaky card.  It is *gated* (docs/LINT.md): an
+optional :class:`~repro.lint.LintGate` refuses to offload regions whose
+parallel band carries race-severity lint findings — raising, forcing the
+host, or merely recording, per its mode.  It is *drift-aware*: an optional
 :class:`~repro.drift.DriftSentinel` tracks predicted-vs-observed seconds
-per (device, region), a :class:`~repro.drift.Watchdog` turns the
-prediction into a per-launch deadline (an overrun becomes a typed
-:class:`~repro.faults.DeadlineExceeded` feeding the health/breaker
-machinery), and the :class:`~repro.drift.SelfHealingSelector` degrades
-the model-guided decision gracefully when a stream is DRIFTED.  While
-every stream is CALIBRATED the record carries no drift provenance
-(``drift=None``) and sentinel-on runs stay bit-identical too.
-
-Dispatch is, finally, *observable* (docs/OBSERVABILITY.md): an optional
-:class:`~repro.obs.Tracer` records nested ``launch`` → ``predict`` →
-``dispatch`` spans (with ``compile`` → ``analyse`` on the compile-time
-side) and an optional :class:`~repro.obs.MetricsRegistry` counts
-launches, retries, fallbacks, lint/drift verdicts and prediction error.
-Both default off (:data:`~repro.obs.NULL_TRACER`), record-only, and
-leave every ``LaunchRecord`` bit-identical whether attached or not.
+per (device, region, sizes) stream and a :class:`~repro.drift.Watchdog`
+turns the executed device's prediction into a deadline (an overrun
+becomes a typed :class:`~repro.faults.DeadlineExceeded` feeding the
+health/breaker machinery).  Budgets, hedged host backups and bulkheads
+live in :mod:`.dispatch`.  It is *observable* (docs/OBSERVABILITY.md): an
+optional :class:`~repro.obs.Tracer` records nested ``launch`` →
+``predict`` → ``dispatch`` spans and an optional
+:class:`~repro.obs.MetricsRegistry` counts launches, retries, fallbacks,
+lint/drift verdicts and prediction error.  Every collaborator defaults
+off, and idle (no injector, lint-clean regions, CALIBRATED streams, no
+tracer) it leaves every ``LaunchRecord`` bit-identical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from ..analysis import ProgramAttributeDatabase, RegionAttributes
-from ..drift import DriftDecision, DriftSentinel, SelfHealingSelector, Watchdog
+from ..drift import (
+    DriftDecision,
+    DriftSentinel,
+    DriftState,
+    SelfHealingSelector,
+    Watchdog,
+)
 from ..faults import (
+    BudgetExhausted,
+    DeadlineExceeded,
     DeviceHealth,
     FaultEvent,
     FaultInjector,
     RetryPolicy,
     SimulatedClock,
+    dispatch_with_retries,
+    region_footprint_bytes,
+)
+from ..faults.health import BreakerState
+from ..faults.resilient import (
+    FALLBACK_BREAKER,
+    FALLBACK_BUDGET,
+    FALLBACK_DEADLINE,
+    FALLBACK_HEALTH,
 )
 from ..ir import Region
 from ..lint.gate import FALLBACK_LINT, GateDecision, LintGate, LintGateError
@@ -63,21 +97,33 @@ from ..models import SelectionPrediction
 from ..obs import NULL_TRACER, MetricsRegistry, NullTracer, Tracer
 from .device import AcceleratorDevice, HostDevice
 from .dispatch import (
+    FALLBACK_BULKHEAD,
     FALLBACK_HEDGE,
     Budget,
     Bulkhead,
-    DispatchCore,
     HedgeOutcome,
     HedgePolicy,
+    case_key,
+    hedge_resolve,
 )
 from .memo import ExecutionMemo
 from .policies import ModelGuided, Policy
 
-__all__ = ["ADMISSION_DEGRADED", "LaunchRecord", "OffloadingRuntime"]
+__all__ = ["ADMISSION_DEGRADED", "DeviceOutcome", "LaunchRecord", "OffloadingRuntime"]
 
 #: Admission provenance stamped on launches degraded to the host by an
 #: admission controller (``launch(..., force_target="cpu")``).
 ADMISSION_DEGRADED = "degraded-to-host"
+
+
+@dataclass(frozen=True)
+class DeviceOutcome:
+    """Prediction + measurement for one candidate device (N > 1 records)."""
+
+    device_name: str
+    kind: str  # "cpu" | "gpu"
+    predicted_seconds: float
+    measured_seconds: float
 
 
 @dataclass(frozen=True)
@@ -86,27 +132,37 @@ class LaunchRecord:
 
     The trailing fields are fault-tolerance provenance; their defaults
     describe an untroubled launch, so fault-free runs produce records
-    identical to the pre-resilience runtime.
+    identical to the pre-resilience runtime.  ``candidates`` and
+    ``drift_flags`` are filled at N > 1 only: at N = 1 ``prediction``,
+    ``cpu_seconds`` and ``gpu_seconds`` already hold both candidates.
     """
 
     region_name: str
-    target: str  # device the launch actually executed on
+    target: str  # kind ("cpu" | "gpu") of the device that ran the launch
     policy_name: str
-    prediction: SelectionPrediction | None
+    prediction: SelectionPrediction | None  # the policy's (None at N > 1)
     cpu_seconds: float  # measured (simulated) host time
-    gpu_seconds: float  # measured (simulated) device time incl. transfers
+    gpu_seconds: float  # measured device time incl. transfers (fastest at N > 1)
     executed_seconds: float  # time of the chosen target (incl. retry backoff)
-    requested_target: str | None = None  # policy's pick before rerouting
+    requested_target: str | None = None  # label of the pick before rerouting
     attempts: int = 0  # accelerator dispatch attempts (0 = never tried)
     fault_events: tuple[FaultEvent, ...] = ()
     fallback: str | None = None  # why the launch left the requested target
     overhead_seconds: float = 0.0  # simulated retry backoff
     lint: GateDecision | None = None  # gate verdict (None = clean or no gate)
-    drift: DriftDecision | None = None  # sentinel verdict (None = calibrated)
+    drift: DriftDecision | None = None  # N = 1 healing verdict (None = calibrated)
     admission: str | None = None  # admission-control provenance (None = full path)
     transfers: str | None = None  # transfer sizing source (None = declared map)
     hedge: HedgeOutcome | None = None  # hedged-launch provenance (None = no backup)
     tenant: str | None = None  # issuing tenant (None = anonymous/single-tenant)
+    # The fields below stay out of repr, so an N = 1 record prints (and
+    # hashes, in the serial-replay golden) exactly as before they existed.
+    #: label of the device that ran the launch (== target at N = 1)
+    device: str | None = field(default=None, repr=False)
+    #: N > 1: every candidate device, host first (empty at N = 1)
+    candidates: tuple[DeviceOutcome, ...] = field(default=(), repr=False)
+    #: N > 1: (device, state) of every drift stream not CALIBRATED
+    drift_flags: tuple[tuple[str, str], ...] = field(default=(), repr=False)
 
     @property
     def true_speedup(self) -> float:
@@ -132,10 +188,20 @@ class LaunchRecord:
         return cpu / gpu
 
     @property
+    def oracle_target(self) -> str:
+        """Label of the device that measured fastest."""
+        if self.candidates:
+            return min(self.candidates, key=lambda o: o.measured_seconds).device_name
+        return "gpu" if self.gpu_seconds < self.cpu_seconds else "cpu"
+
+    @property
     def decision_correct(self) -> bool:
-        """Did the policy match the oracle?"""
-        oracle = "gpu" if self.gpu_seconds < self.cpu_seconds else "cpu"
-        return self.target == oracle
+        """Did the policy match the oracle?
+
+        N = 1 scores the executed kind, N > 1 the requested device.
+        """
+        chosen = self.requested_target if self.candidates else self.target
+        return chosen == self.oracle_target
 
     @property
     def oracle_seconds(self) -> float:
@@ -176,37 +242,63 @@ class OffloadingRuntime:
     #: seconds this launch.  The chaos hook for mid-stream hardware drift;
     #: None (the default) leaves every launch untouched.
     time_dilation: Callable[[str], float] | None = None
-    #: key drift-sentinel streams by (region, env) instead of region
-    #: alone.  A mixed-dataset-size workload replayed through one stream
-    #: makes every size change look like a residual shift; per-case
-    #: streams keep a stable workload CALIBRATED.  Off by default (the
-    #: historical keying the drift experiment and its tests pin).
-    sentinel_stream_by_env: bool = False
     #: optional per-device bounded scheduled-work slots; a saturated
-    #: accelerator reroutes to the host (FALLBACK_BULKHEAD).  None = off.
+    #: accelerator is skipped in the dispatch chain (FALLBACK_BULKHEAD).
     bulkheads: Bulkhead | None = None
     #: optional speculative host-backup policy (docs/ROBUSTNESS.md);
     #: None = off, and every record stays bit-identical.
     hedge: HedgePolicy | None = None
 
     def __post_init__(self):
+        slots = self.platform.accelerators
+        if not slots:
+            raise ValueError(f"platform {self.platform.name!r} has no accelerator")
         self._host = HostDevice(self.platform.host, num_threads=self.num_threads)
-        self._accel = AcceleratorDevice(self.platform.gpu, self.platform.bus)
+        self._accels = [AcceleratorDevice(slot.gpu, slot.bus) for slot in slots]
+        self._single = len(slots) == 1
+        #: the dispatch candidates: the host first, then every slot
+        self._devices = (self._host, *self._accels)
+        #: one label per device: its kind at N = 1, its name at N > 1
+        self._labels = tuple(
+            dev.kind if self._single else dev.name for dev in self._devices
+        )
+        #: the platform the policy predicts each accelerator on: the
+        #: platform itself at N = 1, else one single-slot view per slot
+        self._views = (
+            [self.platform]
+            if self._single
+            else [
+                Platform(
+                    name=f"{self.platform.host.name}+{slot.gpu.name}",
+                    host=self.platform.host,
+                    accelerators=(slot,),
+                )
+                for slot in slots
+            ]
+        )
         self.clock = SimulatedClock()
         if self.tracer.enabled and self.tracer.clock is None:
             self.tracer.clock = self.clock  # span timestamps follow this runtime
         if self.sentinel is not None and self.sentinel.clock is None:
             self.sentinel.clock = self.clock  # drift transitions get timestamps
-        self.health = DeviceHealth(
-            self._accel.name,
-            clock=self.clock,
-            decay_halflife_s=self.health_decay_halflife_s,
+        #: one DeviceHealth per accelerator, in slot order
+        self.health = tuple(
+            DeviceHealth(
+                dev.name,
+                clock=self.clock,
+                decay_halflife_s=self.health_decay_halflife_s,
+            )
+            for dev in self._accels
         )
-        self._accel_launches = 0  # per-device dispatch ordinal for the injector
+        # per-accelerator dispatch ordinal for the injector
+        self._accel_launches = [0] * len(self._accels)
         self._healer = (
-            SelfHealingSelector(self.sentinel) if self.sentinel else None
+            SelfHealingSelector(self.sentinel)
+            if self.sentinel is not None and self._single
+            else None
         )
-        self._core = DispatchCore(self)
+        #: retries_total is labelled by the accelerator at N = 1 only
+        self._retry_labels = {"device": self._accels[0].name} if self._single else {}
 
     # -- compile time -------------------------------------------------------
     def compile_region(self, region: Region) -> RegionAttributes:
@@ -241,8 +333,8 @@ class OffloadingRuntime:
 
         ``tenant`` stamps the issuing tenant onto the record (the
         offload service's provenance hook); ``None`` — the anonymous
-        single-tenant default — returns the identical record object an
-        untenanted runtime would.
+        single-tenant default — leaves the record as an untenanted
+        runtime would build it.
         """
         if force_target not in (None, "cpu"):
             raise ValueError(
@@ -253,49 +345,50 @@ class OffloadingRuntime:
             "launch", region=region_name, policy=self.policy.name
         ) as span:
             if force_target == "cpu":
-                record = self._launch_degraded(region_name, env)
+                record = self._launch_degraded(region_name, env, tenant)
             else:
-                record = self._launch(region_name, env, tracer, budget)
-            if tenant is not None:
-                record = replace(record, tenant=tenant)
+                record = self._launch(region_name, env, tracer, budget, tenant)
             if tracer.enabled:
-                span.set("target", record.target)
+                span.set("target", record.device)
                 if record.fallback is not None:
                     span.set("fallback", record.fallback)
         if self.metrics is not None:
-            self._core.record_metrics(
-                record,
-                executed_device=record.target,
-                retries_labels={"device": self._accel.name},
-                healths=((self._accel.name, self.health),),
-                pred_triples=(
-                    (
-                        ("cpu", record.prediction.cpu.seconds, record.cpu_seconds),
-                        ("gpu", record.prediction.gpu.seconds, record.gpu_seconds),
-                    )
-                    if record.prediction is not None
-                    else ()
-                ),
-            )
+            self._record_metrics(record)
         return record
 
+    def _measure(self, device, attrs, env: Mapping[str, int]) -> float:
+        """One device's simulated seconds, memoized and dilation-scaled."""
+        if self.memo is not None:
+            seconds = self.memo.execution(device, attrs, env).seconds
+        else:
+            seconds = device.execute(attrs.region, env).seconds
+        if self.time_dilation is not None:
+            seconds *= self.time_dilation(device.kind)
+        return seconds
+
     def _launch_degraded(
-        self, region_name: str, env: Mapping[str, int]
+        self, region_name: str, env: Mapping[str, int], tenant: str | None
     ) -> LaunchRecord:
         """The admission-degraded path: straight to the host, no models."""
         attrs = self.db.lookup(region_name)
-        cpu_seconds = self._core.measure(self._host, attrs, env)
-        gpu_seconds = self._core.measure(self._accel, attrs, env)
+        measured = [self._measure(dev, attrs, env) for dev in self._devices]
+        host = self._labels[0]
         return LaunchRecord(
             region_name=region_name,
             target="cpu",
             policy_name=self.policy.name,
             prediction=None,
-            cpu_seconds=cpu_seconds,
-            gpu_seconds=gpu_seconds,
-            executed_seconds=cpu_seconds,
-            requested_target="cpu",
+            cpu_seconds=measured[0],
+            gpu_seconds=min(measured[1:]),
+            executed_seconds=measured[0],
+            requested_target=host,
             admission=ADMISSION_DEGRADED,
+            tenant=tenant,
+            device=host,
+            # the host is the one candidate this path considers
+            candidates=()
+            if self._single
+            else (DeviceOutcome(self._host.name, "cpu", math.nan, measured[0]),),
         )
 
     def _launch(
@@ -303,146 +396,149 @@ class OffloadingRuntime:
         region_name: str,
         env: Mapping[str, int],
         tracer: Tracer | NullTracer,
-        budget: Budget | None = None,
+        budget: Budget | None,
+        tenant: str | None,
     ) -> LaunchRecord:
-        core = self._core
         attrs = self.db.lookup(region_name)
-        bound = core.bound(attrs, env)
+        memo = self.memo
+        bound = memo.bound(attrs, env) if memo is not None else attrs.bind(env)
+        devices, labels = self._devices, self._labels
+        measured = [self._measure(dev, attrs, env) for dev in devices]
+        # drift streams and hedge sketches: one per (region, dataset sizes)
+        key = (
+            case_key(region_name, env)
+            if self.sentinel is not None or self.hedge is not None
+            else ""
+        )
+        for health in self.health:
+            health.breaker.on_launch()
 
-        cpu_seconds = core.measure(self._host, attrs, env)
-        gpu_seconds = core.measure(self._accel, attrs, env)
-
-        with tracer.span(
-            "predict", region=region_name, policy=self.policy.name
-        ) as pspan:
-            requested, prediction = self.policy.choose(
-                bound,
-                self.platform,
-                num_threads=self.num_threads,
-                sim_cpu_seconds=cpu_seconds,
-                sim_gpu_seconds=gpu_seconds,
-            )
-            # Self-healing selection: when the sentinel has flagged a stream,
-            # the healed pick *is* the request (the raw model pick survives in
-            # the drift provenance).  None while everything is CALIBRATED.
-            drift_decision: DriftDecision | None = None
-            if self._healer is not None and prediction is not None:
-                drift_decision = self._healer.decide(
-                    core.sentinel_key(region_name, env), prediction
-                )
-                if drift_decision is not None:
-                    requested = drift_decision.target
-            if tracer.enabled:
-                pspan.set("requested", requested)
-                if prediction is not None:
-                    pspan.set("pred_cpu_s", prediction.cpu.seconds)
-                    pspan.set("pred_gpu_s", prediction.gpu.seconds)
-                if drift_decision is not None:
-                    pspan.set("drift_mode", drift_decision.mode)
-                    pspan.set("drift_cpu_state", drift_decision.cpu_state)
-                    pspan.set("drift_gpu_state", drift_decision.gpu_state)
-        target = requested
-        fallback: str | None = None
-        attempts = 0
-        events: tuple[FaultEvent, ...] = ()
-        overhead = 0.0
-        plan: tuple[str, float] | None = None
-        hedge: HedgeOutcome | None = None
+        # order: device indices, the pick first and the host (0) last
+        select = self._choose if self._single else self._rank
+        order, predicted, prediction, decision, flagged = select(
+            region_name, bound, measured, key, tracer
+        )
+        requested = order[0]
 
         with tracer.span(
-            "dispatch", region=region_name, requested=requested
+            "dispatch", region=region_name, requested=labels[requested]
         ) as dspan:
-            lint_decision = core.lint_decision(attrs.region)
-
-            self.health.breaker.on_launch()
-            if (
-                target == "gpu"
-                and lint_decision is not None
-                and lint_decision.blocked
-            ):
-                if lint_decision.action == "raise":
-                    raise LintGateError(region_name, lint_decision.codes)
-                target, fallback = "cpu", FALLBACK_LINT
-            if target == "gpu":
-                target, fallback = core.pre_dispatch_reroute(
-                    self.health, prediction, "gpu"
-                )
-            if target == "gpu":
-                launch_index = self._accel_launches
-                plan = core.hedge_plan(
-                    device_name=self._accel.name,
-                    region_name=region_name,
-                    env=env,
-                    drift_flagged=drift_decision is not None,
-                    half_open=core.half_open(self.health),
+            lint = (
+                self.lint_gate.decide(attrs.region)
+                if self.lint_gate is not None
+                else None
+            )
+            reason: str | None = None  # why the launch left the request
+            if requested and lint is not None and lint.blocked:
+                if lint.action == "raise":
+                    raise LintGateError(region_name, lint.codes)
+                order, reason = (0,), FALLBACK_LINT
+            plan = None
+            if order[0] and self.hedge is not None:
+                plan = self.hedge.plan(
+                    devices[requested].name,
+                    key,
+                    drift_flagged=flagged,
+                    half_open=self.health[requested - 1].breaker.state
+                    is BreakerState.HALF_OPEN,
                     budget=budget,
                     predicted_gpu_s=(
-                        prediction.gpu.seconds if prediction is not None else None
+                        predicted[requested] if predicted is not None else None
                     ),
                 )
-                result = core.attempt(
-                    health=self.health,
-                    device=self._accel,
-                    attrs=attrs,
-                    env=env,
-                    launch_index=launch_index,
+
+            # the dispatch chain: accelerators in order, the host (which
+            # never faults) ends it
+            attempts = 0
+            events: tuple[FaultEvent, ...] = ()
+            overhead = 0.0
+            for executed in order:
+                if not executed:
+                    break
+                dev, health = devices[executed], self.health[executed - 1]
+                if not health.breaker.allows():
+                    reason = FALLBACK_BREAKER
+                    continue
+                bulkheads = self.bulkheads
+                if bulkheads is not None and not bulkheads.allows(
+                    labels[executed], self.clock.now
+                ):
+                    bulkheads.reject(labels[executed])
+                    reason = FALLBACK_BULKHEAD
+                    continue
+                if self._single and predicted is not None:
+                    # N = 1 health gate: a penalized card loses to the host
+                    penalty = health.penalty()
+                    if penalty > 1.0 and predicted[1] * penalty >= predicted[0]:
+                        reason = FALLBACK_HEALTH
+                        continue
+                index = self._accel_launches[executed - 1]
+                self._accel_launches[executed - 1] = index + 1
+                result = dispatch_with_retries(
+                    injector=self.injector,
+                    retry=self.retry,
+                    clock=self.clock,
+                    health=health,
+                    device_name=dev.name,
+                    launch_index=index,
+                    footprint_bytes=(
+                        memo.footprint(attrs, env, region_footprint_bytes)
+                        if memo is not None
+                        else region_footprint_bytes(attrs.region, env)
+                    ),
+                    memory_bytes=int(dev.gpu.mem_size_gib * 2**30),
                     budget=budget,
                 )
-                self._accel_launches += 1
-                attempts = result.attempts
-                events = result.fault_events
-                overhead = result.overhead_seconds
-                if not result.ok:
-                    target, fallback = "cpu", result.reason
-                elif self.watchdog is not None and prediction is not None:
-                    # the watchdog budgets from the (drift-healed) prediction
-                    basis = prediction.gpu.seconds * (
-                        drift_decision.correction_gpu
-                        if drift_decision is not None
-                        else 1.0
-                    )
-                    overrun = core.kill_overrun(
-                        health=self.health,
-                        device_name=self._accel.name,
-                        basis_seconds=basis,
-                        observed_seconds=gpu_seconds,
-                        launch_index=launch_index,
-                        attempt=max(attempts, 1),
-                        budget=budget,
-                        detail=(
-                            f" (predicted {basis:.3e}s x "
-                            f"{self.watchdog.factor:g} + "
-                            f"{self.watchdog.slack_s:g}s)"
-                        ),
-                    )
-                    if overrun is not None:
-                        deadline_event, burned, kill_fallback = overrun
-                        events = events + (deadline_event,)
-                        overhead += burned
-                        target, fallback = "cpu", kill_fallback
-            if plan is not None:
-                hedge = core.hedge_resolve(
+                attempts += result.attempts
+                events += result.fault_events
+                overhead += result.overhead_seconds
+                if result.ok:
+                    break
+                reason = result.reason
+
+            if executed and self.watchdog is not None and predicted is not None:
+                # the watchdog budgets from the executed device's own
+                # (drift-corrected) prediction
+                basis = predicted[executed]
+                if self.sentinel is not None:
+                    basis *= self.sentinel.correction(labels[executed], key)
+                killed = self._kill_overrun(
+                    self.health[executed - 1],
+                    basis,
+                    measured[executed],
+                    launch_index=self._accel_launches[executed - 1] - 1,
+                    attempt=max(attempts, 1),
+                    budget=budget,
+                )
+                if killed is not None:
+                    event, burned, reason = killed
+                    events += (event,)
+                    overhead += burned
+                    executed = 0
+
+            # resolve the armed backup against what the chain produced: the
+            # requested primary (ok) or the serial host fallback (primary
+            # dead); a reroute onto another accelerator leaves it unresolved
+            hedge: HedgeOutcome | None = None
+            if plan is not None and executed in (requested, 0):
+                hedge = hedge_resolve(
                     plan,
-                    primary_ok=(target == "gpu"),
-                    primary_seconds=gpu_seconds,
-                    backup_seconds=cpu_seconds,
+                    primary_ok=executed == requested,
+                    primary_seconds=measured[executed],
+                    backup_seconds=measured[0],
                     overhead_seconds=overhead,
                 )
-                if (
-                    hedge is not None
-                    and hedge.winner == "backup"
-                    and target == "gpu"
-                ):
-                    target, fallback = "cpu", FALLBACK_HEDGE
+                if hedge is not None and hedge.winner == "backup" and executed:
+                    executed, reason = 0, FALLBACK_HEDGE
             if tracer.enabled:
-                dspan.set("target", target)
+                dspan.set("target", labels[executed])
                 dspan.set("attempts", attempts)
-                if fallback is not None:
-                    dspan.set("fallback", fallback)
+                if reason is not None:
+                    dspan.set("fallback", reason)
                 if overhead:
                     dspan.set("overhead_s", overhead)
-                if lint_decision is not None:
-                    dspan.set("lint_action", lint_decision.action)
+                if lint is not None:
+                    dspan.set("lint_action", lint.action)
                 if hedge is not None:
                     dspan.set("hedge_winner", hedge.winner)
                 for ev in events:
@@ -453,35 +549,321 @@ class OffloadingRuntime:
                         attempt=ev.attempt,
                     )
 
-        executed = (cpu_seconds if target == "cpu" else gpu_seconds)
-        executed += overhead
-        if hedge is not None:
-            executed = hedge.completion_s
-        core.hedge_observe(self._accel.name, region_name, env, gpu_seconds)
-        if self.sentinel is not None and prediction is not None:
-            # post-mortem: both sides are simulated every launch, so both
-            # streams learn regardless of where the region actually ran
-            core.observe_sentinel_pair(
-                core.sentinel_key(region_name, env),
-                prediction,
-                cpu_seconds,
-                gpu_seconds,
-            )
+        if self.hedge is not None:
+            for dev, seconds in zip(self._accels, measured[1:]):
+                self.hedge.observe(dev.name, key, seconds)
+        flags: tuple[tuple[str, str], ...] = ()
+        if self.sentinel is not None and predicted is not None:
+            # post-mortem: every device is simulated every launch, so every
+            # stream learns regardless of where the region actually ran
+            flags = self._observe_drift(key, predicted, measured)
+        transfers = bound.transfer_mode
         return LaunchRecord(
             region_name=region_name,
-            target=target,
+            target=devices[executed].kind,
             policy_name=self.policy.name,
             prediction=prediction,
-            cpu_seconds=cpu_seconds,
-            gpu_seconds=gpu_seconds,
-            executed_seconds=executed,
-            requested_target=requested,
+            cpu_seconds=measured[0],
+            gpu_seconds=min(measured[1:]),
+            executed_seconds=(
+                hedge.completion_s
+                if hedge is not None
+                else measured[executed] + overhead
+            ),
+            requested_target=labels[requested],
             attempts=attempts,
             fault_events=events,
-            fallback=fallback,
+            fallback=reason,
             overhead_seconds=overhead,
-            lint=lint_decision,
-            drift=drift_decision,
-            transfers=core.transfer_provenance(bound),
+            lint=lint,
+            drift=decision,
+            transfers=None if transfers == "declared" else transfers,
             hedge=hedge,
+            tenant=tenant,
+            device=labels[executed],
+            candidates=()
+            if self._single
+            else tuple(
+                DeviceOutcome(dev.name, dev.kind, p, m)
+                for dev, p, m in zip(devices, predicted, measured)
+            ),
+            drift_flags=flags,
         )
+
+    # -- selection ------------------------------------------------------------
+    def _choose(self, region_name, bound, measured, key, tracer):
+        """N = 1: the policy's pick, healed while a drift stream is flagged.
+
+        Returns the dispatch order, the (host, accelerator) predicted
+        seconds (None when the policy predicts nothing), the prediction,
+        the drift verdict and whether it flags the launch.
+        """
+        with tracer.span(
+            "predict", region=region_name, policy=self.policy.name
+        ) as pspan:
+            requested, prediction = self.policy.choose(
+                bound,
+                self.platform,
+                num_threads=self.num_threads,
+                sim_cpu_seconds=measured[0],
+                sim_gpu_seconds=measured[1],
+            )
+            # Self-healing selection: when the sentinel has flagged a stream,
+            # the healed pick *is* the request (the raw model pick survives in
+            # the drift provenance).  None while everything is CALIBRATED.
+            decision: DriftDecision | None = None
+            if self._healer is not None and prediction is not None:
+                decision = self._healer.decide(key, prediction)
+                if decision is not None:
+                    requested = decision.target
+            if tracer.enabled:
+                pspan.set("requested", requested)
+                if prediction is not None:
+                    pspan.set("pred_cpu_s", prediction.cpu.seconds)
+                    pspan.set("pred_gpu_s", prediction.gpu.seconds)
+                if decision is not None:
+                    pspan.set("drift_mode", decision.mode)
+                    pspan.set("drift_cpu_state", decision.cpu_state)
+                    pspan.set("drift_gpu_state", decision.gpu_state)
+        predicted = (
+            None
+            if prediction is None
+            else (prediction.cpu.seconds, prediction.gpu.seconds)
+        )
+        order = (1, 0) if requested == "gpu" else (0,)
+        return order, predicted, prediction, decision, decision is not None
+
+    def _rank(self, region_name, bound, measured, key, tracer):
+        """N > 1: the lowest prediction, corrected for health and drift.
+
+        Returns what :meth:`_choose` does: the dispatch order (the pick,
+        the other accelerators by corrected prediction, the host), every
+        device's predicted seconds, no single prediction or healing
+        verdict, and whether the picked device's drift stream is flagged.
+        """
+        preds = []
+        for dev, view, seconds in zip(self._accels, self._views, measured[1:]):
+            with tracer.span("predict", region=region_name, device=dev.name) as pspan:
+                _, pred = self.policy.choose(
+                    bound,
+                    view,
+                    num_threads=self.num_threads,
+                    sim_cpu_seconds=measured[0],
+                    sim_gpu_seconds=seconds,
+                )
+                if pred is None:
+                    raise ValueError(
+                        f"policy {self.policy.name!r} makes no prediction to "
+                        f"rank {len(self._accels)} accelerators by"
+                    )
+                if tracer.enabled:
+                    pspan.set("pred_cpu_s", pred.cpu.seconds)
+                    pspan.set("pred_gpu_s", pred.gpu.seconds)
+            preds.append(pred)
+        # the host's prediction comes from the first slot's view
+        predicted = [preds[0].cpu.seconds] + [pred.gpu.seconds for pred in preds]
+
+        # Health- and drift-aware costs: penalized (and, for DRIFTED
+        # streams, corrected) predictions.  Fault-free and fully
+        # calibrated this is the plain prediction argmin.
+        sentinel = self.sentinel
+        cost = []
+        for i, label in enumerate(self._labels):
+            seconds = predicted[i]
+            if sentinel is not None:
+                seconds *= sentinel.correction(label, key)  # 1.0 unless DRIFTED
+            if i:
+                seconds *= self.health[i - 1].penalty()
+            cost.append(seconds)
+        # open breakers are skipped; the host keeps the pool non-empty
+        chosen = min(
+            (i for i in range(len(cost)) if not i or self.health[i - 1].breaker.allows()),
+            key=cost.__getitem__,
+        )
+        flagged = (
+            sentinel is not None
+            and sentinel.state(self._labels[chosen], key) is not DriftState.CALIBRATED
+        )
+        if not chosen:
+            return (0,), predicted, None, None, flagged
+        others = sorted(
+            (i for i in range(1, len(cost)) if i != chosen), key=cost.__getitem__
+        )
+        return (chosen, *others, 0), predicted, None, None, flagged
+
+    # -- watchdog / budget kill -------------------------------------------------
+    def _kill_overrun(
+        self,
+        health: DeviceHealth,
+        basis_seconds: float,
+        observed_seconds: float,
+        *,
+        launch_index: int,
+        attempt: int,
+        budget: Budget | None,
+    ) -> tuple[FaultEvent, float, str] | None:
+        """Kill a dispatch that overran its deadline; feed the breaker.
+
+        The deadline is the watchdog's ``predicted × factor + slack``,
+        tightened to the remaining budget when one is attached and
+        poorer.  Returns ``(event, burned_seconds, fallback_label)`` —
+        the caller adds the burn to its overhead — or None within
+        bounds.  The burn is advanced on the clock and charged to the
+        budget here.
+        """
+        watchdog = self.watchdog
+        deadline = watchdog.deadline(basis_seconds)
+        source = "watchdog"
+        if budget is not None and budget.remaining() < deadline:
+            deadline, source = budget.remaining(), "budget"
+        if observed_seconds <= deadline:
+            return None
+        if source == "watchdog":
+            err: BudgetExhausted | DeadlineExceeded = DeadlineExceeded(
+                f"device time {observed_seconds:.3e}s exceeded watchdog "
+                f"deadline {deadline:.3e}s (predicted {basis_seconds:.3e}s x "
+                f"{watchdog.factor:g} + {watchdog.slack_s:g}s)",
+                device_name=health.device_name,
+                launch_index=launch_index,
+                attempt=attempt,
+                deadline_seconds=deadline,
+                observed_seconds=observed_seconds,
+            )
+            fallback = FALLBACK_DEADLINE
+        else:
+            err = BudgetExhausted(
+                f"device time {observed_seconds:.3e}s exceeded remaining "
+                f"budget {deadline:.3e}s",
+                device_name=health.device_name,
+                launch_index=launch_index,
+                attempt=attempt,
+                budget_seconds=budget.total_s,
+                remaining_seconds=deadline,
+            )
+            fallback = FALLBACK_BUDGET
+        health.record_failure(err)
+        event = FaultEvent(
+            device_name=err.device_name,
+            launch_index=err.launch_index,
+            attempt=err.attempt,
+            error_type=type(err).__name__,
+            message=str(err),
+        )
+        # the deadline's worth of device time was burned before the kill
+        self.clock.advance(deadline)
+        if budget is not None:
+            budget.charge(deadline)
+        return event, deadline, fallback
+
+    # -- observation ------------------------------------------------------------
+    def _observe_drift(self, key, predicted, measured) -> tuple[tuple[str, str], ...]:
+        """Feed every device's drift stream.
+
+        N = 1 counts each verdict change when metrics are on (its verdict
+        is the healing decision); N > 1 returns the flagged streams.
+        """
+        sentinel, labels = self.sentinel, self._labels
+        if not self._single:
+            for label, p, m in zip(labels, predicted, measured):
+                sentinel.observe(label, key, p, m)
+            states = [(label, sentinel.state(label, key)) for label in labels]
+            return tuple(
+                (label, s.value) for label, s in states if s is not DriftState.CALIBRATED
+            )
+        metrics = self.metrics
+        before = (
+            [sentinel.state(label, key) for label in labels]
+            if metrics is not None
+            else None
+        )
+        for label, p, m in zip(labels, predicted, measured):
+            sentinel.observe(label, key, p, m)
+        if metrics is not None:
+            for label, old in zip(labels, before):
+                new = sentinel.state(label, key)
+                if new is not old:
+                    metrics.counter(
+                        "drift_transitions_total", device=label, to=new.value
+                    ).inc()
+        return ()
+
+    def _record_metrics(self, record: LaunchRecord) -> None:
+        """Fold one launch's outcome into the registry (observe-only).
+
+        Zero-overhead launches (no retries, no deadline burn — the memo
+        fast path among them) are counted separately instead of
+        collapsing the overhead sketch's lowest bucket, so the p50/p99
+        tails reflect real dispatch work.
+        """
+        metrics = self.metrics
+        metrics.counter("launches_total", device=record.device).inc()
+        if record.tenant is not None:
+            metrics.counter("tenant_launches_total", tenant=record.tenant).inc()
+        sketch = metrics.quantiles("dispatch_overhead_seconds")
+        if record.overhead_seconds != 0.0:
+            sketch.observe(record.overhead_seconds)
+        else:
+            metrics.counter("dispatch_overhead_zero_total").inc()
+        if record.admission is not None:
+            metrics.counter("admission_total", outcome=record.admission).inc()
+        if record.fallback is not None:
+            metrics.counter("fallbacks_total", reason=record.fallback).inc()
+        if record.attempts > 1:
+            metrics.counter("retries_total", **self._retry_labels).inc(
+                record.attempts - 1
+            )
+        for ev in record.fault_events:
+            metrics.counter("fault_events_total", type=ev.error_type).inc()
+        for health in self.health:
+            metrics.gauge("breaker_open_transitions", device=health.device_name).set(
+                health.breaker.transitions.count("open")
+            )
+        if record.lint is not None:
+            metrics.counter("lint_findings_total", severity="error").inc(
+                record.lint.errors
+            )
+            metrics.counter("lint_findings_total", severity="warning").inc(
+                record.lint.warnings
+            )
+            if record.lint.blocked:
+                metrics.counter("lint_blocked_total").inc()
+        if record.drift is not None:
+            metrics.counter("drift_decisions_total", mode=record.drift.mode).inc()
+        for device, state in record.drift_flags:
+            metrics.counter("drift_flagged_total", device=device, state=state).inc()
+        hedge = record.hedge
+        if hedge is not None:
+            metrics.counter(
+                "hedged_launches_total",
+                trigger=hedge.trigger,
+                winner=hedge.winner,
+            ).inc()
+            metrics.quantiles("hedge_extra_work_seconds").observe(
+                hedge.extra_work_s
+            )
+        if self._single:
+            p = record.prediction
+            errors = (
+                ()
+                if p is None
+                else (
+                    ("cpu", p.cpu.seconds, record.cpu_seconds),
+                    ("gpu", p.gpu.seconds, record.gpu_seconds),
+                )
+            )
+        else:
+            errors = [
+                (o.device_name, o.predicted_seconds, o.measured_seconds)
+                for o in record.candidates
+            ]
+        for device, predicted, observed in errors:
+            if (
+                predicted > 0.0
+                and observed > 0.0
+                and math.isfinite(predicted)
+                and math.isfinite(observed)
+            ):
+                metrics.histogram(
+                    "prediction_abs_log_error", device=device
+                ).observe(abs(math.log10(predicted / observed)))
+        metrics.gauge("sim_clock_seconds").set(self.clock.now)

@@ -36,12 +36,13 @@ from repro.machines import (
     TESLA_K80,
     TESLA_V100,
 )
+from repro.obs import MetricsRegistry
 from repro.polybench import benchmark_by_name
 from repro.runtime import (
     ModelGuided,
-    MultiDeviceRuntime,
     OffloadingRuntime,
 )
+from repro.runtime.dispatch import case_key
 
 from .kernels import build_gemm
 
@@ -332,6 +333,24 @@ class TestRuntimeIntegration:
             assert b.drift is None
         assert not guarded.sentinel.any_drifted()
 
+    def test_fresh_registry_counts_drift_transitions(self):
+        # the first launch finds the registry still empty
+        scale = {"cpu": 1.0, "gpu": 1.0}
+        rt = OffloadingRuntime(
+            PLATFORM_P9_V100,
+            sentinel=DriftSentinel(),
+            metrics=MetricsRegistry(),
+            time_dilation=scale.__getitem__,
+        )
+        rt.compile_region(build_gemm())
+        for i in range(10):
+            if i == 4:
+                scale["gpu"] = 6.0  # the card slows down mid-stream
+            rt.launch("gemm", ENV)
+        counters = rt.metrics.snapshot()["counters"]
+        assert counters["drift_transitions_total{device=gpu,to=drifted}"] == 1
+        assert not any("device=cpu" in k for k in counters if "drift_transitions" in k)
+
     def test_watchdog_overrun_reroutes_and_feeds_health(self):
         spec = benchmark_by_name("atax")
         rt = OffloadingRuntime(
@@ -347,7 +366,7 @@ class TestRuntimeIntegration:
         assert [e.error_type for e in rec.fault_events] == ["DeadlineExceeded"]
         # the deadline's worth of device time was burned before the kill
         assert rec.overhead_seconds > 0.0
-        assert rt.health.fault_counts.get("DeadlineExceeded") == 1
+        assert rt.health[0].fault_counts.get("DeadlineExceeded") == 1
         assert rt.clock.now == pytest.approx(rec.overhead_seconds)
 
     def test_prediction_scaled_identity_and_copy(self):
@@ -386,8 +405,8 @@ DUAL = Platform(
 
 class TestMultiDeviceDrift:
     def test_zero_skew_records_bit_identical(self):
-        plain = MultiDeviceRuntime(DUAL)
-        guarded = MultiDeviceRuntime(
+        plain = OffloadingRuntime(DUAL)
+        guarded = OffloadingRuntime(
             DUAL, sentinel=DriftSentinel(), watchdog=Watchdog()
         )
         for rt in (plain, guarded):
@@ -396,23 +415,24 @@ class TestMultiDeviceDrift:
             a = plain.launch("gemm", ENV)
             b = guarded.launch("gemm", ENV)
             assert a == b
-            assert b.drift is None
+            assert b.drift_flags == ()
 
     def test_drifted_device_penalized_in_selection(self):
-        rt = MultiDeviceRuntime(DUAL, sentinel=DriftSentinel())
+        rt = OffloadingRuntime(DUAL, sentinel=DriftSentinel())
         rt.compile_region(build_gemm())
         baseline = rt.launch("gemm", ENV_BIG)
-        v100 = next(o.device_name for o in baseline.outcomes if "V100" in o.device_name)
-        assert baseline.chosen == v100  # the fast card wins when healthy
+        v100 = next(o.device_name for o in baseline.candidates if "V100" in o.device_name)
+        assert baseline.requested_target == v100  # the fast card wins when healthy
         # poison the V100 stream: observed seconds 64x its predictions
+        stream = case_key("gemm", ENV_BIG)
         for _ in range(3):
-            rt.sentinel.observe(v100, "gemm", 1.0, 1.0)
-        rt.sentinel.observe(v100, "gemm", 1.0, 100.0)
-        assert rt.sentinel.state(v100, "gemm") is DriftState.DRIFTED
+            rt.sentinel.observe(v100, stream, 1.0, 1.0)
+        rt.sentinel.observe(v100, stream, 1.0, 100.0)
+        assert rt.sentinel.state(v100, stream) is DriftState.DRIFTED
         rec = rt.launch("gemm", ENV_BIG)
-        assert rec.chosen != v100  # the 64x-clamped correction reroutes
-        assert rec.drift is not None
-        assert (v100, "drifted") in rec.drift
+        assert rec.requested_target != v100  # the 64x-clamped correction reroutes
+        assert rec.drift_flags
+        assert (v100, "drifted") in rec.drift_flags
 
 
 class TestDriftExperiment:

@@ -15,7 +15,7 @@ from repro.machines import (
     TESLA_V100,
 )
 from repro.models import predict_split
-from repro.runtime import MultiDeviceRuntime
+from repro.runtime import AlwaysGPU, OffloadingRuntime
 
 from .kernels import build_gemm, build_vecadd
 
@@ -40,38 +40,44 @@ DUAL = Platform(
 class TestMultiDeviceRuntime:
     def test_requires_an_accelerator(self):
         with pytest.raises(ValueError):
-            MultiDeviceRuntime(Platform("bare", POWER9))
+            OffloadingRuntime(Platform("bare", POWER9))
 
     def test_three_candidates(self):
-        rt = MultiDeviceRuntime(DUAL)
+        rt = OffloadingRuntime(DUAL)
         rt.compile_region(build_gemm())
         rec = rt.launch("gemm", {"ni": 1024, "nj": 1024, "nk": 1024})
-        assert len(rec.outcomes) == 3  # host + two accelerators
-        kinds = [o.kind for o in rec.outcomes]
+        assert len(rec.candidates) == 3  # host + two accelerators
+        kinds = [o.kind for o in rec.candidates]
         assert kinds.count("cpu") == 1 and kinds.count("gpu") == 2
 
     def test_chooses_minimum_prediction(self):
-        rt = MultiDeviceRuntime(DUAL)
+        rt = OffloadingRuntime(DUAL)
         rt.compile_region(build_gemm())
         rec = rt.launch("gemm", {"ni": 2048, "nj": 2048, "nk": 2048})
-        best_pred = min(rec.outcomes, key=lambda o: o.predicted_seconds)
-        assert rec.chosen == best_pred.device_name
+        best_pred = min(rec.candidates, key=lambda o: o.predicted_seconds)
+        assert rec.requested_target == best_pred.device_name
 
     def test_picks_the_better_gpu_for_big_matmul(self):
-        rt = MultiDeviceRuntime(DUAL)
+        rt = OffloadingRuntime(DUAL)
         rt.compile_region(build_gemm_c2())
         rec = rt.launch("gemm", {"ni": 4096, "nj": 4096, "nk": 4096})
         # the V100 over NVLink dominates the K80 over PCIe for GEMM
-        assert "V100" in rec.chosen
+        assert "V100" in rec.requested_target
         assert rec.decision_correct
 
     def test_oracle_and_executed(self):
-        rt = MultiDeviceRuntime(DUAL)
+        rt = OffloadingRuntime(DUAL)
         rt.compile_region(build_vecadd())
         rec = rt.launch("vecadd", {"n": 1 << 22})
-        measured = {o.device_name: o.measured_seconds for o in rec.outcomes}
-        assert rec.oracle_name == min(measured, key=measured.get)
-        assert rec.executed_seconds == measured[rec.chosen]
+        measured = {o.device_name: o.measured_seconds for o in rec.candidates}
+        assert rec.oracle_target == min(measured, key=measured.get)
+        assert rec.executed_seconds == measured[rec.requested_target]
+
+    def test_policy_without_prediction_cannot_rank_accelerators(self):
+        rt = OffloadingRuntime(DUAL, policy=AlwaysGPU())
+        rt.compile_region(build_vecadd())
+        with pytest.raises(ValueError, match="always-gpu"):
+            rt.launch("vecadd", {"n": 1 << 22})
 
 
 class TestSplitExecution:

@@ -28,10 +28,18 @@ from repro.lint import (
     render_reports_text,
     reports_to_json,
 )
-from repro.machines import platform_by_name
+from repro.machines import (
+    NVLINK2,
+    PCIE3_X16,
+    POWER9,
+    TESLA_K80,
+    TESLA_V100,
+    AcceleratorSlot,
+    Platform,
+    platform_by_name,
+)
 from repro.polybench import all_kernel_cases
 from repro.runtime import OffloadingRuntime
-from repro.runtime.multi import MultiDeviceRuntime
 
 from .kernels import (
     build_gemm,
@@ -459,6 +467,16 @@ class TestGate:
         assert decision is not None and decision.codes == ("BND002",)
 
 
+DUAL = Platform(
+    "P9 + V100/NVLink + K80/PCIe",
+    POWER9,
+    (
+        AcceleratorSlot(TESLA_V100, NVLINK2),
+        AcceleratorSlot(TESLA_K80, PCIE3_X16),
+    ),
+)
+
+
 class TestRuntimeGate:
     ENV = {"n": 64}
 
@@ -503,29 +521,23 @@ class TestRuntimeGate:
         assert b.lint is None
 
     def test_multi_runtime_forces_host(self):
-        mrt = MultiDeviceRuntime(
-            platform_by_name("p9-v100"), lint_gate=LintGate(mode="host")
-        )
+        mrt = OffloadingRuntime(DUAL, lint_gate=LintGate(mode="host"))
         mrt.compile_region(build_write_write_race())
         rec = mrt.launch("ww_race", self.ENV)
-        assert rec.executed_outcome.kind == "cpu"
+        assert rec.target == "cpu"
         assert rec.fallback == FALLBACK_LINT
         assert rec.lint is not None and rec.lint.blocked
         assert rec.attempts == 0
 
     def test_multi_runtime_raise_mode(self):
-        mrt = MultiDeviceRuntime(
-            platform_by_name("p9-v100"), lint_gate=LintGate(mode="raise")
-        )
+        mrt = OffloadingRuntime(DUAL, lint_gate=LintGate(mode="raise"))
         mrt.compile_region(build_write_write_race())
         with pytest.raises(LintGateError):
             mrt.launch("ww_race", self.ENV)
 
     def test_multi_clean_run_bit_identical(self):
-        plain = MultiDeviceRuntime(platform_by_name("p9-v100"))
-        gated = MultiDeviceRuntime(
-            platform_by_name("p9-v100"), lint_gate=LintGate(mode="host")
-        )
+        plain = OffloadingRuntime(DUAL)
+        gated = OffloadingRuntime(DUAL, lint_gate=LintGate(mode="host"))
         for rt in (plain, gated):
             rt.compile_region(build_vecadd())
         a = plain.launch("vecadd", {"n": 4096})

@@ -12,7 +12,16 @@ import json
 import pytest
 
 from repro.drift import DriftSentinel, Watchdog
-from repro.machines import PLATFORM_P9_V100
+from repro.machines import (
+    NVLINK2,
+    PCIE3_X16,
+    PLATFORM_P9_V100,
+    POWER9,
+    TESLA_K80,
+    TESLA_V100,
+    AcceleratorSlot,
+    Platform,
+)
 from repro.replay import (
     ADMISSION_POLICIES,
     AdmissionConfig,
@@ -233,7 +242,6 @@ class TestDifferential:
             sentinel=DriftSentinel(),
             watchdog=Watchdog(factor=8.0),
             health_decay_halflife_s=5.0,
-            sentinel_stream_by_env=True,
         )
         cases, regions = build_catalog(workload.sizes)
         for region in regions.values():
@@ -423,10 +431,17 @@ class TestEngine:
         assert run.horizon_s >= run.requests[-1].arrival_s
 
     def test_multi_device_replay_smoke(self, shared):
+        dual = Platform(
+            "P9 + V100/NVLink + K80/PCIe",
+            POWER9,
+            (
+                AcceleratorSlot(TESLA_V100, NVLINK2),
+                AcceleratorSlot(TESLA_K80, PCIE3_X16),
+            ),
+        )
         cfg = ReplayConfig(
-            platform=PLATFORM_P9_V100,
+            platform=dual,
             workload=WorkloadConfig(launches=120, seed=2),
-            multi_device=True,
         )
         run = ReplayEngine(cfg, memo=shared["memo"]).run()
         assert len(run.records) == 120

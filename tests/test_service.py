@@ -22,7 +22,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.machines import PLATFORM_P9_V100
+from repro.machines import (
+    NVLINK2,
+    PCIE3_X16,
+    PLATFORM_P9_V100,
+    POWER9,
+    TESLA_K80,
+    TESLA_V100,
+    AcceleratorSlot,
+    Platform,
+)
 from repro.replay import (
     AdmissionConfig,
     ChaosSchedule,
@@ -274,12 +283,18 @@ class TestServiceMode:
 
     def test_multi_device_rejected(self, shared):
         cfg = ReplayConfig(
-            platform=PLATFORM_P9_V100,
+            platform=Platform(
+                "P9 + V100/NVLink + K80/PCIe",
+                POWER9,
+                (
+                    AcceleratorSlot(TESLA_V100, NVLINK2),
+                    AcceleratorSlot(TESLA_K80, PCIE3_X16),
+                ),
+            ),
             workload=WorkloadConfig(launches=10, seed=0),
             service=True,
-            multi_device=True,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="per-device lanes"):
             ReplayEngine(cfg, memo=shared["memo"]).run()
 
 
