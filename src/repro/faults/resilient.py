@@ -1,10 +1,10 @@
-"""The shared retry/fallback core both runtimes dispatch through.
+"""The retry/fallback core the runtime dispatches each accelerator through.
 
 ``dispatch_with_retries`` runs the attempt loop for one accelerator
 launch: ask the injector whether the attempt faults, update the device's
 health and breaker, back off on the simulated clock, and report how the
-launch ended.  The caller decides what "fall back" means (the host on the
-two-device runtime, the next-best device on the multi-device one).
+launch ended.  The caller decides what "fall back" means (the next
+device in its dispatch chain: the next-best accelerator, the host last).
 """
 
 from __future__ import annotations
