@@ -12,14 +12,14 @@ package):
   :class:`~repro.faults.DeadlineExceeded` feeding the device-health and
   circuit-breaker machinery;
 * :class:`SelfHealingSelector` — graceful degradation of the
-  model-guided decision under drift: learned multiplicative corrections
-  with break-even hysteresis, measured-history fallback, re-promotion to
-  the pure model on recovery, and an optional calibration re-fit hook.
+  model-guided host-or-accelerator pick under drift, at any accelerator
+  count: learned multiplicative corrections with break-even hysteresis,
+  measured-history fallback, re-promotion to the pure model on recovery,
+  and an optional calibration re-fit hook.
 """
 
 from .healing import (
     DriftDecision,
-    HealingConfig,
     SelfHealingSelector,
     attach_refit_hook,
     observed_calibration,
@@ -40,7 +40,6 @@ __all__ = [
     "DriftSentinel",
     "DriftState",
     "Ewma",
-    "HealingConfig",
     "SelfHealingSelector",
     "SentinelConfig",
     "StreamStats",

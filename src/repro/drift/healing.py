@@ -1,23 +1,27 @@
 """Self-healing target selection under model drift.
 
-When the sentinel declares a (device, region) stream DRIFTED the
-model-guided decision degrades gracefully instead of trusting a broken
-prediction:
+The runtime asks the model to choose between the host and one
+accelerator (the first-ranked card; at N = 1 the only one).  When the
+sentinel has flagged a drift stream, that host-or-card pick degrades
+gracefully instead of trusting a broken prediction:
 
-1. **corrected** — the drifting side's prediction is multiplied by the
-   stream's learned correction factor (``exp`` of the EWMA log-ratio), so
-   a stable multiplicative miscalibration is simply divided back out;
-2. **history** — when the stream's error is too *unstable* for a scalar
-   correction (``instability`` above the configured threshold), selection
-   falls back to measured history: pick the side that has actually been
-   faster lately;
+1. **corrected** — when the host's or the card's stream is DRIFTED, each
+   side's prediction is multiplied by its stream's learned correction
+   factor (``exp`` of the EWMA log-ratio), so a stable multiplicative
+   miscalibration is simply divided back out;
+2. **history** — when a DRIFTED stream's error is too *unstable* for a
+   scalar correction (``instability`` above :data:`HISTORY_INSTABILITY`),
+   selection falls back to measured history: pick the side that has
+   actually been faster lately;
 3. **re-promotion** — once the stream's residuals recover the sentinel
    returns it to CALIBRATED and selection reverts to the pure model.
 
-A hysteresis dead-band around the CPU/GPU break-even point prevents
+A hysteresis dead-band around the break-even point prevents
 flip-flopping: while the corrected (or measured) costs are within
-``hysteresis_band`` of each other, the previous decision for that region
-is held.
+:data:`HYSTERESIS_BAND` of each other, the previous pick for that region
+is held.  Streams and picks are named by device label: the kind
+(``cpu``/``gpu``) on a one-accelerator platform, the device name on a
+multi-accelerator one.
 
 The optional re-fit hook (:func:`attach_refit_hook`) closes the loop all
 the way back to :mod:`repro.calibrate.model_fit`: on the first DRIFTED
@@ -33,26 +37,16 @@ from dataclasses import dataclass
 from .sentinel import DriftSentinel, DriftState, StreamStats
 
 __all__ = [
-    "HealingConfig",
     "DriftDecision",
     "SelfHealingSelector",
     "observed_calibration",
     "attach_refit_hook",
 ]
 
-
-@dataclass(frozen=True)
-class HealingConfig:
-    """Knobs of the degradation ladder."""
-
-    hysteresis_band: float = 0.05  # relative dead-band around break-even
-    history_instability: float = 0.35  # log-units; above -> history mode
-
-    def __post_init__(self):
-        if not 0.0 <= self.hysteresis_band < 1.0:
-            raise ValueError("hysteresis_band must be in [0, 1)")
-        if self.history_instability <= 0.0:
-            raise ValueError("history_instability must be positive")
+#: relative dead-band around break-even inside which the previous pick holds
+HYSTERESIS_BAND = 0.05
+#: stream instability (log-units) above which history mode replaces correction
+HISTORY_INSTABILITY = 0.35
 
 
 @dataclass(frozen=True)
@@ -61,14 +55,17 @@ class DriftDecision:
 
     Only stamped when something is actually off (any stream not
     CALIBRATED); fully calibrated launches leave no trace, keeping them
-    bit-identical to sentinel-off runs.
+    bit-identical to sentinel-off runs.  ``cpu``/``gpu`` name the two
+    sides the ladder compared: the host and the card.
     """
 
     mode: str  # "model" | "corrected" | "history"
-    model_target: str  # the raw model's pick
-    target: str  # the healed pick
-    cpu_state: str  # DriftState values of the two streams
+    model_target: str  # label of the raw model's pick
+    target: str  # label of the healed pick
+    cpu_state: str  # DriftState values of the host's and the card's streams
     gpu_state: str
+    #: (device label, DriftState value) of every stream not CALIBRATED
+    flags: tuple[tuple[str, str], ...]
     correction_cpu: float = 1.0
     correction_gpu: float = 1.0
     held: bool = False  # hysteresis held the previous decision
@@ -80,56 +77,70 @@ class DriftDecision:
 
 
 class SelfHealingSelector:
-    """Wraps the sentinel's verdicts into a final cpu/gpu pick."""
+    """Wraps the sentinel's verdicts into a final host-or-card pick.
 
-    def __init__(
-        self, sentinel: DriftSentinel, config: HealingConfig | None = None
-    ):
+    ``labels`` names every device's drift stream, the host first.
+    """
+
+    def __init__(self, sentinel: DriftSentinel, labels: tuple[str, ...]):
         self.sentinel = sentinel
-        self.config = config or HealingConfig()
-        self._last: dict[str, str] = {}  # region -> previous healed pick
+        self.labels = tuple(labels)
+        self._last: dict[str, str] = {}  # region -> label of the previous pick
 
-    def decide(self, region: str, prediction) -> DriftDecision | None:
-        """Heal one selection; None when both streams are CALIBRATED.
+    def decide(self, region: str, prediction, card: str) -> DriftDecision | None:
+        """Heal one selection; None while every stream is CALIBRATED.
 
         ``prediction`` is any object with ``cpu.seconds``, ``gpu.seconds``
-        and ``winner`` (a :class:`~repro.models.SelectionPrediction`).
+        and ``winner`` (a :class:`~repro.models.SelectionPrediction`),
+        predicted for the host and the accelerator labelled ``card``.
         """
-        cpu_state = self.sentinel.state("cpu", region)
-        gpu_state = self.sentinel.state("gpu", region)
-        model_target = prediction.winner
-        if (
-            cpu_state is DriftState.CALIBRATED
-            and gpu_state is DriftState.CALIBRATED
-        ):
+        sentinel = self.sentinel
+        flags: tuple[tuple[str, str], ...] = ()
+        for label in self.labels:
+            state = sentinel.state(label, region)
+            if state is not DriftState.CALIBRATED:
+                flags += ((label, state.value),)
+        if not flags:
             return None
 
-        corr_cpu = self.sentinel.correction("cpu", region)
-        corr_gpu = self.sentinel.correction("gpu", region)
+        host = self.labels[0]
+        cpu_state = sentinel.state(host, region)
+        gpu_state = sentinel.state(card, region)
+        model_target = card if prediction.winner == "gpu" else host
+        corr_cpu = sentinel.correction(host, region)
+        corr_gpu = sentinel.correction(card, region)
         drifted = DriftState.DRIFTED in (cpu_state, gpu_state)
         mode = "corrected" if drifted else "model"
-        if mode == "corrected" and self._too_unstable(region, cpu_state, gpu_state):
+        if mode == "corrected" and (
+            self._too_unstable(host, region, cpu_state)
+            or self._too_unstable(card, region, gpu_state)
+        ):
             mode = "history"
 
         held = False
         if mode == "model":
-            # SUSPECT only: watch, but do not second-guess the model yet.
+            # SUSPECT only, or only a stream outside this comparison
+            # flagged: watch, but do not second-guess the model yet.
             target = model_target
         elif mode == "corrected":
             target, held = self._pick(
                 region,
+                host,
                 prediction.cpu.seconds * corr_cpu,
+                card,
                 prediction.gpu.seconds * corr_gpu,
                 model_target,
             )
         else:
-            m_cpu = self.sentinel.measured("cpu", region)
-            m_gpu = self.sentinel.measured("gpu", region)
+            m_cpu = sentinel.measured(host, region)
+            m_gpu = sentinel.measured(card, region)
             if m_cpu is None or m_gpu is None:
                 # not enough history to overrule anything yet
                 mode, target = "corrected", model_target
             else:
-                target, held = self._pick(region, m_cpu, m_gpu, model_target)
+                target, held = self._pick(
+                    region, host, m_cpu, card, m_gpu, model_target
+                )
         self._last[region] = target
         return DriftDecision(
             mode=mode,
@@ -137,43 +148,47 @@ class SelfHealingSelector:
             target=target,
             cpu_state=cpu_state.value,
             gpu_state=gpu_state.value,
+            flags=flags,
             correction_cpu=corr_cpu,
             correction_gpu=corr_gpu,
             held=held,
         )
 
-    def _too_unstable(
-        self, region: str, cpu_state: DriftState, gpu_state: DriftState
-    ) -> bool:
-        limit = self.config.history_instability
+    def _too_unstable(self, label: str, region: str, state: DriftState) -> bool:
         return (
-            cpu_state is DriftState.DRIFTED
-            and self.sentinel.instability("cpu", region) > limit
-        ) or (
-            gpu_state is DriftState.DRIFTED
-            and self.sentinel.instability("gpu", region) > limit
+            state is DriftState.DRIFTED
+            and self.sentinel.instability(label, region) > HISTORY_INSTABILITY
         )
 
     def _pick(
-        self, region: str, cpu_cost: float, gpu_cost: float, model_target: str
+        self,
+        region: str,
+        host: str,
+        host_cost: float,
+        card: str,
+        card_cost: float,
+        model_target: str,
     ) -> tuple[str, bool]:
-        """Lower cost wins, with a hysteresis dead-band at break-even."""
+        """Lower cost wins, with a hysteresis dead-band at break-even.
+
+        Inside the band the previous pick holds when it is one of the two
+        devices compared.
+        """
         if not (
-            math.isfinite(cpu_cost)
-            and math.isfinite(gpu_cost)
-            and cpu_cost > 0.0
-            and gpu_cost > 0.0
+            math.isfinite(host_cost)
+            and math.isfinite(card_cost)
+            and host_cost > 0.0
+            and card_cost > 0.0
         ):
             return model_target, False
-        band = self.config.hysteresis_band
-        if gpu_cost < cpu_cost * (1.0 - band):
-            return "gpu", False
-        if gpu_cost > cpu_cost * (1.0 + band):
-            return "cpu", False
+        if card_cost < host_cost * (1.0 - HYSTERESIS_BAND):
+            return card, False
+        if card_cost > host_cost * (1.0 + HYSTERESIS_BAND):
+            return host, False
         previous = self._last.get(region)
-        if previous is not None:
+        if previous in (host, card):
             return previous, True
-        return ("gpu" if gpu_cost < cpu_cost else "cpu"), False
+        return (card if card_cost < host_cost else host), False
 
 
 def observed_calibration(sentinel: DriftSentinel, base):

@@ -248,8 +248,8 @@ class StreamStats:
 class DriftSentinel:
     """Per-(device, region) drift detection across a runtime's launches.
 
-    The runtimes feed ``observe`` after every launch; selection-time
-    consumers (the self-healing selector, the multi-device argmin) read
+    The runtime feeds ``observe`` after every launch; selection-time
+    consumers (the self-healing selector, the accelerator ranking) read
     ``state``/``correction``.  ``on_drift`` fires once per
     CALIBRATED/SUSPECT→DRIFTED edge — the hook point for triggering a
     :mod:`repro.calibrate.model_fit` re-fit (see healing.py).

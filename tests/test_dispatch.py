@@ -538,7 +538,7 @@ class TestMultiReplayPin:
                 [o.device_name, o.kind, o.predicted_seconds, o.measured_seconds]
                 for o in r.candidates
             ],
-            [list(pair) for pair in r.drift_flags],
+            [] if r.drift is None else [list(pair) for pair in r.drift.flags],
             None
             if h is None
             else [h.trigger, h.winner, h.delay_s, h.completion_s, h.extra_work_s],

@@ -381,6 +381,21 @@ class TestMultiDeviceResilience:
         assert v100.breaker.state is not BreakerState.CLOSED
         assert any("V100" not in r.requested_target for r in records)
 
+    def test_penalized_first_card_loses_to_the_host(self):
+        rt = self._multi()
+        baseline = rt.launch("gemm", ENV_BIG)
+        assert "V100" in baseline.requested_target  # the fast card wins when healthy
+        for health in rt.health:  # pretend both cards have been flaky
+            health.penalty_weight = 1e12
+            health.failure_ewma = 0.5
+        rec = rt.launch("gemm", ENV_BIG)
+        # the first-ranked card is still requested; the health gate moves
+        # the launch down the chain past both cards to the host
+        assert rec.requested_target == baseline.requested_target
+        assert rec.device == rt._host.name and rec.target == "cpu"
+        assert rec.fallback == "health-penalty"
+        assert rec.attempts == 0  # never dispatched to an accelerator
+
     def test_all_accelerators_dead_lands_on_host(self):
         rt = self._multi(FaultInjector([DeadDevice()], seed=0))
         rec = rt.launch("gemm", ENV_BIG)
