@@ -1,5 +1,7 @@
 """Tests for the extension features: multi-accelerator + split execution."""
 
+import math
+
 import pytest
 
 from repro.analysis import ProgramAttributeDatabase
@@ -72,6 +74,18 @@ class TestMultiDeviceRuntime:
         measured = {o.device_name: o.measured_seconds for o in rec.candidates}
         assert rec.oracle_target == min(measured, key=measured.get)
         assert rec.executed_seconds == measured[rec.requested_target]
+
+    def test_degraded_launch_scores_every_measured_device(self):
+        rt = OffloadingRuntime(DUAL)
+        rt.compile_region(build_gemm_c2())
+        rec = rt.launch("gemm", {"ni": 4096, "nj": 4096, "nk": 4096}, force_target="cpu")
+        assert [o.device_name for o in rec.candidates] == [
+            dev.name for dev in rt._devices
+        ]
+        assert all(math.isnan(o.predicted_seconds) for o in rec.candidates)
+        # the V100 measured fastest, so running on the host was not correct
+        assert "V100" in rec.oracle_target
+        assert rec.device == rt._host.name and not rec.decision_correct
 
     def test_policy_without_prediction_cannot_rank_accelerators(self):
         rt = OffloadingRuntime(DUAL, policy=AlwaysGPU())
