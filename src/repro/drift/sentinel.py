@@ -248,7 +248,8 @@ class StreamStats:
 class DriftSentinel:
     """Per-(device, region) drift detection across a runtime's launches.
 
-    The runtime feeds ``observe`` after every launch; selection-time
+    The runtime feeds ``observe`` after every launch and reads the
+    stream's verdict change off its (before, after) return; selection-time
     consumers (the self-healing selector, the accelerator ranking) read
     ``state``/``correction``.  ``on_drift`` fires once per
     CALIBRATED/SUSPECT→DRIFTED edge — the hook point for triggering a
@@ -277,27 +278,26 @@ class DriftSentinel:
 
     def stream(self, device: str, region: str) -> StreamStats:
         key = (device, region)
-        if key not in self.streams:
-            self.streams[key] = StreamStats(device, region, self.config)
-        return self.streams[key]
+        stream = self.streams.get(key)
+        if stream is None:
+            stream = self.streams[key] = StreamStats(device, region, self.config)
+        return stream
 
     def observe(
         self, device: str, region: str, predicted: float, observed: float
-    ) -> DriftState:
+    ) -> tuple[DriftState, DriftState]:
+        """Feed one observation to a stream; return its (before, after) states."""
         stream = self.stream(device, region)
         before = stream.state
         state = stream.observe(predicted, observed)
-        if state is not before and self.clock is not None:
-            self.transitions.append(
-                (self.clock.now, device, region, before, state)
-            )
-        if (
-            state is DriftState.DRIFTED
-            and before is not DriftState.DRIFTED
-            and self.on_drift is not None
-        ):
-            self.on_drift(stream)
-        return state
+        if state is not before:
+            if self.clock is not None:
+                self.transitions.append(
+                    (self.clock.now, device, region, before, state)
+                )
+            if state is DriftState.DRIFTED and self.on_drift is not None:
+                self.on_drift(stream)
+        return before, state
 
     def state(self, device: str, region: str) -> DriftState:
         stream = self.streams.get((device, region))

@@ -53,6 +53,8 @@ class CircuitBreaker:
     _cooldown_left: int = 0
     #: state-transition log, (launch tick not tracked here): new state names
     transitions: list[str] = field(default_factory=list)
+    #: times the breaker has opened (the "open" entries of ``transitions``)
+    opens: int = 0
 
     def __post_init__(self):
         if self.failure_threshold < 1 or self.cooldown_launches < 1:
@@ -62,6 +64,8 @@ class CircuitBreaker:
         if state is not self.state:
             self.state = state
             self.transitions.append(state.value)
+            if state is BreakerState.OPEN:
+                self.opens += 1
 
     def on_launch(self) -> None:
         """Advance the cooldown clock; call once per runtime launch."""

@@ -4,7 +4,8 @@ The runtimes accept a :class:`Tracer` and a :class:`MetricsRegistry`
 (both off by default — the :data:`NULL_TRACER` fast path records nothing
 and allocates nothing) and instrument every stage of the Figure 2
 pipeline; :func:`chrome_trace_json` turns a recorded run into a file
-``chrome://tracing`` / Perfetto can open.  See docs/OBSERVABILITY.md.
+``chrome://tracing`` / Perfetto can open.  Every metric the package
+emits is declared once in :mod:`.catalog`.  See docs/OBSERVABILITY.md.
 """
 
 from .tracer import (
@@ -19,11 +20,13 @@ from .tracer import (
 from .metrics import (
     DEFAULT_LOG_ERROR_BUCKETS,
     Counter,
+    Family,
     Gauge,
     Histogram,
     MetricsRegistry,
     QuantileSketch,
 )
+from .catalog import CATALOGUE, METRICS, MetricSpec, families
 from .export import chrome_trace_events, chrome_trace_json, render_trace_text
 
 __all__ = [
@@ -36,10 +39,15 @@ __all__ = [
     "current_tracer",
     "DEFAULT_LOG_ERROR_BUCKETS",
     "Counter",
+    "Family",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "QuantileSketch",
+    "CATALOGUE",
+    "METRICS",
+    "MetricSpec",
+    "families",
     "chrome_trace_events",
     "chrome_trace_json",
     "render_trace_text",

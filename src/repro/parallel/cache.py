@@ -38,6 +38,7 @@ import tempfile
 from typing import Any, Callable, Mapping
 
 from .. import __version__
+from ..obs import METRICS
 
 __all__ = [
     "AnalysisCache",
@@ -183,8 +184,8 @@ class AnalysisCache:
         field = self._COUNTER_FIELD[outcome]
         setattr(self, field, getattr(self, field) + 1)
         if self._metrics is not None:
-            self._metrics.counter(
-                "analysis_cache_total", outcome=outcome, kind=kind
+            self._metrics.family(METRICS["analysis_cache_total"]).labels(
+                kind, outcome
             ).inc()
 
     # -- storage ---------------------------------------------------------

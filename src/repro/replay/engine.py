@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from ..analysis import ProgramAttributeDatabase
 from ..drift import DriftSentinel, Watchdog
 from ..machines import Platform
-from ..obs import MetricsRegistry
+from ..obs import MetricsRegistry, families
 from ..runtime import (
     Bulkhead,
     ExecutionMemo,
@@ -253,11 +253,12 @@ class ReplayEngine:
         service = OffloadService(self, shape)
         outcomes, horizon = service.run(requests)
         metrics = self.runtime.metrics
+        fams = families(metrics)
         self._advance_to(horizon)
-        metrics.gauge("replay_queue_max_depth").set(service.stats.max_depth)
-        metrics.gauge("replay_horizon_seconds").set(horizon)
+        fams["replay_queue_max_depth"].labels().set(service.stats.max_depth)
+        fams["replay_horizon_seconds"].labels().set(horizon)
         for name, lane in service.lanes.items():
-            metrics.gauge("service_lane_max_depth", device=name).set(lane.max_depth)
+            fams["service_lane_max_depth"].labels(name).set(lane.max_depth)
         return ReplayRun(
             config=cfg,
             requests=requests,

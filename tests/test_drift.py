@@ -12,6 +12,7 @@ import math
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.drift import (
     Cusum,
@@ -198,6 +199,36 @@ class TestDriftSentinel:
         assert fired[0].device == "gpu" and fired[0].region == "r"
         assert sentinel.any_drifted()
         assert [s.region for s in sentinel.drifted_streams()] == ["r"]
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("cpu", "gpu")),
+                st.sampled_from(("a", "b")),
+                st.sampled_from((0.5, 1.0, 1.05, 1.5, 6.0, math.nan)),
+            ),
+            max_size=80,
+        )
+    )
+    def test_observe_returns_the_states_around_the_observation(self, observations):
+        fired = []
+        clock = SimpleNamespace(now=0.0)
+        sentinel = DriftSentinel(on_drift=fired.append, clock=clock)
+        edges, drifted = [], []
+        for i, (device, region, observed) in enumerate(observations):
+            clock.now = float(i)
+            expected_before = sentinel.state(device, region)
+            before, after = sentinel.observe(device, region, 1.0, observed)
+            assert before is expected_before
+            assert after is sentinel.state(device, region)
+            if after is not before:
+                edges.append((float(i), device, region, before, after))
+                if after is DriftState.DRIFTED:
+                    drifted.append((device, region))
+        # the transition log and the on_drift hook see exactly those edges
+        assert sentinel.transitions == edges
+        assert [(s.device, s.region) for s in fired] == drifted
 
     def test_unknown_stream_defaults(self):
         sentinel = DriftSentinel()

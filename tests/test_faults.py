@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments import run_faults
 from repro.faults import (
@@ -199,6 +200,21 @@ class TestCircuitBreaker:
         br.record_success()
         br.record_failure()
         assert br.state is BreakerState.CLOSED
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        threshold=st.integers(1, 4),
+        cooldown=st.integers(1, 4),
+        calls=st.lists(
+            st.sampled_from(("on_launch", "record_success", "record_failure")),
+            max_size=60,
+        ),
+    )
+    def test_open_count_matches_the_transition_log(self, threshold, cooldown, calls):
+        br = CircuitBreaker(failure_threshold=threshold, cooldown_launches=cooldown)
+        for call in calls:
+            getattr(br, call)()
+            assert br.opens == br.transitions.count("open")
 
 
 def _runtime(policy, injector, **kw):
