@@ -10,9 +10,12 @@ launch to microseconds while returning the *identical* values — records
 stay bit-identical to an unmemoized runtime, which the replay
 differential tests pin.
 
+Every lookup takes the launch's case key
+(:func:`~repro.runtime.dispatch.case_key` of the region name and env),
+which the runtime builds once per launch.
 The memo is safe to share across runtimes (and across replay scenarios)
-as long as they run the same platform and host team size: keys include
-the executing device names, so a memo accidentally shared across
+as long as they run the same platform and host team size: execution keys
+include the executing device names, so a memo accidentally shared across
 platforms misses rather than lies.
 """
 
@@ -26,23 +29,20 @@ from .device import Device, ExecutionRecord
 __all__ = ["ExecutionMemo"]
 
 
-def _env_key(env: Mapping[str, int]) -> tuple:
-    return tuple(sorted(env.items()))
-
-
 class ExecutionMemo:
     """Cache of deterministic per-(region, env) dispatch inputs."""
 
     def __init__(self):
-        self._bound: dict[tuple, BoundAttributes] = {}
-        self._executions: dict[tuple, ExecutionRecord] = {}
-        self._footprints: dict[tuple, int] = {}
+        self._bound: dict[str, BoundAttributes] = {}
+        self._executions: dict[tuple[str, str], ExecutionRecord] = {}
+        self._footprints: dict[str, int] = {}
         self.hits = 0
         self.misses = 0
 
-    def bound(self, attrs: RegionAttributes, env: Mapping[str, int]) -> BoundAttributes:
-        """``attrs.bind(env)``, computed once per (region, env)."""
-        key = (attrs.region.name, _env_key(env))
+    def bound(
+        self, attrs: RegionAttributes, env: Mapping[str, int], key: str
+    ) -> BoundAttributes:
+        """``attrs.bind(env)``, computed once per case."""
         hit = self._bound.get(key)
         if hit is None:
             self.misses += 1
@@ -52,23 +52,26 @@ class ExecutionMemo:
         return hit
 
     def execution(
-        self, device: Device, attrs: RegionAttributes, env: Mapping[str, int]
+        self,
+        device: Device,
+        attrs: RegionAttributes,
+        env: Mapping[str, int],
+        key: str,
     ) -> ExecutionRecord:
         """``device.execute(region, env)``, computed once per device/case."""
-        key = (device.name, attrs.region.name, _env_key(env))
-        hit = self._executions.get(key)
+        dkey = (device.name, key)
+        hit = self._executions.get(dkey)
         if hit is None:
             self.misses += 1
-            hit = self._executions[key] = device.execute(attrs.region, env)
+            hit = self._executions[dkey] = device.execute(attrs.region, env)
         else:
             self.hits += 1
         return hit
 
     def footprint(
-        self, attrs: RegionAttributes, env: Mapping[str, int], compute
+        self, attrs: RegionAttributes, env: Mapping[str, int], key: str, compute
     ) -> int:
         """Device-resident bytes for the launch, computed once per case."""
-        key = (attrs.region.name, _env_key(env))
         hit = self._footprints.get(key)
         if hit is None:
             self.misses += 1
