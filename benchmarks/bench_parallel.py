@@ -46,21 +46,21 @@ FULL_GRID = [("p8-k80", "test"), ("p8-k80", "benchmark"),
 TINY_GRID = [("p9-v100", "test")]
 
 
-def run_sweep(grid, jobs=None, chunk=None):
+def run_sweep(grid, jobs=None):
     """One full sweep over the grid; returns a canonical result listing."""
     rows = []
     for plat, mode in grid:
-        for m in measure_suite(plat, mode, jobs=jobs, chunk=chunk):
+        for m in measure_suite(plat, mode, jobs=jobs):
             rows.append([
                 plat, mode, m.case.name,
                 m.cpu_seconds, m.gpu_kernel_seconds, m.gpu_transfer_seconds,
             ])
-        for p in predict_suite(plat, mode, jobs=jobs, chunk=chunk):
+        for p in predict_suite(plat, mode, jobs=jobs):
             rows.append([plat, mode, p.cpu.seconds, p.gpu.seconds, p.winner])
     return rows
 
 
-def timed_sweep(grid, jobs=None, chunk=None, cache_dir=None):
+def timed_sweep(grid, jobs=None, cache_dir=None):
     """(seconds, rows) for a from-scratch sweep, optionally cached.
 
     ``clear_caches(persistent=False)`` drops the in-process memos but
@@ -72,9 +72,9 @@ def timed_sweep(grid, jobs=None, chunk=None, cache_dir=None):
     start = time.perf_counter()
     if cache_dir:
         with AnalysisCache(cache_dir).activate():
-            rows = run_sweep(grid, jobs=jobs, chunk=chunk)
+            rows = run_sweep(grid, jobs=jobs)
     else:
-        rows = run_sweep(grid, jobs=jobs, chunk=chunk)
+        rows = run_sweep(grid, jobs=jobs)
     return time.perf_counter() - start, rows
 
 
@@ -122,18 +122,6 @@ def test_parallel_differential(benchmark):
     clear_caches(persistent=False)
     rows = benchmark.pedantic(
         run_sweep, args=(TINY_GRID,), kwargs={"jobs": 2},
-        rounds=1, iterations=1,
-    )
-    assert rows == base
-
-
-def test_chunked_parallel_differential(benchmark):
-    """Chunked (jobs=2, chunk=3) sweep == sequential, under the runner."""
-    clear_caches(persistent=False)
-    base = run_sweep(TINY_GRID)
-    clear_caches(persistent=False)
-    rows = benchmark.pedantic(
-        run_sweep, args=(TINY_GRID,), kwargs={"jobs": 2, "chunk": 3},
         rounds=1, iterations=1,
     )
     assert rows == base

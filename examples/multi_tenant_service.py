@@ -29,7 +29,6 @@ from repro.replay import (
     ChaosWindow,
     ReplayConfig,
     ReplayEngine,
-    ServiceConfig,
     WorkloadConfig,
     score_run,
 )
@@ -57,7 +56,6 @@ def _replay(service: bool):
         workload=WORKLOAD,
         chaos=ChaosSchedule(windows=(STORM,), seed=7),
         service=service,
-        service_config=ServiceConfig(),
     )
     run = ReplayEngine(config).run()
     return run, score_run(run, recovery_margin_s=STORM.duration_s)

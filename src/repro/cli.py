@@ -15,7 +15,7 @@ Installed as ``repro-paper`` (see pyproject.toml), or run as
     repro-paper hedge --tiny           # hedged-dispatch budget x chaos grid
     repro-paper trace --format json -o trace.json   # Chrome trace of a sweep
     repro-paper trace --jobs 4                 # parallel sweep, same output
-    repro-paper table1 --jobs 4 --chunk 6      # chunked warm-worker sweep
+    repro-paper table1 --jobs 4                # warm-worker sweep
     repro-paper table1 --cache-dir .cache      # reuse analysis across runs
     repro-paper cache stats                    # inspect the analysis cache
     repro-paper probe tlb|gpu|epcc
@@ -29,7 +29,7 @@ import os
 import sys
 
 from .machines import POWER9, TESLA_V100, platform_by_name
-from .parallel import CHUNK_ENV, JOBS_ENV, AnalysisCache, default_cache_dir
+from .parallel import JOBS_ENV, AnalysisCache, default_cache_dir
 from .util import add_format_argument, emit_json, emit_rows
 
 __all__ = ["main", "build_parser"]
@@ -226,7 +226,6 @@ def _cmd_trace(args) -> int:
         benchmarks=args.benchmarks or None,
         num_threads=args.threads,
         jobs=args.jobs,
-        chunk=args.chunk,
     )
     out = result.chrome_json() if args.format == "json" else result.render()
     if args.output:
@@ -254,7 +253,7 @@ def _traffic_kwargs(args) -> dict:
             s.strip() for s in args.scenarios.split(",") if s.strip()
         )
     if hasattr(args, "jobs"):  # hedge keeps its sequential loop
-        kwargs.update(jobs=args.jobs, chunk=args.chunk)
+        kwargs.update(jobs=args.jobs)
     return kwargs
 
 
@@ -328,7 +327,7 @@ def _cmd_probe(args) -> int:
 
 
 def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
-    """``--jobs``/``--chunk``/``--cache-dir`` knobs for sweep commands."""
+    """``--jobs``/``--cache-dir`` knobs for sweep commands."""
     parser.add_argument(
         "--jobs",
         type=int,
@@ -336,15 +335,6 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "worker processes for suite sweeps "
             f"(default: ${JOBS_ENV}, else 1 = sequential)"
-        ),
-    )
-    parser.add_argument(
-        "--chunk",
-        type=int,
-        default=None,
-        help=(
-            "cases per worker batch "
-            f"(default: ${CHUNK_ENV}, else ceil(n_cases/jobs))"
         ),
     )
     parser.add_argument(
@@ -591,11 +581,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    ``--jobs``/``--chunk`` are exported as ``$REPRO_JOBS``/``$REPRO_CHUNK``
-    so every sweep the command runs (and every worker it forks) picks
-    them up; ``--cache-dir`` activates a persistent
-    :class:`AnalysisCache` for the command's duration.  All are restored
-    afterwards so embedding callers (tests) see no leaked state.
+    ``--jobs`` is exported as ``$REPRO_JOBS`` so every sweep the
+    command runs (and every worker it forks) picks it up; ``--cache-dir``
+    activates a persistent :class:`AnalysisCache` for the command's
+    duration.  Both are restored afterwards so embedding callers (tests)
+    see no leaked state.
     """
     args = build_parser().parse_args(argv)
     with contextlib.ExitStack() as stack:
@@ -613,8 +603,6 @@ def main(argv: list[str] | None = None) -> int:
 
         if getattr(args, "jobs", None) is not None:
             export(JOBS_ENV, args.jobs)
-        if getattr(args, "chunk", None) is not None:
-            export(CHUNK_ENV, args.chunk)
         cache_dir = getattr(args, "cache_dir", None)
         if cache_dir and args.func is not _cmd_cache:
             stack.enter_context(AnalysisCache(cache_dir).activate())

@@ -29,7 +29,6 @@ from .sentinel import (
     DriftSentinel,
     DriftState,
     Ewma,
-    SentinelConfig,
     StreamStats,
 )
 from .watchdog import Watchdog
@@ -41,7 +40,6 @@ __all__ = [
     "DriftState",
     "Ewma",
     "SelfHealingSelector",
-    "SentinelConfig",
     "StreamStats",
     "Watchdog",
     "attach_refit_hook",

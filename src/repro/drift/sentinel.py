@@ -21,7 +21,7 @@ Verdicts are three-state:
 * ``SUSPECT`` — the CUSUM statistic has left the noise floor but not yet
   crossed the decision threshold;
 * ``DRIFTED`` — the threshold is crossed; corrections apply until the
-  residuals recover for ``recover_after`` consecutive observations.
+  residuals recover for ``RECOVER_AFTER`` consecutive observations.
 
 Everything is deterministic and observation-driven: with no drift the
 residuals of a deterministic workload are ~0 and every stream stays
@@ -38,7 +38,6 @@ from typing import Callable
 
 __all__ = [
     "DriftState",
-    "SentinelConfig",
     "Ewma",
     "Cusum",
     "StreamStats",
@@ -52,35 +51,16 @@ class DriftState(str, enum.Enum):
     DRIFTED = "drifted"
 
 
-@dataclass(frozen=True)
-class SentinelConfig:
-    """Tuning knobs of the per-stream detectors (defaults are conservative)."""
-
-    ewma_alpha: float = 0.3  # weight of the newest log-ratio
-    warmup: int = 3  # observations used to anchor the baseline
-    cusum_k: float = 0.05  # slack per observation (log units)
-    cusum_h: float = 0.6  # decision threshold (log units)
-    suspect_fraction: float = 0.5  # SUSPECT above h * fraction
-    recover_band: float = 0.1  # |residual| counted as recovered
-    recover_after: int = 4  # consecutive in-band residuals to re-promote
-    correction_clamp: float = 64.0  # corrections confined to [1/c, c]
-    measured_alpha: float = 0.5  # EWMA weight for measured-seconds history
-
-    def __post_init__(self):
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if not 0.0 < self.measured_alpha <= 1.0:
-            raise ValueError("measured_alpha must be in (0, 1]")
-        if self.warmup < 1:
-            raise ValueError("warmup must be >= 1")
-        if self.cusum_k < 0 or self.cusum_h <= 0:
-            raise ValueError("cusum_k must be >= 0 and cusum_h > 0")
-        if not 0.0 < self.suspect_fraction < 1.0:
-            raise ValueError("suspect_fraction must be in (0, 1)")
-        if self.recover_band <= 0 or self.recover_after < 1:
-            raise ValueError("recovery band/count must be positive")
-        if self.correction_clamp < 1.0:
-            raise ValueError("correction_clamp must be >= 1")
+#: Tuning of the per-stream detectors; every runtime uses these values.
+EWMA_ALPHA = 0.3  # weight of the newest log-ratio
+WARMUP = 3  # observations used to anchor the baseline
+CUSUM_K = 0.05  # slack per observation (log units)
+CUSUM_H = 0.6  # decision threshold (log units)
+SUSPECT_FRACTION = 0.5  # SUSPECT above CUSUM_H * SUSPECT_FRACTION
+RECOVER_BAND = 0.1  # |residual| counted as recovered
+RECOVER_AFTER = 4  # consecutive in-band residuals to re-promote
+CORRECTION_CLAMP = 64.0  # corrections confined to [1/c, c]
+MEASURED_ALPHA = 0.5  # EWMA weight for measured-seconds history
 
 
 @dataclass
@@ -134,20 +114,19 @@ class Cusum:
 class StreamStats:
     """Rolling predicted-vs-observed statistics for one (device, region)."""
 
-    def __init__(self, device: str, region: str, config: SentinelConfig):
+    def __init__(self, device: str, region: str):
         self.device = device
         self.region = region
-        self.config = config
         self.state = DriftState.CALIBRATED
         self.observations = 0  # valid (finite, positive) observations
         self.baseline: float | None = None  # mean warmup log-ratio
-        self.ratio_ewma = Ewma(config.ewma_alpha)
+        self.ratio_ewma = Ewma(EWMA_ALPHA)
         #: EWMA of |log-ratio - ratio_ewma|: how *unstable* the model
         #: error is.  A stable bias is fixable by a multiplicative
         #: correction; an unstable one is not (see healing.py).
-        self.instability = Ewma(config.ewma_alpha)
-        self.cusum = Cusum(config.cusum_k, config.cusum_h)
-        self.measured = Ewma(config.measured_alpha)  # observed seconds
+        self.instability = Ewma(EWMA_ALPHA)
+        self.cusum = Cusum(CUSUM_K, CUSUM_H)
+        self.measured = Ewma(MEASURED_ALPHA)  # observed seconds
         self._warmup_sum = 0.0
         self._recover_streak = 0
         self.drift_count = 0  # CALIBRATED/SUSPECT -> DRIFTED transitions
@@ -174,10 +153,10 @@ class StreamStats:
         )
         self.ratio_ewma.update(log_ratio)
         self.measured.update(observed)
-        if self.observations <= self.config.warmup:
+        if self.observations <= WARMUP:
             self._warmup_sum += log_ratio
-            if self.observations == self.config.warmup:
-                self.baseline = self._warmup_sum / self.config.warmup
+            if self.observations == WARMUP:
+                self.baseline = self._warmup_sum / WARMUP
             return self.state
         residual = log_ratio - (self.baseline or 0.0)
         self.cusum.update(residual)
@@ -185,7 +164,7 @@ class StreamStats:
             # recovery is streak-based: the CUSUM statistic only decays by
             # k per observation, which would hold a long drift open far
             # past the point the residuals returned to baseline.
-            if abs(residual) <= self.config.recover_band:
+            if abs(residual) <= RECOVER_BAND:
                 self._recover_streak += 1
                 # the model looks right again — re-anchor so the applied
                 # correction collapses to ~1 immediately instead of
@@ -193,7 +172,7 @@ class StreamStats:
                 self.ratio_ewma.value = log_ratio
             else:
                 self._recover_streak = 0
-            if self._recover_streak >= self.config.recover_after:
+            if self._recover_streak >= RECOVER_AFTER:
                 self.state = DriftState.CALIBRATED
                 self.cusum.reset()
                 self._recover_streak = 0
@@ -207,8 +186,8 @@ class StreamStats:
             # (so the shift transient is not mistaken for an unstable
             # error — only *post-drift* scatter escalates to history mode).
             self.ratio_ewma.value = log_ratio
-            self.instability = Ewma(self.config.ewma_alpha)
-        elif self.cusum.statistic > self.config.cusum_h * self.config.suspect_fraction:
+            self.instability = Ewma(EWMA_ALPHA)
+        elif self.cusum.statistic > CUSUM_H * SUSPECT_FRACTION:
             self.state = DriftState.SUSPECT
         else:
             self.state = DriftState.CALIBRATED
@@ -229,8 +208,7 @@ class StreamStats:
         if self.state is not DriftState.DRIFTED or self.ratio_ewma.count == 0:
             return 1.0
         shift = self.ratio_ewma.value - (self.baseline or 0.0)
-        clamp = self.config.correction_clamp
-        return min(max(math.exp(shift), 1.0 / clamp), clamp)
+        return min(max(math.exp(shift), 1.0 / CORRECTION_CLAMP), CORRECTION_CLAMP)
 
     def measured_seconds(self) -> float | None:
         """Recent observed seconds (None before any valid observation)."""
@@ -264,12 +242,10 @@ class DriftSentinel:
 
     def __init__(
         self,
-        config: SentinelConfig | None = None,
         *,
         on_drift: Callable[[StreamStats], None] | None = None,
         clock=None,
     ):
-        self.config = config or SentinelConfig()
         self.on_drift = on_drift
         self.clock = clock  # anything with a .now attribute (seconds), or None
         self.streams: dict[tuple[str, str], StreamStats] = {}
@@ -280,7 +256,7 @@ class DriftSentinel:
         key = (device, region)
         stream = self.streams.get(key)
         if stream is None:
-            stream = self.streams[key] = StreamStats(device, region, self.config)
+            stream = self.streams[key] = StreamStats(device, region)
         return stream
 
     def observe(

@@ -341,23 +341,21 @@ def measure_suite(
     *,
     num_threads: int | None = None,
     jobs: int | None = None,
-    chunk: int | None = None,
 ) -> list[KernelMeasurement]:
     """Simulate every suite kernel on both devices of a platform.
 
     ``jobs`` (default: ``$REPRO_JOBS``, else 1) fans case chunks over
-    the persistent warm-worker pool (``chunk`` / ``$REPRO_CHUNK``
-    overrides the auto ``ceil(n/jobs)`` batch size); results always come
-    back in case-declaration order and are bit-identical to the
-    sequential sweep.  ``jobs`` and ``chunk`` are excluded from the memo
-    key for exactly that reason.
+    the persistent warm-worker pool, one chunk per worker; results
+    always come back in case-declaration order and are bit-identical to
+    the sequential sweep.  ``jobs`` is excluded from the memo key for
+    exactly that reason.
     """
     plat = _resolve_platform(platform)
     key = (plat.name, mode, num_threads)
     if key in _MEASURE_CACHE:
         return _MEASURE_CACHE[key]
     _, cases = _database(mode)
-    engine = SweepEngine(jobs, chunk=chunk)
+    engine = SweepEngine(jobs)
     if engine.parallel:
         numbers = engine.map(
             _measure_task,
@@ -390,11 +388,10 @@ def predict_suite(
     calibrated: bool = True,
     use_runtime_tripcounts: bool = True,
     jobs: int | None = None,
-    chunk: int | None = None,
 ) -> list[SelectionPrediction]:
     """Run the analytical predictor over every suite kernel.
 
-    ``jobs``/``chunk`` parallelize exactly like :func:`measure_suite`:
+    ``jobs`` parallelizes exactly like :func:`measure_suite`:
     declaration order, bit-identical results, excluded from the memo key.
     """
     plat = _resolve_platform(platform)
@@ -402,7 +399,7 @@ def predict_suite(
     if key in _PREDICT_CACHE:
         return _PREDICT_CACHE[key]
     db, cases = _database(mode)
-    engine = SweepEngine(jobs, chunk=chunk)
+    engine = SweepEngine(jobs)
     if engine.parallel:
         # Fit once in the parent; the tiny frozen calibration dataclass
         # ships with each chunk so no worker ever refits.

@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from ..drift.sentinel import WARMUP
 from ..machines import PLATFORM_P9_V100, Platform
 from ..polybench import benchmark_by_name
 from ..runtime import (
@@ -314,10 +315,10 @@ def run_drift(
     """Score sentinel detection + healing across the skew grid."""
     if launches <= start:
         raise ValueError(f"need launches > start, got {launches} <= {start}")
-    # every stream must finish its warmup (3 observations each, one per
-    # workload pass) before the skew begins, or the polluted baselines
+    # every stream must finish its warmup (WARMUP observations each, one
+    # per workload pass) before the skew begins, or the polluted baselines
     # absorb part of the shift and the residuals under-report it
-    min_start = 3 * len(_WORKLOAD)
+    min_start = WARMUP * len(_WORKLOAD)
     if start < min_start:
         raise ValueError(
             f"skew start {start} is inside the sentinel warmup; "

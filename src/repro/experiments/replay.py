@@ -361,11 +361,10 @@ def run_replay(
     capacity: int = 32,
     scenarios: tuple[str, ...] = REPLAY_SCENARIOS,
     jobs: int | None = None,
-    chunk: int | None = None,
 ) -> ReplayResult:
     """Run the scenario grid over one calibrated trace.
 
-    ``jobs``/``chunk`` fan whole scenarios over the persistent
+    ``jobs`` fans whole scenarios over the persistent
     warm-worker pool; rows come back in scenario-declaration order with
     payloads identical to the sequential loop.
     """
@@ -384,7 +383,6 @@ def run_replay(
         overload_utilization,
         capacity,
         jobs=jobs,
-        chunk=chunk,
     )
     rows: list[ReplayRow] = []
     baseline_steady = math.nan

@@ -297,11 +297,10 @@ def run_service(
     burst_utilization: float = BURST_UTILIZATION,
     scenarios: tuple[str, ...] = SERVICE_SCENARIOS,
     jobs: int | None = None,
-    chunk: int | None = None,
 ) -> ServiceResult:
     """Run the tenant-mix × load-shape grid, twinned against the FIFO.
 
-    ``jobs``/``chunk`` fan whole scenarios over the persistent
+    ``jobs`` fans whole scenarios over the persistent
     warm-worker pool; rows come back in scenario-declaration order with
     payloads identical to the sequential loop.
     """
@@ -320,7 +319,6 @@ def run_service(
         utilization,
         burst_utilization,
         jobs=jobs,
-        chunk=chunk,
     )
     rows = tuple(
         ServiceRow(

@@ -109,17 +109,16 @@ def run_trace(
     benchmarks: list[str] | None = None,
     num_threads: int | None = None,
     jobs: int | None = None,
-    chunk: int | None = None,
 ) -> TraceResult:
     """Compile + launch every (selected) suite region with observability on.
 
     With ``jobs > 1`` the benchmarks are chunked over the persistent
-    warm-worker pool (``chunk`` / ``$REPRO_CHUNK`` overrides the batch
-    size); launch records come back in suite-declaration order
-    (bit-identical to sequential), worker metrics merge into the same
-    totals, and worker spans are spliced into one trace with rebased
-    timestamps (deterministic run-to-run, but not byte-identical to the
-    sequential trace, whose single clock accumulates across benchmarks).
+    warm-worker pool, one chunk per worker; launch records come back in
+    suite-declaration order (bit-identical to sequential), worker
+    metrics merge into the same totals, and worker spans are spliced
+    into one trace with rebased timestamps (deterministic run-to-run,
+    but not byte-identical to the sequential trace, whose single clock
+    accumulates across benchmarks).
     """
     plat = _resolve_platform(platform)
     specs = (
@@ -127,7 +126,7 @@ def run_trace(
         if benchmarks
         else list(SUITE)
     )
-    engine = SweepEngine(jobs, chunk=chunk)
+    engine = SweepEngine(jobs)
     if engine.parallel:
         sweep = engine.map_obs(
             _trace_benchmark,

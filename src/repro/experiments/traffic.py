@@ -116,7 +116,6 @@ def fan_out(
     scenarios: tuple[str, ...],
     *params,
     jobs: int | None = None,
-    chunk: int | None = None,
 ) -> list:
     """``task(trace, scenario, *params)`` per scenario, in grid order.
 
@@ -125,7 +124,7 @@ def fan_out(
     worker rebuilds the trace from its scalars, so payloads match the
     sequential loop byte for byte.
     """
-    engine = SweepEngine(jobs, chunk=chunk)
+    engine = SweepEngine(jobs)
     if not engine.parallel:
         return [task(trace, name, *params) for name in scenarios]
     shipped = (trace.platform.name, trace.launches, trace.seed, trace.mean_service_s)

@@ -36,7 +36,7 @@ from .injector import (
     scenario_by_name,
 )
 from .resilient import DispatchResult, dispatch_with_retries
-from .retry import RetryPolicy, SimulatedClock
+from .retry import MAX_ATTEMPTS, SimulatedClock, backoff_delay
 
 __all__ = [
     "BudgetExhausted",
@@ -62,6 +62,7 @@ __all__ = [
     "scenario_by_name",
     "DispatchResult",
     "dispatch_with_retries",
-    "RetryPolicy",
+    "MAX_ATTEMPTS",
     "SimulatedClock",
+    "backoff_delay",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import BudgetExhausted, DeviceError
 from .health import DeviceHealth
 from .injector import FaultEvent, FaultInjector, LaunchContext
-from .retry import RetryPolicy, SimulatedClock
+from .retry import MAX_ATTEMPTS, SimulatedClock, backoff_delay
 
 __all__ = ["DispatchResult", "dispatch_with_retries"]
 
@@ -51,7 +51,6 @@ def _event(err: DeviceError) -> FaultEvent:
 def dispatch_with_retries(
     *,
     injector: FaultInjector | None,
-    retry: RetryPolicy,
     clock: SimulatedClock,
     health: DeviceHealth,
     device_name: str,
@@ -79,7 +78,7 @@ def dispatch_with_retries(
 
     events: list[FaultEvent] = []
     overhead = 0.0
-    for attempt in range(1, retry.max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         err = injector.check(
             LaunchContext(
                 device_name=device_name,
@@ -105,11 +104,11 @@ def dispatch_with_retries(
             return DispatchResult(
                 False, attempt, tuple(events), overhead, FALLBACK_BREAKER
             )
-        if attempt == retry.max_attempts:
+        if attempt == MAX_ATTEMPTS:
             return DispatchResult(
                 False, attempt, tuple(events), overhead, FALLBACK_RETRIES
             )
-        delay = retry.delay(attempt)
+        delay = backoff_delay(attempt)
         if budget is not None:
             remaining = budget.remaining()
             if delay > remaining:

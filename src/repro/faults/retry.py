@@ -8,11 +8,7 @@ elapsed.
 
 from __future__ import annotations
 
-import math
-import random
-from dataclasses import dataclass
-
-__all__ = ["SimulatedClock", "RetryPolicy"]
+__all__ = ["MAX_ATTEMPTS", "SimulatedClock", "backoff_delay"]
 
 
 class SimulatedClock:
@@ -31,84 +27,17 @@ class SimulatedClock:
         return f"SimulatedClock(now={self.now:g})"
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with clamped exponential backoff and optional jitter.
+#: Dispatch tries per accelerator launch, the first included.
+MAX_ATTEMPTS = 3
 
-    ``max_attempts`` counts every dispatch try including the first; after
-    failed attempt *k* the runtime waits ``delay(k)`` simulated seconds
-    before attempt *k+1*.  The exponential growth is clamped to
-    ``max_delay_s`` *before* jitter is applied, so the jittered delay is
-    bounded by ``max_delay_s * (1 + jitter)``.  Jitter is deterministic:
-    the fraction added to attempt *k* depends only on ``(seed, k)``, so a
-    fixed seed replays the identical backoff sequence.  The defaults
-    (no clamp, no jitter) reproduce the historical delays bit-for-bit.
+
+def backoff_delay(attempt: int) -> float:
+    """Simulated wait after failed attempt ``attempt`` (1-based).
+
+    Exponential from 1 ms, doubling per attempt: 1 ms after the first
+    failure and 2 ms after the second, the last one :data:`MAX_ATTEMPTS`
+    leaves room for.
     """
-
-    max_attempts: int = 3
-    backoff_base_s: float = 1e-3
-    backoff_factor: float = 2.0
-    max_delay_s: float = math.inf
-    jitter: float = 0.0  # fraction of the clamped delay, in [0, 1]
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("need at least one attempt")
-        if self.backoff_base_s < 0 or self.backoff_factor < 1:
-            raise ValueError("backoff must be non-negative and non-shrinking")
-        if self.max_delay_s <= 0 or math.isnan(self.max_delay_s):
-            raise ValueError("max_delay_s must be positive")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-
-    def _clamped_delay(self, attempt: int) -> float:
-        """Exponential delay clamped to ``max_delay_s`` (jitter-free).
-
-        Overflow-safe: attempt counts large enough to overflow the float
-        exponentiation saturate at the clamp (or ``inf`` when unclamped)
-        instead of raising.
-        """
-        try:
-            raw = self.backoff_base_s * self.backoff_factor ** (attempt - 1)
-        except OverflowError:
-            raw = math.inf
-        return min(raw, self.max_delay_s)
-
-    def _jitter_fraction(self, attempt: int) -> float:
-        if self.jitter == 0.0:
-            return 0.0
-        # one independent, reproducible draw per (seed, attempt)
-        return self.jitter * random.Random(
-            self.seed * 1_000_003 + attempt
-        ).random()
-
-    def delay(self, attempt: int) -> float:
-        """Backoff after failed attempt ``attempt`` (1-based)."""
-        if attempt < 1:
-            raise ValueError("attempt numbers are 1-based")
-        return self._clamped_delay(attempt) * (1.0 + self._jitter_fraction(attempt))
-
-    def total_backoff(self, failed_attempts: int) -> float:
-        """Total simulated wait after ``failed_attempts`` consecutive failures.
-
-        Overflow-safe for arbitrarily large counts: once the exponential
-        reaches the clamp every remaining attempt contributes exactly
-        ``max_delay_s``, so the tail is computed in closed form instead of
-        being summed term by term (and an unclamped runaway saturates to
-        ``inf`` rather than raising).
-        """
-        if failed_attempts <= 0:
-            return 0.0
-        if self.jitter == 0.0 and self.backoff_factor == 1.0:
-            return failed_attempts * self._clamped_delay(1)
-        total = 0.0
-        for k in range(1, failed_attempts + 1):
-            clamped = self._clamped_delay(k)
-            if self.jitter == 0.0 and clamped >= self.max_delay_s:
-                # every later attempt is also clamped: close the sum
-                return total + (failed_attempts - k + 1) * clamped
-            if clamped == math.inf:
-                return math.inf
-            total += clamped * (1.0 + self._jitter_fraction(k))
-        return total
+    if attempt < 1:
+        raise ValueError("attempt numbers are 1-based")
+    return 1e-3 * 2.0 ** (attempt - 1)

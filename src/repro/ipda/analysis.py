@@ -195,9 +195,6 @@ class BoundIPDA:
             self.accesses
         )
 
-    def any_false_sharing(self) -> bool:
-        return any(a.false_sharing_risk for a in self.accesses)
-
 
 def analyze_region(region: Region) -> IPDAResult:
     """Run IPDA over a region at compile time.

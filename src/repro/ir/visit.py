@@ -8,7 +8,7 @@ recursion over statements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .nodes import If, Load, LocalAssign, LocalDef, Loop, Stmt, Store, VExpr
 from .region import Region
@@ -18,7 +18,6 @@ __all__ = [
     "iter_loops",
     "memory_accesses",
     "MemoryAccess",
-    "loop_context_of",
 ]
 
 
@@ -118,22 +117,3 @@ def memory_accesses(region: Region) -> list[MemoryAccess]:
     visit(region.body, (), 0)
     return out
 
-
-def loop_context_of(region: Region, predicate: Callable[[Stmt], bool]) -> tuple[Loop, ...]:
-    """Loop path of the first statement matching ``predicate`` (for tests)."""
-    found: list[tuple[Loop, ...]] = []
-
-    def visit(stmts: list[Stmt], path: tuple[Loop, ...]) -> None:
-        for s in stmts:
-            if predicate(s) and not found:
-                found.append(path)
-            if isinstance(s, Loop):
-                visit(s.body, path + (s,))
-            elif isinstance(s, If):
-                visit(s.then_body, path)
-                visit(s.else_body, path)
-
-    visit(region.body, ())
-    if not found:
-        raise LookupError("no statement matched predicate")
-    return found[0]

@@ -125,10 +125,6 @@ class LintContext:
         dims = "][".join(repr(i) for i in access.idxs)
         return path + (f"{kind} {access.array.name}[{dims}]",)
 
-    def bound_symbols(self) -> set[str]:
-        """Symbols the env binds (empty set when no env was provided)."""
-        return set(self.env) if self.env else set()
-
 
 class LintPass:
     """Base class of lint passes; subclasses override :meth:`run`."""

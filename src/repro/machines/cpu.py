@@ -104,11 +104,6 @@ class CPUDescriptor:
         """Total hardware threads (cores × SMT ways)."""
         return self.cores * self.smt
 
-    @property
-    def cycle_ns(self) -> float:
-        """Duration of one cycle in nanoseconds."""
-        return 1.0 / self.frequency_ghz
-
     def latency(self, op_class: str) -> int:
         """Latency in cycles of a machine-op class; raises on unknown class."""
         try:

@@ -68,19 +68,11 @@ class GPUDescriptor:
         """Peak single-precision GFLOP/s (2 flops/FMA per core per cycle)."""
         return self.total_cores * self.clock_ghz * 2.0
 
-    @property
-    def cycle_ns(self) -> float:
-        return 1.0 / self.clock_ghz
-
     def cycles_to_seconds(self, cycles: float) -> float:
         return cycles / (self.clock_ghz * 1e9)
 
     def warps_per_block(self, threads_per_block: int) -> int:
         return -(-threads_per_block // self.warp_size)
-
-    def max_grid_blocks(self) -> int:
-        """Grid x-dimension limit (2^31-1 post-Kepler; plenty for our use)."""
-        return 2**31 - 1
 
 
 #: NVIDIA Tesla K80 (Kepler GK210 pair; the paper quotes 480 GB/s peak).

@@ -84,10 +84,6 @@ class MachineOp:
     def port(self) -> str:
         return OPCODE_PORT[self.opcode]
 
-    @property
-    def is_memory(self) -> bool:
-        return self.opcode in ("load", "store", "vload", "vstore")
-
     def __repr__(self) -> str:
         srcs = ",".join(f"v{s}" for s in self.srcs)
         dest = f"v{self.dest} = " if self.dest >= 0 else ""

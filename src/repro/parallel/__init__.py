@@ -7,8 +7,7 @@ Two cooperating subsystems that make suite sweeps scale:
   process-local analysis cache and ship the entries they compute back
   to the parent store) and deterministically merges results, per-worker
   metrics and trace spans back into case-declaration order
-  (``--jobs N`` / ``$REPRO_JOBS``, chunking via ``--chunk`` /
-  ``$REPRO_CHUNK``);
+  (``--jobs N`` / ``$REPRO_JOBS``, one chunk per worker);
 * :class:`AnalysisCache` — a persistent, content-addressed store (JSON
   records keyed by SHA-256 over canonical region IR + machine-model
   fingerprint + package version) that memoizes compile/IPDA/MCA
@@ -30,12 +29,7 @@ from .cache import (
     machine_fingerprint,
     region_cache_key,
 )
-from .chunks import (
-    CHUNK_ENV,
-    auto_chunk_size,
-    partition_chunks,
-    resolve_chunk,
-)
+from .chunks import partition_chunks
 from .engine import (
     JOBS_ENV,
     ChunkFailure,
@@ -52,7 +46,6 @@ from .engine import (
 __all__ = [
     "AnalysisCache",
     "CACHE_DIR_ENV",
-    "CHUNK_ENV",
     "ChunkFailure",
     "JOBS_ENV",
     "NULL_CACHE",
@@ -60,7 +53,6 @@ __all__ = [
     "ObsTaskResult",
     "SweepEngine",
     "SweepObsResult",
-    "auto_chunk_size",
     "compute_key",
     "current_cache",
     "default_cache_dir",
@@ -69,7 +61,6 @@ __all__ = [
     "partition_chunks",
     "region_cache_key",
     "register_prefork_warmup",
-    "resolve_chunk",
     "resolve_jobs",
     "shutdown_pools",
     "tracer_payload",

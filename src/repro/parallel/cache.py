@@ -169,11 +169,6 @@ class AnalysisCache:
         self.writes = 0
         self._metrics = metrics
 
-    # -- wiring ----------------------------------------------------------
-    def attach_metrics(self, registry) -> None:
-        """Mirror hit/miss/invalidation counters into a MetricsRegistry."""
-        self._metrics = registry
-
     _COUNTER_FIELD = {
         "hit": "hits",
         "miss": "misses",
@@ -376,9 +371,6 @@ class NullCache:
 
     def get_or_compute(self, kind, payload, machine, compute, *, validate=None):
         return compute()
-
-    def attach_metrics(self, registry) -> None:
-        pass
 
     def export_entries(self, since: int = 0) -> list[list]:
         return []

@@ -3,80 +3,39 @@
 A sweep of *n* cases over *j* workers is shipped as **contiguous chunks
 of case indices**, not one future per case: per-future IPC round-trips
 dominated the old engine at suite granularity (`BENCH_parallel.json`
-before the rebuild: jobs4 = 0.38×).  The partition is a pure function of
-``(n_items, jobs, chunk_size)`` — the same grid always chunks the same
-way, which both keeps the declaration-ordered merge trivial (chunks are
-concatenated in order) and gives measure→predict phases of the same
-grid a stable case→chunk mapping.
-
-The chunk size is auto-sized to ``ceil(n_items / jobs)`` — one chunk per
-worker, the minimum possible IPC — and can be overridden per call
-(``chunk=``), per command (``--chunk``), or per environment
-(``$REPRO_CHUNK``).  Smaller chunks trade IPC for load balancing on
-heterogeneous cases.
+before the rebuild: jobs4 = 0.38×).  Each worker gets one chunk of
+``ceil(n_items / jobs)`` cases, the minimum possible IPC.  The partition
+is a pure function of ``(n_items, jobs)`` — the same grid always chunks
+the same way, which both keeps the declaration-ordered merge trivial
+(chunks are concatenated in order) and gives measure→predict phases of
+the same grid a stable case→chunk mapping.
 
 Invariants (property-tested in ``tests/test_parallel_chunks.py``):
 
 * every index in ``range(n_items)`` appears in exactly one chunk;
 * concatenating the chunks in order yields ``range(n_items)`` exactly —
-  declaration order survives any ``(n_items, jobs, chunk_size)``,
-  including ``jobs > n_items`` and ``chunk_size > n_items``;
-* no chunk is empty; ``n_items == 0`` partitions to no chunks at all.
+  declaration order survives any ``(n_items, jobs)``, including
+  ``jobs > n_items``;
+* no chunk is empty, and there are at most ``jobs`` of them;
+  ``n_items == 0`` partitions to no chunks at all.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
-__all__ = [
-    "CHUNK_ENV",
-    "auto_chunk_size",
-    "partition_chunks",
-    "resolve_chunk",
-]
-
-#: Environment variable supplying the default chunk size (``--chunk``).
-CHUNK_ENV = "REPRO_CHUNK"
+__all__ = ["partition_chunks"]
 
 
-def resolve_chunk(chunk: int | None = None) -> int | None:
-    """Effective chunk size: explicit value, else ``$REPRO_CHUNK``, else None.
-
-    ``None`` means *auto*: :func:`auto_chunk_size` picks
-    ``ceil(n_items / jobs)`` at partition time.  Garbage in the
-    environment degrades to auto; explicit values are floored at 1.
-    """
-    if chunk is None:
-        env = os.environ.get(CHUNK_ENV, "")
-        if env:
-            try:
-                chunk = int(env)
-            except ValueError:
-                return None
-        else:
-            return None
-    return max(1, int(chunk))
-
-
-def auto_chunk_size(n_items: int, jobs: int) -> int:
-    """The default chunk size: one contiguous chunk per worker."""
-    return max(1, math.ceil(n_items / max(1, jobs)))
-
-
-def partition_chunks(
-    n_items: int, jobs: int, chunk: int | None = None
-) -> list[range]:
+def partition_chunks(n_items: int, jobs: int) -> list[range]:
     """Partition ``range(n_items)`` into declaration-ordered index chunks.
 
-    Returns a list of non-empty ``range`` objects whose concatenation is
-    exactly ``range(n_items)``.  With ``chunk=None`` the size is
-    :func:`auto_chunk_size`; an explicit size is used verbatim (floored
-    at 1), even when it exceeds ``n_items`` (one whole-grid chunk).
+    Returns at most ``jobs`` non-empty ``range`` objects whose
+    concatenation is exactly ``range(n_items)``.
     """
     if n_items <= 0:
         return []
-    size = auto_chunk_size(n_items, jobs) if chunk is None else max(1, int(chunk))
+    size = math.ceil(n_items / max(1, jobs))
     return [
         range(start, min(start + size, n_items))
         for start in range(0, n_items, size)

@@ -20,10 +20,9 @@ showed *losing* to sequential at suite granularity):
   benchmark grid used to pay pool startup sixteen times);
 * **chunked case batches** — the case grid is partitioned into
   contiguous, declaration-ordered index chunks
-  (:func:`repro.parallel.chunks.partition_chunks`; auto-sized to
-  ``ceil(n/jobs)``, overridable via ``chunk=`` / ``--chunk`` /
-  ``$REPRO_CHUNK``), so a sweep pays ~``jobs`` IPC round-trips instead
-  of ``n_cases``;
+  (:func:`repro.parallel.chunks.partition_chunks`; one chunk of
+  ``ceil(n/jobs)`` cases per worker), so a sweep pays ~``jobs`` IPC
+  round-trips instead of ``n_cases``;
 * **cache-entry shipping** — every worker holds a process-local
   :class:`AnalysisCache` for its whole lifetime (memory-only when no
   cache directory is configured), journals the entries it *computes*,
@@ -62,7 +61,7 @@ from typing import Any, Callable, Iterable, Sequence
 from ..obs import MetricsRegistry, Tracer
 from ..obs.tracer import InstantRecord, SpanRecord
 from .cache import AnalysisCache, current_cache
-from .chunks import partition_chunks, resolve_chunk
+from .chunks import partition_chunks
 
 __all__ = [
     "ChunkFailure",
@@ -405,11 +404,9 @@ class SweepEngine:
         jobs: int | None = None,
         *,
         cache_dir: str | None = None,
-        chunk: int | None = None,
     ):
         self.jobs = resolve_jobs(jobs)
         self.cache_dir = cache_dir
-        self.chunk = resolve_chunk(chunk)
 
     @property
     def parallel(self) -> bool:
@@ -460,7 +457,7 @@ class SweepEngine:
         if labels is None:
             labels = [repr(item)[:120] for item in items]
         pool = _pool_for(self.jobs, self._effective_cache_dir())
-        chunks = partition_chunks(len(items), self.jobs, self.chunk)
+        chunks = partition_chunks(len(items), self.jobs)
         results: list = [None] * len(items)
         done = [False] * len(chunks)
         # Two submission rounds at most: the original pool, then — only

@@ -27,9 +27,9 @@ from .service import (
     ADMISSION_POLICIES,
     AdmissionConfig,
     DeviceLane,
+    LANE_SHAPES,
     OffloadService,
     ReplayOutcome,
-    ServiceConfig,
     ServiceStats,
 )
 from .workload import (
@@ -48,6 +48,7 @@ __all__ = [
     "ChaosSchedule",
     "ChaosWindow",
     "DeviceLane",
+    "LANE_SHAPES",
     "LaunchRequest",
     "MemoizedPolicy",
     "OffloadService",
@@ -56,7 +57,6 @@ __all__ = [
     "ReplayOutcome",
     "ReplayRun",
     "ReplayScore",
-    "ServiceConfig",
     "ServiceStats",
     "TenantScore",
     "WindowScore",

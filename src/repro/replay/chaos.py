@@ -177,7 +177,3 @@ class ChaosSchedule:
             return scale
 
         return dilation
-
-    def horizon_guard(self) -> float:
-        """Latest window edge (sanity-checked against the trace horizon)."""
-        return max((w.stop_s for w in self.windows), default=0.0)

@@ -6,7 +6,7 @@ simulated clock (:mod:`.chaos`), the offloading runtime over the
 platform's host and every accelerator, and the one admission path,
 :class:`~.service.OffloadService`.  The service runs
 the serial preset (a single-server FIFO) unless ``ReplayConfig.service``
-asks for ``service_config``.  Per request it
+asks for per-device lanes.  Per request it
 
 1. re-admits any parked (deferred) requests the lane has drained
    enough to take back,
@@ -45,13 +45,7 @@ from ..runtime import (
     OffloadingRuntime,
 )
 from .chaos import ChaosSchedule
-from .service import (
-    AdmissionConfig,
-    OffloadService,
-    ReplayOutcome,
-    ServiceConfig,
-    ServiceStats,
-)
+from .service import AdmissionConfig, OffloadService, ReplayOutcome, ServiceStats
 from .workload import LaunchRequest, WorkloadConfig, build_catalog, generate_requests
 
 __all__ = [
@@ -123,17 +117,15 @@ class ReplayConfig:
     budget_s: float | None = None
     #: arm speculative host backups (a HedgePolicy on the runtime)
     hedge: bool = False
-    hedge_min_samples: int = 8
     #: bounded scheduled-work slots per device (a Bulkhead on the
     #: runtime); saturated devices reroute pre-dispatch.  None = off.
     bulkhead_slots: int | None = None
-    #: the lane shape the admission path runs: ``service_config``
-    #: (per-device lanes, batching, phase overlap by default) when True,
-    #: the serial preset :meth:`ServiceConfig.serial` — one
-    #: single-server FIFO lane — when False.  Per-device lanes model one
-    #: accelerator lane, so a multi-accelerator platform runs serial only.
+    #: the lane shape the admission path runs (``LANE_SHAPES``):
+    #: per-device lanes with batching and phase overlap when True, the
+    #: serial preset — one single-server FIFO lane — when False.
+    #: Per-device lanes model one accelerator lane, so a
+    #: multi-accelerator platform runs serial only.
     service: bool = False
-    service_config: ServiceConfig = field(default_factory=ServiceConfig)
 
 
 @dataclass
@@ -208,12 +200,7 @@ class ReplayEngine:
         if cfg.hedge:
             # classic tail-at-scale arming: every sketch-ready launch
             # hedges, but only primaries that outlive the p95 delay pay
-            runtime.hedge = HedgePolicy(
-                quantile=0.95,
-                min_samples=cfg.hedge_min_samples,
-                low_budget_factor=2.0,
-                on_slow=True,
-            )
+            runtime.hedge = HedgePolicy(on_slow=True)
         return runtime
 
     # -- driving ------------------------------------------------------------
@@ -244,13 +231,12 @@ class ReplayEngine:
                 self.runtime.compile_region(region)
         if requests is None:
             requests = generate_requests(cfg.workload, cases)
-        shape = cfg.service_config if cfg.service else ServiceConfig.serial()
-        if shape.overlap and len(cfg.platform.accelerators) > 1:
+        if cfg.service and len(cfg.platform.accelerators) > 1:
             raise ValueError(
                 "per-device lanes model one accelerator; run "
                 f"{cfg.platform.name!r} on the serial preset (service=False)"
             )
-        service = OffloadService(self, shape)
+        service = OffloadService(self)
         outcomes, horizon = service.run(requests)
         metrics = self.runtime.metrics
         fams = families(metrics)

@@ -390,5 +390,5 @@ def score_run(run: ReplayRun, *, recovery_margin_s: float = 0.0) -> ReplayScore:
         windows=tuple(scored_windows),
         tenants=tenant_scores,
         fairness_p99=fairness,
-        service=q.snapshot() if run.service.config.overlap else None,
+        service=q.snapshot() if run.service.overlap else None,
     )

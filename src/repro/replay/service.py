@@ -1,15 +1,15 @@
 """The replay admission path: per-device lanes on the simulated clock.
 
-Every replay runs through :class:`OffloadService`; a
-:class:`ServiceConfig` picks its shape:
+Every replay runs through :class:`OffloadService`; ``ReplayConfig.service``
+picks one of the two shapes in :data:`LANE_SHAPES`:
 
-* **the serial preset** (:meth:`ServiceConfig.serial`) — one dispatcher
-  lane with one server, no batching and no phase overlap.  This is the
+* **the serial preset** (``service=False``) — one dispatcher lane with
+  one server, no batching and no phase overlap.  This is the
   single-server FIFO the selector was first modelled as: every launch,
   host or accelerator, waits behind one queue, so devices never contend
   and a CPU launch can block a GPU one.  ``ReplayConfig`` runs it unless
   ``service=True``, and the service experiment uses it as the baseline;
-* **per-device lanes** (``ServiceConfig()``) — requests are routed by
+* **per-device lanes** (``service=True``) — requests are routed by
   the (memoized) selection policy's undilated preview: host-bound work
   joins the CPU lane, accelerator-bound work joins the GPU lane with its
   own server pool;
@@ -33,8 +33,8 @@ lane, the overload policy decides its fate:
   accelerator dispatch entirely: the host path is the overflow lane, so
   shedding load costs none of the machinery the queue is protecting;
 * ``defer``   — the request parks in a second bounded buffer and is
-  re-admitted (ahead of newer arrivals) once the lane drains below
-  ``resume_depth``; a full park buffer sheds.
+  re-admitted (ahead of newer arrivals) once the lane drains below half
+  its ``capacity`` (at least 1); a full park buffer sheds.
 
 An **unbounded** lane (``capacity=None``) admits everything and never
 consults the policy.  Everything happens on the engine's simulated
@@ -61,9 +61,9 @@ __all__ = [
     "ADMISSION_POLICIES",
     "AdmissionConfig",
     "DeviceLane",
+    "LANE_SHAPES",
     "OffloadService",
     "ReplayOutcome",
-    "ServiceConfig",
     "ServiceStats",
 ]
 
@@ -80,15 +80,12 @@ class AdmissionConfig:
 
     ``capacity`` counts waiting *and* in-service launches; ``None``
     disables admission control entirely (infinite queue, nothing shed).
-    ``resume_depth`` (defer only) is the depth the queue must drain below
-    before parked requests re-enter, so it is at least 1; ``defer_capacity``
-    bounds the park buffer.
+    ``defer_capacity`` bounds the park buffer.
     """
 
     capacity: int | None = None
     policy: str = "reject"
     defer_capacity: int = 64
-    resume_depth: int | None = None  # default: capacity // 2
 
     def __post_init__(self):
         if self.capacity is not None and self.capacity < 1:
@@ -99,9 +96,6 @@ class AdmissionConfig:
             )
         if self.defer_capacity < 1:
             raise ValueError("defer_capacity must be >= 1")
-        if self.resume_depth is not None and self.resume_depth < 1:
-            # lanes resume while depth < resume_depth: 0 would park forever
-            raise ValueError("resume_depth must be >= 1")
 
     @property
     def bounded(self) -> bool:
@@ -109,49 +103,21 @@ class AdmissionConfig:
 
     @property
     def effective_resume_depth(self) -> int:
-        if self.resume_depth is not None:
-            return self.resume_depth
+        """Parked requests re-enter while the lane is shallower than this."""
         return max((self.capacity or 2) // 2, 1)
 
 
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Shape of the offload service's per-device scheduling.
-
-    ``quantum_s`` rounds each batch's open time up to the next quantum
-    boundary, letting near-simultaneous same-case admissions coalesce
-    (0 dispatches every admission at its arrival); ``servers`` /
-    ``host_servers`` size the accelerator and host compute pools;
-    ``max_batch`` bounds how many same-case admissions ride one transfer
-    (1 disables batching).  ``overlap=False`` collapses all devices into
-    one serial dispatcher lane, where the *dispatcher* is the server
-    rather than the devices.
-    """
-
-    quantum_s: float = 5e-4
-    servers: int = 2
-    host_servers: int = 2
-    max_batch: int = 8
-    overlap: bool = True
-
-    def __post_init__(self):
-        if not (math.isfinite(self.quantum_s) and self.quantum_s >= 0.0):
-            raise ValueError("quantum_s must be finite and >= 0")
-        if self.servers < 1 or self.host_servers < 1:
-            raise ValueError("need at least one server per lane")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-
-    @classmethod
-    def serial(cls) -> ServiceConfig:
-        """The single-server FIFO: one dispatcher lane, no batching."""
-        return cls(
-            quantum_s=0.0,
-            servers=1,
-            host_servers=1,
-            max_batch=1,
-            overlap=False,
-        )
+#: The two lane shapes, keyed by ``ReplayConfig.service``: the lanes as
+#: (name, compute servers, dedicated H2D/D2H channels), the quantum batch
+#: open times round up to (0: open at arrival), and the most same-case
+#: admissions one batch (and so one transfer) carries.
+LANE_SHAPES = {
+    # per-device lanes: host work on the CPU pool, accelerator work on
+    # the GPU pool with its own DMA channels, so phases overlap
+    True: ((("cpu", 2, False), ("gpu", 2, True)), 5e-4, 8),
+    # the serial preset: one single-server FIFO, no batching
+    False: ((("dispatcher", 1, False),), 0.0, 1),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,15 +246,13 @@ class ServiceStats:
 class OffloadService:
     """Drive one engine's trace through per-device admission lanes."""
 
-    def __init__(self, engine, config: ServiceConfig):
+    def __init__(self, engine):
         self.engine = engine
-        self.config = config
+        #: per-device lanes with phase overlap (else the serial preset)
+        self.overlap = engine.config.service
+        shapes, self._quantum_s, self._max_batch = LANE_SHAPES[self.overlap]
         self.runtime = engine.runtime
         self._families = fams = families(engine.runtime.metrics)
-        if config.overlap:
-            shapes = [("cpu", config.host_servers, False), ("gpu", config.servers, True)]
-        else:
-            shapes = [("dispatcher", 1, False)]
         self.lanes = {
             name: DeviceLane(
                 name,
@@ -347,7 +311,7 @@ class OffloadService:
         return best if best_open <= until else None
 
     def _quantize(self, t: float) -> float:
-        q = self.config.quantum_s
+        q = self._quantum_s
         if q <= 0.0:
             return t
         # clamp: float division can round the ceiling below t itself
@@ -381,7 +345,7 @@ class OffloadService:
                     record=record,
                     finish_s=(
                         now + max(record.executed_seconds, 0.0)
-                        if self.config.overlap
+                        if self.overlap
                         else None
                     ),
                 )
@@ -427,7 +391,7 @@ class OffloadService:
         pinning, bulkhead reroute, hedging); the lane only models where
         the request queued.
         """
-        if not self.config.overlap:
+        if not self.overlap:
             return self._lane_list[0]
         lane = self._route_cache.get(request.case)
         if lane is None:
@@ -461,7 +425,7 @@ class OffloadService:
         head = lane.pending[0][0]
         members = [lane.pending.popleft()]
         while (
-            len(members) < self.config.max_batch
+            len(members) < self._max_batch
             and lane.pending
             and lane.pending[0][0].case == head.case
         ):
@@ -472,7 +436,7 @@ class OffloadService:
         if len(members) > 1:
             self._families["service_batches_total"].labels(lane.name).inc()
         open_t = self._quantize(head.arrival_s)
-        if self.config.overlap:
+        if self.overlap:
             self._dispatch_overlap(lane, open_t, members)
         else:
             self._dispatch_serial(lane, members)
@@ -613,7 +577,7 @@ class OffloadService:
                 record=record,
                 # the serial shape has no pipeline: its finish is
                 # start + executed, which the scorer derives
-                finish_s=finish if self.config.overlap else None,
+                finish_s=finish if self.overlap else None,
             )
         )
 

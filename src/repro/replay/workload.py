@@ -45,6 +45,16 @@ __all__ = [
 DEFAULT_SIZES = (256, 512, 1100)
 DEFAULT_SIZE_WEIGHTS = (0.5, 0.35, 0.15)
 
+#: Popularity exponent: 1.1 is a classic production-ish skew (the top
+#: kernel gets ~15% of launches over a 24-kernel suite, the tail still
+#: shows up).
+ZIPF_S = 1.1
+#: Bursts divide the calm-phase mean inter-arrival by this factor.
+BURST_FACTOR = 8.0
+#: Mean calm and burst phase lengths, in launches (geometric switching).
+CALM_LENGTH = 200
+BURST_LENGTH = 50
+
 
 @dataclass(frozen=True)
 class CaseSpec:
@@ -80,23 +90,15 @@ class LaunchRequest:
 class WorkloadConfig:
     """Everything the trace depends on (and nothing else).
 
-    ``zipf_s`` is the popularity exponent (1.1 is a classic
-    production-ish skew: the top kernel gets ~15% of launches over a
-    24-kernel suite, the tail still shows up).  ``mean_interarrival_s``
-    is the *calm-phase* mean; bursts compress it by ``burst_factor``.
-    Phase switching is geometric with mean lengths
-    ``calm_length``/``burst_length`` (in launches).
+    ``mean_interarrival_s`` is the *calm-phase* mean; bursts compress it
+    by :data:`BURST_FACTOR`.
     """
 
     launches: int = 10_000
     seed: int = 0
-    zipf_s: float = 1.1
     sizes: tuple[int, ...] = DEFAULT_SIZES
     size_weights: tuple[float, ...] = DEFAULT_SIZE_WEIGHTS
     mean_interarrival_s: float = 1e-3
-    burst_factor: float = 8.0
-    calm_length: int = 200
-    burst_length: int = 50
     #: concurrent tenants issuing the trace.  1 (the default) keeps the
     #: historical anonymous trace (``request.tenant is None``); more
     #: draws each request's tenant from its own substream, so turning
@@ -109,18 +111,12 @@ class WorkloadConfig:
     def __post_init__(self):
         if self.launches < 1:
             raise ValueError("need at least one launch")
-        if self.zipf_s < 0:
-            raise ValueError("zipf_s must be >= 0")
         if len(self.sizes) != len(self.size_weights) or not self.sizes:
             raise ValueError("sizes and size_weights must match and be non-empty")
         if any(w <= 0 for w in self.size_weights):
             raise ValueError("size weights must be positive")
         if self.mean_interarrival_s <= 0:
             raise ValueError("mean inter-arrival must be positive")
-        if self.burst_factor < 1.0:
-            raise ValueError("burst_factor must be >= 1 (bursts are faster)")
-        if self.calm_length < 1 or self.burst_length < 1:
-            raise ValueError("phase lengths must be >= 1 launch")
         if self.tenants < 1:
             raise ValueError("need at least one tenant")
         if self.tenant_weights is not None:
@@ -187,7 +183,7 @@ def generate_requests(
 
     rank_rng = derive_rng(config.seed, "workload", "ranking")
     rank_rng.shuffle(kernels)
-    weights = [1.0 / (rank + 1) ** config.zipf_s for rank in range(len(kernels))]
+    weights = [1.0 / (rank + 1) ** ZIPF_S for rank in range(len(kernels))]
     pop_cdf = _cumulative(weights)
     size_cdf = _cumulative(list(config.size_weights))
 
@@ -207,12 +203,12 @@ def generate_requests(
     now = 0.0
     burst = False
     for index in range(config.launches):
-        switch_p = 1.0 / (config.burst_length if burst else config.calm_length)
+        switch_p = 1.0 / (BURST_LENGTH if burst else CALM_LENGTH)
         if phase_rng.random() < switch_p:
             burst = not burst
         mean = config.mean_interarrival_s
         if burst:
-            mean /= config.burst_factor
+            mean /= BURST_FACTOR
         now += _exponential(arrival_rng, mean)
         kernel = kernels[bisect_left(pop_cdf, pop_rng.random())]
         size = config.sizes[bisect_left(size_cdf, size_rng.random())]

@@ -7,11 +7,10 @@ Fault-tolerant dispatch (retry, fallback, circuit breaking) lives in
 reads naturally.
 """
 
-from ..drift import DriftSentinel, SentinelConfig, Watchdog
+from ..drift import DriftSentinel, Watchdog
 from ..faults import (
     DeviceHealth,
     FaultInjector,
-    RetryPolicy,
     scenario_by_name,
 )
 from .device import AcceleratorDevice, Device, ExecutionRecord, HostDevice
@@ -64,8 +63,6 @@ __all__ = [
     "DeviceHealth",
     "DriftSentinel",
     "FaultInjector",
-    "RetryPolicy",
-    "SentinelConfig",
     "Watchdog",
     "scenario_by_name",
 ]

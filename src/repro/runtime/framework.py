@@ -73,7 +73,6 @@ from ..faults import (
     DeviceHealth,
     FaultEvent,
     FaultInjector,
-    RetryPolicy,
     SimulatedClock,
     dispatch_with_retries,
     region_footprint_bytes,
@@ -216,7 +215,6 @@ class OffloadingRuntime:
     num_threads: int | None = None  # host team size (None = all hw threads)
     db: ProgramAttributeDatabase = field(default_factory=ProgramAttributeDatabase)
     injector: FaultInjector | None = None
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     lint_gate: LintGate | None = None
     sentinel: DriftSentinel | None = None
     watchdog: Watchdog | None = None
@@ -467,7 +465,6 @@ class OffloadingRuntime:
                 self._accel_launches[executed - 1] = index + 1
                 result = dispatch_with_retries(
                     injector=self.injector,
-                    retry=self.retry,
                     clock=self.clock,
                     health=health,
                     device_name=dev.name,

@@ -129,9 +129,6 @@ class Expr:
                 stack.extend(node.children())
         return frozenset(out)
 
-    def is_constant(self) -> bool:
-        return not self.free_symbols()
-
     def evaluate(self, env: Mapping[str, Number] | None = None) -> Number:
         """Numerically evaluate under ``env`` (symbol name → value).
 

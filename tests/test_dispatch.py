@@ -345,10 +345,11 @@ class TestBitIdentityOff:
                 workload=workload,
                 chaos=chaos,
                 hedge=hedge,
-                hedge_min_samples=10**9,
                 bulkhead_slots=10_000 if hedge else None,
             )
             engine = ReplayEngine(cfg, policy=MemoizedPolicy())
+            if hedge:
+                engine.runtime.hedge = HedgePolicy(min_samples=10**9, on_slow=True)
             return engine.run(requests=requests)
 
         a, b = run(False), run(True)

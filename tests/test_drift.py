@@ -20,11 +20,11 @@ from repro.drift import (
     DriftState,
     Ewma,
     SelfHealingSelector,
-    SentinelConfig,
     StreamStats,
     Watchdog,
     attach_refit_hook,
 )
+from repro.drift.sentinel import CORRECTION_CLAMP, RECOVER_AFTER
 from repro.experiments import SkewScenario, run_drift
 from repro.faults import DeadlineExceeded
 from repro.machines import (
@@ -92,27 +92,6 @@ class TestCusum:
         assert c.statistic == 0.0 and not c.tripped
 
 
-class TestSentinelConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"ewma_alpha": 0.0},
-            {"ewma_alpha": 1.5},
-            {"warmup": 0},
-            {"cusum_k": -0.1},
-            {"cusum_h": 0.0},
-            {"suspect_fraction": 1.0},
-            {"recover_band": 0.0},
-            {"recover_after": 0},
-            {"correction_clamp": 0.5},
-            {"measured_alpha": 0.0},
-        ],
-    )
-    def test_invalid_config_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            SentinelConfig(**kwargs)
-
-
 class TestStreamStats:
     def _warm(self, stream: StreamStats, ratio: float = 1.0, n: int = 3):
         for _ in range(n):
@@ -121,14 +100,14 @@ class TestStreamStats:
     def test_static_bias_absorbed_by_baseline(self):
         # a constant 2x model error is the *accepted* static error: the
         # warmup baseline captures it and the stream never leaves CALIBRATED
-        s = StreamStats("gpu", "r", SentinelConfig())
+        s = StreamStats("gpu", "r")
         for _ in range(50):
             assert s.observe(1.0, 2.0) is DriftState.CALIBRATED
         assert s.correction() == 1.0
         assert s.baseline == pytest.approx(math.log(2.0))
 
     def test_level_shift_reaches_drifted(self):
-        s = StreamStats("gpu", "r", SentinelConfig())
+        s = StreamStats("gpu", "r")
         self._warm(s)
         # a 6x shift is log(6) ~ 1.79 > h = 0.6: one observation trips
         assert s.observe(1.0, 6.0) is DriftState.DRIFTED
@@ -137,38 +116,36 @@ class TestStreamStats:
         assert s.correction() == pytest.approx(6.0)
 
     def test_suspect_between_noise_floor_and_threshold(self):
-        s = StreamStats("gpu", "r", SentinelConfig())
+        s = StreamStats("gpu", "r")
         self._warm(s)
         # residual 0.4 - k 0.05 = 0.35: above h/2 = 0.3, below h = 0.6
         assert s.observe(1.0, math.exp(0.4)) is DriftState.SUSPECT
         assert s.correction() == 1.0  # SUSPECT does not correct yet
 
     def test_streak_based_recovery_resets_cusum(self):
-        cfg = SentinelConfig()
-        s = StreamStats("gpu", "r", cfg)
+        s = StreamStats("gpu", "r")
         self._warm(s)
         s.observe(1.0, 6.0)
         assert s.state is DriftState.DRIFTED
         # recover_after consecutive in-band residuals re-promote the stream
-        for _ in range(cfg.recover_after - 1):
+        for _ in range(RECOVER_AFTER - 1):
             assert s.observe(1.0, 1.0) is DriftState.DRIFTED
         assert s.observe(1.0, 1.0) is DriftState.CALIBRATED
         assert s.cusum.statistic == 0.0
         assert s.correction() == 1.0
 
     def test_recovery_streak_broken_by_outlier(self):
-        cfg = SentinelConfig()
-        s = StreamStats("gpu", "r", cfg)
+        s = StreamStats("gpu", "r")
         self._warm(s)
         s.observe(1.0, 6.0)
-        for _ in range(cfg.recover_after - 1):
+        for _ in range(RECOVER_AFTER - 1):
             s.observe(1.0, 1.0)
         s.observe(1.0, 6.0)  # outlier restarts the streak
-        for _ in range(cfg.recover_after - 1):
+        for _ in range(RECOVER_AFTER - 1):
             assert s.observe(1.0, 1.0) is DriftState.DRIFTED
 
     def test_invalid_pairs_ignored(self):
-        s = StreamStats("gpu", "r", SentinelConfig())
+        s = StreamStats("gpu", "r")
         for predicted, observed in [
             (math.nan, 1.0),
             (1.0, math.inf),
@@ -179,12 +156,11 @@ class TestStreamStats:
         assert s.observations == 0
 
     def test_correction_clamped(self):
-        cfg = SentinelConfig()
-        s = StreamStats("gpu", "r", cfg)
+        s = StreamStats("gpu", "r")
         self._warm(s)
         s.observe(1.0, 1e6)
         assert s.state is DriftState.DRIFTED
-        assert s.correction() == cfg.correction_clamp
+        assert s.correction() == CORRECTION_CLAMP
 
 
 class TestDriftSentinel:

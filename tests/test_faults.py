@@ -23,11 +23,12 @@ from repro.faults import (
     FaultInjector,
     FootprintOOM,
     LaunchContext,
+    MAX_ATTEMPTS,
     ProbabilisticFault,
-    RetryPolicy,
     ScheduledFault,
     TransferError,
     TransientDeviceError,
+    backoff_delay,
     region_footprint_bytes,
     scenario_by_name,
 )
@@ -235,11 +236,11 @@ class TestResilientDispatch:
         assert rec.target == "gpu" and rec.requested_target == "gpu"
         assert rec.attempts == 2 and len(rec.fault_events) == 1
         assert rec.fallback is None
-        assert rec.overhead_seconds == pytest.approx(rt.retry.delay(1))
+        assert rec.overhead_seconds == pytest.approx(backoff_delay(1))
         assert rec.executed_seconds == pytest.approx(
             rec.gpu_seconds + rec.overhead_seconds
         )
-        assert rt.clock.now == pytest.approx(rt.retry.delay(1))
+        assert rt.clock.now == pytest.approx(backoff_delay(1))
 
     def test_retries_exhausted_falls_back_to_host(self):
         inj = FaultInjector([ScheduledFault(TransferError, launches=(0,))])
@@ -248,10 +249,11 @@ class TestResilientDispatch:
         rec = rt.launch("gemm", ENV)
         assert rec.target == "cpu" and rec.requested_target == "gpu"
         assert rec.fallback == "retries-exhausted"
-        assert rec.attempts == rt.retry.max_attempts
-        assert len(rec.fault_events) == rt.retry.max_attempts
+        assert rec.attempts == MAX_ATTEMPTS
+        assert len(rec.fault_events) == MAX_ATTEMPTS
         assert rec.executed_seconds == pytest.approx(
-            rec.cpu_seconds + rt.retry.total_backoff(rt.retry.max_attempts - 1)
+            rec.cpu_seconds
+            + sum(backoff_delay(k) for k in range(1, MAX_ATTEMPTS))
         )
         # a later untouched launch offloads normally again
         clean = rt.launch("gemm", ENV)
@@ -420,58 +422,16 @@ class TestMultiDeviceResilience:
 
 
 class TestRetryPolicyProperties:
-    """Property-style checks for the hardened backoff arithmetic."""
+    """The backoff arithmetic every retry loop uses."""
 
     def test_defaults_reproduce_historical_delays(self):
-        retry = RetryPolicy()
-        assert retry.delay(1) == 1e-3
-        assert retry.delay(2) == 2e-3
-        assert retry.total_backoff(2) == 3e-3
-
-    def test_jitter_free_delays_monotone_and_clamped(self):
-        retry = RetryPolicy(max_attempts=64, max_delay_s=0.05)
-        delays = [retry.delay(k) for k in range(1, 65)]
-        assert all(a <= b for a, b in zip(delays, delays[1:]))
-        assert max(delays) == 0.05  # clamp reached and never exceeded
-
-    def test_jitter_bounded_and_applied_after_clamp(self):
-        retry = RetryPolicy(max_delay_s=0.05, jitter=0.5, seed=7)
-        for attempt in range(1, 40):
-            delay = retry.delay(attempt)
-            clamped = min(1e-3 * 2.0 ** (attempt - 1), 0.05)
-            assert clamped <= delay <= clamped * 1.5
-
-    def test_jitter_deterministic_for_fixed_seed(self):
-        a = RetryPolicy(jitter=0.3, seed=11)
-        b = RetryPolicy(jitter=0.3, seed=11)
-        other = RetryPolicy(jitter=0.3, seed=12)
-        sequence = [a.delay(k) for k in range(1, 20)]
-        assert sequence == [b.delay(k) for k in range(1, 20)]
-        assert sequence != [other.delay(k) for k in range(1, 20)]
-
-    def test_huge_attempt_counts_do_not_overflow(self):
-        # 2**1e6 overflows a float; both paths must saturate, not raise
-        unclamped = RetryPolicy()
-        assert unclamped.delay(10_000) == math.inf
-        assert unclamped.total_backoff(10**6) == math.inf
-        clamped = RetryPolicy(max_delay_s=0.05)
-        assert clamped.delay(10_000) == 0.05
-        total = clamped.total_backoff(10**6)
-        assert math.isfinite(total)
-        # the closed-form tail matches attempt-count * clamp asymptotics
-        assert total == pytest.approx(10**6 * 0.05, rel=1e-3)
-
-    def test_constant_backoff_closed_form(self):
-        retry = RetryPolicy(backoff_factor=1.0, backoff_base_s=2e-3)
-        assert retry.total_backoff(10**9) == pytest.approx(10**9 * 2e-3)
+        assert backoff_delay(1) == 1e-3
+        assert backoff_delay(2) == 2e-3
+        assert backoff_delay(1) + backoff_delay(2) == 3e-3
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RetryPolicy(max_delay_s=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
-        with pytest.raises(ValueError):
-            RetryPolicy().delay(0)
+            backoff_delay(0)
 
 
 class TestHealthDecay:

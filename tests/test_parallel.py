@@ -21,7 +21,6 @@ from repro.experiments.service import run_service
 from repro.experiments.trace import run_trace
 from repro.obs import MetricsRegistry, Tracer
 from repro.parallel import (
-    CHUNK_ENV,
     AnalysisCache,
     ObsTaskResult,
     SweepEngine,
@@ -289,40 +288,15 @@ def sequential_canon():
 
 
 class TestDifferentialChunked:
-    """Chunked parallel sweeps are byte-identical to sequential.
+    """Chunked parallel sweeps (one chunk per worker) match sequential."""
 
-    The full jobs x chunk grid from the issue: explicit tiny chunks
-    (maximum IPC), the auto ``ceil(n/jobs)`` size, and a chunk larger
-    than the whole grid (one chunk, jobs-1 idle workers).
-    """
-
-    @pytest.mark.parametrize("chunk", [1, 3, None, 10_000])
     @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_measure_and_predict_bitwise(self, sequential_canon, jobs, chunk):
+    def test_measure_and_predict_bitwise(self, sequential_canon, jobs):
         seq_ms, seq_ps = sequential_canon
-        par_ms = canon_measurements(
-            measure_suite("p9-v100", "test", jobs=jobs, chunk=chunk)
-        )
-        par_ps = canon_predictions(
-            predict_suite("p9-v100", "test", jobs=jobs, chunk=chunk)
-        )
+        par_ms = canon_measurements(measure_suite("p9-v100", "test", jobs=jobs))
+        par_ps = canon_predictions(predict_suite("p9-v100", "test", jobs=jobs))
         assert par_ms == seq_ms
         assert par_ps == seq_ps
-
-    def test_chunk_env_fallback(self, monkeypatch, sequential_canon):
-        seq_ms, _ = sequential_canon
-        monkeypatch.setenv(CHUNK_ENV, "3")
-        assert SweepEngine(2).chunk == 3
-        par_ms = canon_measurements(measure_suite("p9-v100", "test", jobs=2))
-        assert par_ms == seq_ms
-
-    def test_chunk_env_garbage_degrades_to_auto(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ENV, "several")
-        assert SweepEngine(2).chunk is None
-
-    def test_explicit_chunk_beats_env(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ENV, "3")
-        assert SweepEngine(2, chunk=5).chunk == 5
 
     def test_warm_cache_chunked_bitwise(self, sequential_canon, tmp_path):
         """Parallel + persistent cache: populate, then replay, stay equal.
@@ -336,12 +310,8 @@ class TestDifferentialChunked:
         cache_dir = str(tmp_path / "cache")
         warm = AnalysisCache(cache_dir)
         with warm.activate():
-            par_ms = canon_measurements(
-                measure_suite("p9-v100", "test", jobs=2, chunk=3)
-            )
-            par_ps = canon_predictions(
-                predict_suite("p9-v100", "test", jobs=2, chunk=3)
-            )
+            par_ms = canon_measurements(measure_suite("p9-v100", "test", jobs=2))
+            par_ps = canon_predictions(predict_suite("p9-v100", "test", jobs=2))
         assert par_ms == seq_ms
         assert par_ps == seq_ps
         # the parent cache absorbed the workers' entries: a sequential
@@ -364,14 +334,15 @@ class TestCacheEntryShipping:
         stamps = tmp_path / "stamps"
         stamps.mkdir()
         items = [(str(stamps), i) for i in range(6)]
-        engine = SweepEngine(2, chunk=1)
+        engine = SweepEngine(3)
         first = engine.map(_stamped_cached_task, items)
         assert first == [i * i for i in range(6)]
         after_first = sorted(p.name for p in stamps.iterdir())
         assert after_first == sorted(f"compute-{i}" for i in range(6))
-        # different chunking lands cases on *different* slots: values must
-        # arrive via the parent store broadcast, not slot-local memory
-        again = SweepEngine(2, chunk=3).map(_stamped_cached_task, items)
+        # a different worker count lands cases on *different* workers:
+        # values must arrive via the parent store broadcast, not
+        # worker-local memory
+        again = SweepEngine(2).map(_stamped_cached_task, items)
         assert again == first
         assert sorted(p.name for p in stamps.iterdir()) == after_first
 

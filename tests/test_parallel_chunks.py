@@ -3,52 +3,48 @@
 The partition is the load-bearing pure function of the warm-worker
 engine: the declaration-ordered merge, the slot-affinity mapping and the
 differential guarantees all assume that ``partition_chunks`` covers
-every case index exactly once, in order, for *any* ``(n_items, jobs,
-chunk)`` — including degenerate shapes (``jobs > n_items``, ``chunk >
-n_items``, empty grids) a hand-written example table would miss.  The
-hypothesis runs are derandomized so CI failures replay exactly.
+every case index exactly once, in order, for *any* ``(n_items, jobs)``
+— including degenerate shapes (``jobs > n_items``, empty grids) a
+hand-written example table would miss.  The hypothesis runs are
+derandomized so CI failures replay exactly.
 """
+
+import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.parallel import (
-    AnalysisCache,
-    auto_chunk_size,
-    partition_chunks,
-    resolve_chunk,
-)
+from repro.parallel import AnalysisCache, partition_chunks
 
 SETTINGS = settings(max_examples=200, derandomize=True, deadline=None)
 
 n_items_st = st.integers(min_value=0, max_value=500)
 jobs_st = st.integers(min_value=1, max_value=64)
-chunk_st = st.one_of(st.none(), st.integers(min_value=1, max_value=600))
 
 
 class TestPartitionChunks:
     @SETTINGS
-    @given(n=n_items_st, jobs=jobs_st, chunk=chunk_st)
-    def test_every_index_exactly_once_in_order(self, n, jobs, chunk):
-        chunks = partition_chunks(n, jobs, chunk)
+    @given(n=n_items_st, jobs=jobs_st)
+    def test_every_index_exactly_once_in_order(self, n, jobs):
+        chunks = partition_chunks(n, jobs)
         flat = [i for c in chunks for i in c]
         assert flat == list(range(n))
 
     @SETTINGS
-    @given(n=n_items_st, jobs=jobs_st, chunk=chunk_st)
-    def test_no_chunk_is_empty(self, n, jobs, chunk):
-        assert all(len(c) > 0 for c in partition_chunks(n, jobs, chunk))
+    @given(n=n_items_st, jobs=jobs_st)
+    def test_no_chunk_is_empty(self, n, jobs):
+        assert all(len(c) > 0 for c in partition_chunks(n, jobs))
 
     @SETTINGS
-    @given(jobs=jobs_st, chunk=chunk_st)
-    def test_empty_grid_partitions_to_nothing(self, jobs, chunk):
-        assert partition_chunks(0, jobs, chunk) == []
+    @given(jobs=jobs_st)
+    def test_empty_grid_partitions_to_nothing(self, jobs):
+        assert partition_chunks(0, jobs) == []
 
     @SETTINGS
     @given(n=st.integers(min_value=1, max_value=500), jobs=jobs_st)
     def test_auto_size_yields_at_most_jobs_chunks(self, n, jobs):
         chunks = partition_chunks(n, jobs)
         assert len(chunks) <= jobs
-        assert all(len(c) <= auto_chunk_size(n, jobs) for c in chunks)
+        assert all(len(c) <= math.ceil(n / jobs) for c in chunks)
 
     @SETTINGS
     @given(n=st.integers(min_value=1, max_value=63))
@@ -58,44 +54,9 @@ class TestPartitionChunks:
         assert all(len(c) == 1 for c in chunks)
 
     @SETTINGS
-    @given(
-        n=st.integers(min_value=1, max_value=100),
-        jobs=jobs_st,
-        extra=st.integers(min_value=0, max_value=100),
-    )
-    def test_oversized_chunk_is_one_whole_grid_batch(self, n, jobs, extra):
-        chunks = partition_chunks(n, jobs, chunk=n + extra)
-        assert len(chunks) == 1
-        assert list(chunks[0]) == list(range(n))
-
-    @SETTINGS
-    @given(n=n_items_st, jobs=jobs_st, chunk=chunk_st)
-    def test_partition_is_deterministic(self, n, jobs, chunk):
-        assert partition_chunks(n, jobs, chunk) == partition_chunks(
-            n, jobs, chunk
-        )
-
-
-class TestResolveChunk:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK", "7")
-        assert resolve_chunk(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK", "7")
-        assert resolve_chunk() == 7
-
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHUNK", raising=False)
-        assert resolve_chunk() is None
-
-    def test_garbage_env_degrades_to_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK", "several")
-        assert resolve_chunk() is None
-
-    def test_floor_at_one(self):
-        assert resolve_chunk(0) == 1
-        assert resolve_chunk(-3) == 1
+    @given(n=n_items_st, jobs=jobs_st)
+    def test_partition_is_deterministic(self, n, jobs):
+        assert partition_chunks(n, jobs) == partition_chunks(n, jobs)
 
 
 # strategy for shipped [key, kind, value] triples with deliberate key

@@ -95,7 +95,7 @@ def _labels(n=6):
 class TestPoisonedChunk:
     def test_task_exception_names_the_case(self, tmp_path):
         with pytest.raises(ChunkFailure) as err:
-            SweepEngine(2, chunk=2).map(
+            SweepEngine(3).map(
                 _poison, _items(tmp_path), labels=_labels()
             )
         assert err.value.cases == ("case-3",)
@@ -113,24 +113,24 @@ class TestCrashedWorker:
         # the chunk holding index 2 dies on the original pool AND on the
         # restarted one; the failure names exactly that chunk's cases
         with pytest.raises(ChunkFailure) as err:
-            SweepEngine(2, chunk=2).map(
+            SweepEngine(3).map(
                 _crash_always, _items(tmp_path), labels=_labels()
             )
         assert err.value.cases == ("case-2", "case-3")
         assert "case-2" in str(err.value)
 
     def test_crash_once_is_resubmitted_to_completion(self, tmp_path):
-        engine = SweepEngine(2, chunk=2)
+        engine = SweepEngine(3)
         values = engine.map(_crash_once, _items(tmp_path), labels=_labels())
         assert values == list(range(6))  # no row lost to the dead worker
-        assert _POOLS[(2, None)].restarts == 1
+        assert _POOLS[(3, None)].restarts == 1
 
     def test_warm_state_rebuilt_after_restart(self, tmp_path):
         stamps = tmp_path / "stamps"
         stamps.mkdir()
         items = [(str(stamps), i) for i in range(6)]
         # prime the parent store: every value computed exactly once
-        warm = SweepEngine(2, chunk=2).map(
+        warm = SweepEngine(3).map(
             _cached_crash_once, [(str(stamps), i) for i in (0, 1, 3, 4, 5)]
         )
         assert warm == [100, 101, 103, 104, 105]
@@ -138,10 +138,10 @@ class TestCrashedWorker:
         # index 2 kills its worker; the restarted pool gets the full
         # store re-broadcast, so the resubmitted chunk *replays* the
         # primed values instead of recomputing them
-        values = SweepEngine(2, chunk=2).map(
+        values = SweepEngine(3).map(
             _cached_crash_once, items, labels=_labels()
         )
         assert values == [100 + i for i in range(6)]
-        assert _POOLS[(2, None)].restarts == 1
+        assert _POOLS[(3, None)].restarts == 1
         after = sorted(p.name for p in stamps.iterdir())
         assert set(after) - set(primed) == {"compute-2", "crashed-once"}

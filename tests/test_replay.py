@@ -113,8 +113,6 @@ class TestWorkload:
             WorkloadConfig(sizes=(256,), size_weights=(0.5, 0.5))
         with pytest.raises(ValueError):
             WorkloadConfig(mean_interarrival_s=0.0)
-        with pytest.raises(ValueError):
-            WorkloadConfig(burst_factor=0.5)
 
     def test_catalog_covers_suite_times_sizes(self):
         cases, regions = build_catalog((256, 512))
@@ -218,10 +216,7 @@ class TestAdmissionQueue:
             AdmissionConfig(policy="drop")
         with pytest.raises(ValueError):
             AdmissionConfig(defer_capacity=0)
-        with pytest.raises(ValueError, match="resume_depth must be >= 1"):
-            AdmissionConfig(policy="defer", capacity=4, resume_depth=0)
         assert AdmissionConfig(capacity=8).effective_resume_depth == 4
-        assert AdmissionConfig(capacity=8, resume_depth=2).effective_resume_depth == 2
 
 
 class TestDifferential:

@@ -39,7 +39,6 @@ from repro.replay import (
     MemoizedPolicy,
     ReplayConfig,
     ReplayEngine,
-    ServiceConfig,
     WorkloadConfig,
     score_run,
 )
@@ -124,24 +123,32 @@ def _check_golden(request, scenario: str, run) -> None:
     assert got["outcomes_sha256"] == want["outcomes_sha256"]
 
 
-class TestServiceConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(quantum_s=-1.0)
-        with pytest.raises(ValueError):
-            ServiceConfig(quantum_s=math.nan)
-        with pytest.raises(ValueError):
-            ServiceConfig(servers=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(host_servers=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(max_batch=0)
+class TestLaneShapes:
+    def test_each_shape_builds_its_lanes(self, shared):
+        workload = WorkloadConfig(launches=60, seed=1)
 
-    def test_serial_is_single_serial_lane(self):
-        cfg = ServiceConfig.serial()
-        assert cfg.servers == cfg.host_servers == cfg.max_batch == 1
-        assert not cfg.overlap
-        assert cfg.quantum_s == 0.0
+        def lanes(run):
+            return [
+                (name, len(lane.compute_free), lane.channelled)
+                for name, lane in run.service.lanes.items()
+            ]
+
+        serial = _engine(
+            ReplayConfig(platform=PLATFORM_P9_V100, workload=workload), shared
+        ).run()
+        assert lanes(serial) == [("dispatcher", 1, False)]
+        assert all(o.finish_s is None for o in serial.outcomes)
+        assert score_run(serial).service is None
+
+        per_device = _engine(
+            ReplayConfig(platform=PLATFORM_P9_V100, workload=workload, service=True),
+            shared,
+        ).run()
+        assert lanes(per_device) == [("cpu", 2, False), ("gpu", 2, True)]
+        assert all(
+            o.finish_s is not None for o in per_device.outcomes if o.launched
+        )
+        assert score_run(per_device).service is not None
 
 
 class TestCompatDifferential:
@@ -406,7 +413,6 @@ class TestBulkheadRegression:
             ),
             service=True,
             bulkhead_slots=1,
-            service_config=ServiceConfig(servers=2, host_servers=2),
         )
         run = _engine(cfg, shared).run()
         rerouted = [
@@ -538,7 +544,6 @@ class TestCoverageEdges:
                 launches=1200, seed=6, mean_interarrival_s=2e-4
             ),
             service=True,
-            service_config=ServiceConfig(quantum_s=2e-3, max_batch=8),
         )
         run = _engine(cfg, shared).run()
         snap = run.queue.snapshot()
