@@ -3,10 +3,11 @@
 At "compile" time, the framework stores the static products of analysis for
 every outlined target region: the symbolic IPDA strides, the instruction
 loadout skeleton, the symbolic parallel-iteration count, symbolic
-transfer sizes and, once per host CPU, the lowered parallel band the MCA
-scoreboard prices.  At execution time, the OpenMP runtime queries the entry by
-region key, binds the missing runtime values, and hands completed model
-inputs to the performance models.
+transfer sizes and, once per host CPU, the lowered loop nest and its
+parallel band the MCA scoreboard prices.  At execution time, the OpenMP
+runtime queries the entry by region key, binds the missing runtime values,
+and hands completed model inputs to the performance models; the
+simulators that stand in for the hardware price the same record.
 """
 
 from __future__ import annotations
@@ -45,26 +46,40 @@ class RegionAttributes:
     #: bit-identical to the historical behaviour); "inferred" prices them
     #: from the dataflow analysis (drops provably wasted directions)
     transfer_mode: str = "declared"
-    #: (host descriptor, its band level) pairs filled by ``band_level``
-    _bands: list[tuple[CPUDescriptor, LoweredLevel]] = field(
+    #: (host descriptor, its lowered tree, the tree's band level) entries
+    #: filled by ``_lowering``
+    _bands: list[tuple[CPUDescriptor, LoweredLevel, LoweredLevel]] = field(
         default_factory=list, init=False, compare=False, repr=False
     )
 
-    def band_level(self, cpu: CPUDescriptor) -> LoweredLevel:
-        """The innermost parallel band level lowered for ``cpu``.
+    def _lowering(self, cpu: CPUDescriptor) -> tuple[LoweredLevel, LoweredLevel]:
+        """The region lowered for ``cpu`` and its band level, memoized.
 
         Lowering is compile-time work: it depends on the region and the
         host descriptor only, so each record lowers once per descriptor
-        and every launch reuses the level.  Descriptors are matched by
+        and every launch reuses the tree.  Descriptors are matched by
         value, not by name: a same-name variant built with
-        ``dataclasses.replace`` (an ablation, a test) gets its own level.
+        ``dataclasses.replace`` (an ablation, a test) gets its own tree.
         """
-        for known, level in self._bands:
+        for known, tree, level in self._bands:
             if known is cpu or known == cpu:
-                return level
-        level = find_band_level(lower_region(self.region, cpu))
-        self._bands.append((cpu, level))
-        return level
+                return tree, level
+        tree = lower_region(self.region, cpu)
+        level = find_band_level(tree)
+        self._bands.append((cpu, tree, level))
+        return tree, level
+
+    def lowered(self, cpu: CPUDescriptor) -> LoweredLevel:
+        """The region's whole loop nest lowered for ``cpu`` (vectorized).
+
+        The CPU simulator prices this tree: ``simulate_cpu(...,
+        lowered=attrs.lowered(cpu))``.
+        """
+        return self._lowering(cpu)[0]
+
+    def band_level(self, cpu: CPUDescriptor) -> LoweredLevel:
+        """The innermost parallel band level of :meth:`lowered` for ``cpu``."""
+        return self._lowering(cpu)[1]
 
     def bind(self, env: Mapping[str, int]) -> "BoundAttributes":
         """Complete the record with runtime values (Figure 2, runtime side).

@@ -364,13 +364,20 @@ def _run_scenario(
     platform: Platform,
     num_threads: int | None,
 ) -> ScenarioOutcome:
-    declared_db = ProgramAttributeDatabase()
+    attrs = ProgramAttributeDatabase().compile_region(region)
     inferred_db = ProgramAttributeDatabase(inferred_transfers=True)
-    declared = declared_db.compile_region(region).bind(env)
+    declared = attrs.bind(env)
     inferred = inferred_db.compile_region(region).bind(env)
     report = lint_region(region, env=env, platform=platform)
-    cpu = simulate_cpu(region, platform.host, env, num_threads=num_threads)
-    gpu = simulate_gpu_kernel(region, platform.gpu, env)
+    cpu = simulate_cpu(
+        region,
+        platform.host,
+        env,
+        num_threads=num_threads,
+        ipda=attrs.ipda,
+        lowered=attrs.lowered(platform.host),
+    )
+    gpu = simulate_gpu_kernel(region, platform.gpu, env, ipda=attrs.ipda)
     declared_xfer = simulate_transfers(region, platform.bus, env)
     inferred_xfer_s = _inferred_transfer_sim_seconds(
         region, inferred, platform, env

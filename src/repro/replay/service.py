@@ -407,8 +407,8 @@ class OffloadService:
                 gpu_s = memo.execution(accel, attrs, env, key).seconds
             else:
                 bound = attrs.bind(env)
-                cpu_s = host.execute(attrs.region, env).seconds
-                gpu_s = accel.execute(attrs.region, env).seconds
+                cpu_s = host.execute(attrs, env).seconds
+                gpu_s = accel.execute(attrs, env).seconds
             target, _ = self.engine.policy.choose(
                 bound,
                 rt.platform,
@@ -603,7 +603,7 @@ class OffloadService:
                 key = case_key(request.case.region_name, env)
                 detail = rt.memo.execution(accel, attrs, env, key).detail
             else:
-                detail = accel.execute(attrs.region, env).detail
+                detail = accel.execute(attrs, env).detail
             fractions = (0.0, 1.0, 0.0)
             if isinstance(detail, tuple) and len(detail) == 2:
                 kernel, xfer = detail

@@ -4,6 +4,11 @@ A :class:`Device` wraps "hardware" (a timing simulator) behind the execute
 interface the runtime uses.  ``execute`` returns the region's wall time the
 way the paper measures it: host time is the parallel region itself; device
 time includes data transfers but never CUDA context initialization.
+
+``execute`` takes the region's compiled record
+(:class:`~repro.analysis.RegionAttributes`), not the bare region: the
+simulators price its IPDA result and, on the host, the loop nest it
+lowered for this device's CPU, so a launch reruns neither analysis.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from ..ir import Region
+from ..analysis import RegionAttributes
 from ..machines import CPUDescriptor, GPUDescriptor, InterconnectDescriptor
 from ..sim import simulate_cpu, simulate_gpu_kernel, simulate_transfers
 
@@ -34,7 +39,9 @@ class Device:
     name: str
     kind: str
 
-    def execute(self, region: Region, env: Mapping[str, int]) -> ExecutionRecord:
+    def execute(
+        self, attrs: RegionAttributes, env: Mapping[str, int]
+    ) -> ExecutionRecord:
         raise NotImplementedError
 
 
@@ -48,8 +55,17 @@ class HostDevice(Device):
         self.num_threads = num_threads
         self.name = cpu.name if num_threads is None else f"{cpu.name}x{num_threads}"
 
-    def execute(self, region: Region, env: Mapping[str, int]) -> ExecutionRecord:
-        res = simulate_cpu(region, self.cpu, env, num_threads=self.num_threads)
+    def execute(
+        self, attrs: RegionAttributes, env: Mapping[str, int]
+    ) -> ExecutionRecord:
+        res = simulate_cpu(
+            attrs.region,
+            self.cpu,
+            env,
+            num_threads=self.num_threads,
+            ipda=attrs.ipda,
+            lowered=attrs.lowered(self.cpu),
+        )
         return ExecutionRecord(self.name, self.kind, res.seconds, res)
 
     def __repr__(self) -> str:
@@ -73,11 +89,17 @@ class AcceleratorDevice(Device):
         self.threads_per_block = threads_per_block
         self.name = f"{gpu.name} via {bus.name}"
 
-    def execute(self, region: Region, env: Mapping[str, int]) -> ExecutionRecord:
+    def execute(
+        self, attrs: RegionAttributes, env: Mapping[str, int]
+    ) -> ExecutionRecord:
         kernel = simulate_gpu_kernel(
-            region, self.gpu, env, threads_per_block=self.threads_per_block
+            attrs.region,
+            self.gpu,
+            env,
+            threads_per_block=self.threads_per_block,
+            ipda=attrs.ipda,
         )
-        xfer = simulate_transfers(region, self.bus, env)
+        xfer = simulate_transfers(attrs.region, self.bus, env)
         total = kernel.seconds + xfer.total_seconds
         return ExecutionRecord(self.name, self.kind, total, (kernel, xfer))
 

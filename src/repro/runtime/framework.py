@@ -352,7 +352,7 @@ class OffloadingRuntime:
         if self.memo is not None:
             seconds = self.memo.execution(device, attrs, env, key).seconds
         else:
-            seconds = device.execute(attrs.region, env).seconds
+            seconds = device.execute(attrs, env).seconds
         if self.time_dilation is not None:
             seconds *= self.time_dilation(device.kind)
         return seconds

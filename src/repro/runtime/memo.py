@@ -10,9 +10,11 @@ launch to microseconds while returning the *identical* values — records
 stay bit-identical to an unmemoized runtime, which the replay
 differential tests pin.
 
-Every lookup takes the launch's case key
-(:func:`~repro.runtime.dispatch.case_key` of the region name and env),
-which the runtime builds once per launch.
+Every lookup takes the region's compiled record and the launch's case
+key (:func:`~repro.runtime.dispatch.case_key` of the region name and
+env), which the runtime builds once per launch.  The record carries the
+static products a miss prices (the IPDA result and the loop nest lowered
+per host CPU), so the memo keys on the runtime half alone.
 The memo is safe to share across runtimes (and across replay scenarios)
 as long as they run the same platform and host team size: execution keys
 include the executing device names, so a memo accidentally shared across
@@ -58,12 +60,12 @@ class ExecutionMemo:
         env: Mapping[str, int],
         key: str,
     ) -> ExecutionRecord:
-        """``device.execute(region, env)``, computed once per device/case."""
+        """``device.execute(attrs, env)``, computed once per device/case."""
         dkey = (device.name, key)
         hit = self._executions.get(dkey)
         if hit is None:
             self.misses += 1
-            hit = self._executions[dkey] = device.execute(attrs.region, env)
+            hit = self._executions[dkey] = device.execute(attrs, env)
         else:
             self.hits += 1
         return hit

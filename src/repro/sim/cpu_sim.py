@@ -13,6 +13,12 @@ says its model lacks:
 
 Time is per target region (the quantity the paper's tables report for the
 host), fork/join/schedule overheads included, no data transfer.
+
+The simulator takes the region's compile-time products the way the
+predictor does: a caller holding the compiled record
+(:class:`~repro.analysis.RegionAttributes`) passes its IPDA result and its
+lowered loop nest, so a launch binds sizes and prices the tree without
+rerunning either analysis.  A bare region is analysed here.
 """
 
 from __future__ import annotations
@@ -24,10 +30,11 @@ from typing import Mapping
 from ..codegen import CPUPlan, OMPSchedule, plan_cpu_execution
 from ..ipda import IPDAResult, analyze_region
 from ..ir import Region
-from ..ir.visit import count_reductions, memory_accesses
+from ..ir.visit import count_reductions
 from ..machines import CPUDescriptor
 from ..obs.tracer import current_tracer
 from ..mca import (
+    LoweredLevel,
     MachineOp,
     find_band_level,
     level_cycles_per_iteration,
@@ -99,7 +106,6 @@ def _access_specs(
     trip_of,
 ) -> tuple[list[AccessSpec], list[list[int]]]:
     """Build per-thread access specs + stencil groups for the region."""
-    accesses = memory_accesses(region)
     band_vars = [lp.var.name for lp in region.parallel_band()]
 
     # Per-thread trips of each band loop: inner band dims run fully; the
@@ -116,7 +122,8 @@ def _access_specs(
 
     specs: list[AccessSpec] = []
     keys: list[tuple] = []
-    for acc, stride_info in zip(accesses, ipda.accesses):
+    for stride_info in ipda.accesses:
+        acc = stride_info.access
         loops: list[LoopExtent] = []
         for lp in reversed(acc.loop_path):  # innermost first
             coeff = stride_info.loop_strides.get(lp.var.name)
@@ -162,18 +169,30 @@ def simulate_cpu(
     vectorize: bool = True,
     schedule: OMPSchedule = OMPSchedule.STATIC,
     chunk_size: int | None = None,
+    ipda: IPDAResult | None = None,
+    lowered: LoweredLevel | None = None,
 ) -> CPUSimResult:
-    """Simulate host-parallel execution of a region with actual sizes."""
+    """Simulate host-parallel execution of a region with actual sizes.
+
+    ``ipda`` and ``lowered`` are the region's compile-time products: its
+    IPDA result and its whole loop nest lowered for ``cpu`` under
+    ``vectorize``.  The attribute database stores both
+    (``RegionAttributes.ipda`` and ``RegionAttributes.lowered(cpu)``), so
+    a launch only binds values; either one left out is computed here
+    from ``region``.
+    """
     tracer = current_tracer()
     if not tracer.enabled:
         return _simulate_cpu(
             region, cpu, env, num_threads=num_threads, vectorize=vectorize,
-            schedule=schedule, chunk_size=chunk_size,
+            schedule=schedule, chunk_size=chunk_size, ipda=ipda,
+            lowered=lowered,
         )
     with tracer.span("sim.cpu", region=region.name, cpu=cpu.name) as sp:
         result = _simulate_cpu(
             region, cpu, env, num_threads=num_threads, vectorize=vectorize,
-            schedule=schedule, chunk_size=chunk_size,
+            schedule=schedule, chunk_size=chunk_size, ipda=ipda,
+            lowered=lowered,
         )
         sp.set("seconds", result.seconds)
         return result
@@ -188,6 +207,8 @@ def _simulate_cpu(
     vectorize: bool = True,
     schedule: OMPSchedule = OMPSchedule.STATIC,
     chunk_size: int | None = None,
+    ipda: IPDAResult | None = None,
+    lowered: LoweredLevel | None = None,
 ) -> CPUSimResult:
     parallel_iters = int(region.parallel_iterations().evaluate(env))
     plan = plan_cpu_execution(
@@ -199,7 +220,8 @@ def _simulate_cpu(
     )
     mem = cpu_memory_hierarchy(cpu, plan.threads_per_core)
     trips = nest_trips(region, env)
-    ipda = analyze_region(region)
+    if ipda is None:
+        ipda = analyze_region(region)
 
     specs, groups = _access_specs(region, ipda, env, plan, trips)
     localities: dict[int, AccessLocality] = {}
@@ -222,12 +244,13 @@ def _simulate_cpu(
             return localities[idx].avg_latency_cycles
         return float(cpu.latency(op.opcode))
 
-    root = lower_region(region, cpu, vectorize=vectorize)
-    band = find_band_level(root)
+    if lowered is None:
+        lowered = lower_region(region, cpu, vectorize=vectorize)
+    band = find_band_level(lowered)
     per_iter = level_cycles_per_iteration(
         band, cpu, trips, latency_of=latency_of
     )
-    vectorized_accesses = _vectorized_access_indices(root)
+    vectorized_accesses = _vectorized_access_indices(lowered)
 
     tpc = plan.threads_per_core
     smt_penalty = tpc / cpu.smt_throughput(tpc)

@@ -17,7 +17,9 @@ abstracts, this simulator resolves:
 
 Kernel time = max(issue bound, memory bound) per wave × waves, floored by
 the DRAM roofline, plus launch overhead.  Transfers are simulated
-separately (:mod:`repro.sim.interconnect_sim`).
+separately (:mod:`repro.sim.interconnect_sim`).  A caller holding the
+region's compiled record passes its IPDA result, so a launch only binds
+the strides.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from typing import Mapping
 
 from ..analysis import extract_loadout, nest_trips
 from ..codegen import DEFAULT_THREADS_PER_BLOCK, GPULaunchPlan, plan_gpu_launch
-from ..ipda import analyze_region
+from ..ipda import IPDAResult, analyze_region
 from ..ir import Region
-from ..ir.visit import count_reductions, memory_accesses
+from ..ir.visit import count_reductions
 from ..machines import GPUDescriptor
 from ..obs.tracer import current_tracer
 from .locality import (
@@ -109,16 +111,22 @@ def simulate_gpu_kernel(
     env: Mapping[str, int],
     *,
     threads_per_block: int = DEFAULT_THREADS_PER_BLOCK,
+    ipda: IPDAResult | None = None,
 ) -> GPUSimResult:
-    """Simulate one kernel launch with actual sizes and real coalescing."""
+    """Simulate one kernel launch with actual sizes and real coalescing.
+
+    ``ipda`` is the region's compile-time IPDA result, which the
+    attribute database stores (``RegionAttributes.ipda``); left out, it
+    is computed here from ``region``.
+    """
     tracer = current_tracer()
     if not tracer.enabled:
         return _simulate_gpu_kernel(
-            region, gpu, env, threads_per_block=threads_per_block
+            region, gpu, env, threads_per_block=threads_per_block, ipda=ipda
         )
     with tracer.span("sim.gpu", region=region.name, gpu=gpu.name) as sp:
         result = _simulate_gpu_kernel(
-            region, gpu, env, threads_per_block=threads_per_block
+            region, gpu, env, threads_per_block=threads_per_block, ipda=ipda
         )
         sp.set("seconds", result.seconds)
         return result
@@ -130,6 +138,7 @@ def _simulate_gpu_kernel(
     env: Mapping[str, int],
     *,
     threads_per_block: int = DEFAULT_THREADS_PER_BLOCK,
+    ipda: IPDAResult | None = None,
 ) -> GPUSimResult:
     parallel_iters = int(region.parallel_iterations().evaluate(env))
     plan = plan_gpu_launch(
@@ -137,10 +146,11 @@ def _simulate_gpu_kernel(
     )
     trip_of = nest_trips(region, env)
     loadout = extract_loadout(region, trip_of)
-    ipda = analyze_region(region).bind(
+    if ipda is None:
+        ipda = analyze_region(region)
+    bound_ipda = ipda.bind(
         env, sector_bytes=gpu.sector_bytes, warp_size=gpu.warp_size
     )
-    accesses = memory_accesses(region)
     n_warps = plan.active_warps_per_sm
     total_threads = plan.total_threads
 
@@ -148,7 +158,8 @@ def _simulate_gpu_kernel(
     specs: list[AccessSpec] = []
     keys: list[tuple] = []
     hierarchies: list[MemoryHierarchy] = []
-    for acc, bound, weight in zip(accesses, ipda.accesses, loadout.access_weights):
+    for bound, weight in zip(bound_ipda.accesses, loadout.access_weights):
+        acc = bound.stride.access
         loops: list[LoopExtent] = []
         for lp in reversed(acc.loop_path):
             if lp.parallel:
@@ -227,7 +238,7 @@ def _simulate_gpu_kernel(
     device_l2_bytes = 0.0  # traffic crossing the L2→SM interface
     l2_bytes = gpu.l2_kib * 1024.0
     for i, (bound, weight, spec) in enumerate(
-        zip(ipda.accesses, loadout.access_weights, specs)
+        zip(bound_ipda.accesses, loadout.access_weights, specs)
     ):
         loc = localities[i]
         txn = bound.transactions_per_access
