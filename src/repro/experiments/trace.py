@@ -3,10 +3,12 @@
 Runs the Polybench suite through an :class:`OffloadingRuntime` with a
 live :class:`~repro.obs.Tracer` and :class:`~repro.obs.MetricsRegistry`
 attached, then exports the recorded pipeline — ``compile`` → ``analyse``
-on the compile side, ``launch`` → ``predict`` → ``dispatch`` (with the
-inner ``sim.*``/``ipda``/``mca`` stages) per launch — as Chrome
-``trace_event`` JSON or a terminal summary.  Everything is simulated and
-seeded, so two invocations produce byte-identical output.
+(with ``ipda.analyze``) on the compile side, ``launch`` → ``predict`` →
+``dispatch`` (with the inner ``sim.*`` and ``mca`` stages) per launch —
+as Chrome ``trace_event`` JSON or a terminal summary.  IPDA runs once
+per compiled region: the simulators price the compiled record.
+Everything is simulated and seeded, so two invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from ..obs import MetricsRegistry, Tracer, chrome_trace_json, render_trace_text
 from ..parallel import ObsTaskResult, SweepEngine, tracer_payload
 from ..polybench import SUITE, benchmark_by_name
 from ..runtime import LaunchRecord, ModelGuided, OffloadingRuntime
-from .common import _resolve_platform
+from .common import _calibration, _resolve_platform
 
 __all__ = ["TraceResult", "run_trace"]
 
@@ -74,16 +76,20 @@ def _trace_benchmark(task: tuple) -> ObsTaskResult:
 
     Each worker runs its own :class:`OffloadingRuntime` with a fresh
     tracer/registry pair and ships the snapshot + span payload back for
-    the declaration-ordered merge in :func:`run_trace`.
+    the declaration-ordered merge in :func:`run_trace`.  The parent fits
+    the model calibration once and ships it with every task, so no task
+    refits it.
     """
-    plat_name, mode, bench_name, num_threads = task
+    plat_name, mode, bench_name, num_threads, calibration = task
     plat = _resolve_platform(plat_name)
     spec = benchmark_by_name(bench_name)
     tracer = Tracer()
     metrics = MetricsRegistry()
+    policy = ModelGuided()
+    policy._calibrations[(plat.name, num_threads)] = calibration
     runtime = OffloadingRuntime(
         plat,
-        policy=ModelGuided(),
+        policy=policy,
         num_threads=num_threads,
         tracer=tracer,
         metrics=metrics,
@@ -128,9 +134,13 @@ def run_trace(
     )
     engine = SweepEngine(jobs)
     if engine.parallel:
+        calibration = _calibration(plat, num_threads)
         sweep = engine.map_obs(
             _trace_benchmark,
-            [(plat.name, mode, spec.name, num_threads) for spec in specs],
+            [
+                (plat.name, mode, spec.name, num_threads, calibration)
+                for spec in specs
+            ],
             labels=[spec.name for spec in specs],
         )
         names = [n for group_names, _ in sweep.values for n in group_names]

@@ -265,6 +265,15 @@ class TestDifferentialTrace:
             assert got["count"] == want["count"]
             assert got["sum"] == pytest.approx(want["sum"], rel=1e-12)
 
+    def test_parallel_trace_compiles_each_region_once(self):
+        # the parent fits the calibration once, so no task compiles the
+        # calibration kernels and each region has one compile span
+        par = run_trace(mode="test", jobs=2)
+        compiled = [
+            s.attrs["region"] for s in par.tracer.spans if s.name == "compile"
+        ]
+        assert sorted(compiled) == sorted(par.region_names)
+
     def test_parallel_trace_is_deterministic(self):
         a = run_trace(mode="test", benchmarks=["gemm", "atax"], jobs=2)
         b = run_trace(mode="test", benchmarks=["gemm", "atax"], jobs=2)
