@@ -2,10 +2,11 @@
 
 A :class:`Tracer` records nested spans — named intervals with structured
 attributes — for every stage of the Figure 2 pipeline: ``compile`` and
-``analyse`` on the compile-time side, ``launch``/``predict``/``dispatch``
-on the runtime side, plus the inner ``ipda.analyze``, ``mca.steady_state``
-and ``sim.cpu``/``sim.gpu`` stages.  Spans are keyed on the
-:class:`~repro.faults.SimulatedClock`: every timestamp is the simulated
+``analyse`` (holding ``ipda.analyze``) on the compile-time side,
+``launch``/``predict``/``dispatch`` on the runtime side, plus the inner
+``mca.steady_state`` and ``sim.cpu``/``sim.gpu`` stages.  The simulators
+price the compiled record, so a launch runs no IPDA.  Spans are keyed on
+the :class:`~repro.faults.SimulatedClock`: every timestamp is the simulated
 time in integer microseconds plus a strictly increasing tick, so traces
 are deterministic, totally ordered and nest exactly even when no
 simulated time elapses inside a span.
