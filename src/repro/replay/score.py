@@ -91,7 +91,7 @@ class ReplayScore:
     #: completion tails over the chaos-affected stretch only (service
     #: started inside a window + recovery margin); 0.0 without chaos.
     #: The trace-wide p99 is pinned by steady-state burst peaks, so this
-    #: is the tail a mitigation (hedging, bulkheads) can actually move.
+    #: is the tail a mitigation (hedging) can actually move.
     chaos_completion_p50_s: float
     chaos_completion_p99_s: float
     shed_fraction: float

@@ -39,7 +39,7 @@ lane, the overload policy decides its fate:
 An **unbounded** lane (``capacity=None``) admits everything and never
 consults the policy.  Everything happens on the engine's simulated
 clock, through the engine's own ``_launch`` path — chaos windows, drift,
-hedging, budgets and bulkheads all apply unchanged.  The service only
+hedging and budgets all apply unchanged.  The service only
 decides *when* each launch starts and what that implies for queueing
 accounting, so the same trace through the same shape yields
 byte-identical outcomes; ``tests/golden/replay_serial.json`` pins the
@@ -388,8 +388,8 @@ class OffloadService:
         The preview uses the *undilated* memoized times — the same inputs
         the policy sees on a calm run — so routing is a pure function of
         the case.  The launch itself may still land elsewhere (drift
-        pinning, bulkhead reroute, hedging); the lane only models where
-        the request queued.
+        pinning, a breaker or health reroute, hedging); the lane only
+        models where the request queued.
         """
         if not self.overlap:
             return self._lane_list[0]
@@ -555,7 +555,6 @@ class OffloadService:
         lane.max_wait_s = max(lane.max_wait_s, wait)
         self.stats.max_wait_s = max(self.stats.max_wait_s, wait)
         lane.book(finish)
-        self.engine._book(record, finish)
         self.dispatch_log.append(
             (
                 lane.name,

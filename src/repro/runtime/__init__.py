@@ -15,10 +15,8 @@ from ..faults import (
 )
 from .device import AcceleratorDevice, Device, ExecutionRecord, HostDevice
 from .dispatch import (
-    FALLBACK_BULKHEAD,
     FALLBACK_HEDGE,
     Budget,
-    Bulkhead,
     HedgeOutcome,
     HedgePolicy,
 )
@@ -40,10 +38,8 @@ from .memo import ExecutionMemo
 
 __all__ = [
     "ADMISSION_DEGRADED",
-    "FALLBACK_BULKHEAD",
     "FALLBACK_HEDGE",
     "Budget",
-    "Bulkhead",
     "HedgeOutcome",
     "HedgePolicy",
     "ExecutionMemo",
