@@ -4,7 +4,7 @@ A hung device is only caught by the fault injector today; a real runtime
 must catch it from *behaviour*.  The watchdog turns the analytical
 prediction into a per-launch deadline::
 
-    deadline = predicted_seconds * factor + slack_s
+    deadline = predicted_seconds * DEADLINE_FACTOR + DEADLINE_SLACK_S
 
 A dispatch whose (simulated) device time exceeds its deadline is killed
 at the deadline and surfaces as a typed
@@ -13,11 +13,8 @@ that feeds the existing :class:`~repro.faults.DeviceHealth` /
 :class:`~repro.faults.CircuitBreaker` machinery, so repeated hangs open
 the breaker exactly like injected faults do.
 
-``factor`` buys headroom for honest model error (the reproduction's
-models are off by a few× on unfriendly kernels — see docs/MODELS.md);
-``slack_s`` keeps microsecond-scale predictions from producing
-unsatisfiable deadlines.  With no prediction available (the always-*
-policies) no deadline can be derived and the watchdog stays silent.
+With no prediction available (the always-* policies) no deadline can be
+derived and the watchdog stays silent.
 """
 
 from __future__ import annotations
@@ -27,25 +24,23 @@ from dataclasses import dataclass
 
 __all__ = ["Watchdog"]
 
+#: Headroom for honest model error: the reproduction's models are off by
+#: a few x on unfriendly kernels (see docs/MODELS.md).
+DEADLINE_FACTOR = 8.0
+#: Keeps microsecond-scale predictions from producing unsatisfiable
+#: deadlines.
+DEADLINE_SLACK_S = 1e-4
+
 
 @dataclass(frozen=True)
 class Watchdog:
-    """Deadline policy: ``predicted * factor + slack_s`` simulated seconds."""
-
-    factor: float = 8.0
-    slack_s: float = 1e-4
-
-    def __post_init__(self):
-        if not math.isfinite(self.factor) or self.factor < 1.0:
-            raise ValueError("watchdog factor must be finite and >= 1")
-        if not math.isfinite(self.slack_s) or self.slack_s < 0.0:
-            raise ValueError("watchdog slack must be finite and >= 0")
+    """Deadline policy: ``predicted * DEADLINE_FACTOR + DEADLINE_SLACK_S``."""
 
     def deadline(self, predicted_seconds: float) -> float:
         """Deadline for one launch; inf when no usable prediction exists."""
         if not math.isfinite(predicted_seconds) or predicted_seconds <= 0.0:
             return math.inf
-        return predicted_seconds * self.factor + self.slack_s
+        return predicted_seconds * DEADLINE_FACTOR + DEADLINE_SLACK_S
 
     def exceeded(self, predicted_seconds: float, observed_seconds: float) -> bool:
         return observed_seconds > self.deadline(predicted_seconds)

@@ -269,7 +269,7 @@ def _predict_case(
     env,
     plat: Platform,
     num_threads: int | None,
-    calibration: ModelCalibration | None,
+    calibration: ModelCalibration,
     use_runtime_tripcounts: bool,
 ) -> SelectionPrediction:
     cache = current_cache()
@@ -407,25 +407,24 @@ def predict_suite(
     mode: str,
     *,
     num_threads: int | None = None,
-    calibrated: bool = True,
     use_runtime_tripcounts: bool = True,
     jobs: int | None = None,
 ) -> list[SelectionPrediction]:
-    """Run the analytical predictor over every suite kernel.
+    """Run the calibrated analytical predictor over every suite kernel.
 
     ``jobs`` parallelizes exactly like :func:`measure_suite`:
     declaration order, bit-identical results, excluded from the memo key.
     """
     plat = _resolve_platform(platform)
-    key = (plat.name, mode, num_threads, calibrated, use_runtime_tripcounts)
+    key = (plat.name, mode, num_threads, use_runtime_tripcounts)
     if key in _PREDICT_CACHE:
         return _PREDICT_CACHE[key]
     db, cases = _database(mode)
     engine = SweepEngine(jobs)
+    # Fit once in the parent; the tiny frozen calibration dataclass
+    # ships with each chunk so no worker ever refits.
+    calibration = _calibration(plat, num_threads)
     if engine.parallel:
-        # Fit once in the parent; the tiny frozen calibration dataclass
-        # ships with each chunk so no worker ever refits.
-        calibration = _calibration(plat, num_threads) if calibrated else None
         out = engine.map(
             _predict_task,
             [
@@ -436,7 +435,6 @@ def predict_suite(
             labels=[case.name for case in cases],
         )
     else:
-        calibration = _calibration(plat, num_threads) if calibrated else None
         out = [
             _predict_case(
                 db,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..faults import FAULT_SCENARIOS, scenario_by_name
-from ..machines import PLATFORM_P9_V100, Platform
+from ..machines import PLATFORM_P9_V100
 from ..polybench import benchmark_by_name
 from ..runtime import LaunchRecord, OffloadingRuntime, Policy, policy_by_name
 from ..util import render_table
@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 DEFAULT_FAULT_POLICIES = ("always-gpu", "always-cpu", "model-guided", "oracle")
+#: Seed of every scenario's fault injector.
+FAULT_SEED = 4
 
 #: Self-check thresholds (see FaultsResult.failures).
 MAX_DEAD_GPU_OVERHEAD = 1.01  # dead-gpu always-gpu total / always-cpu total
@@ -187,17 +189,15 @@ def _build_workload(launches: int) -> list[tuple[str, dict]]:
 
 
 def _run_one(
-    platform: Platform,
     policy: Policy,
     scenario: str,
-    seed: int,
     workload: list[tuple[str, dict]],
     regions,
 ) -> tuple[float, list[LaunchRecord], OffloadingRuntime]:
     runtime = OffloadingRuntime(
-        platform,
+        PLATFORM_P9_V100,
         policy=policy,
-        injector=scenario_by_name(scenario, seed=seed),
+        injector=scenario_by_name(scenario, seed=FAULT_SEED),
     )
     for region in regions:
         runtime.compile_region(region)
@@ -205,15 +205,8 @@ def _run_one(
     return sum(r.executed_seconds for r in records), records, runtime
 
 
-def run_faults(
-    *,
-    platform: Platform = PLATFORM_P9_V100,
-    scenarios: tuple[str, ...] = FAULT_SCENARIOS,
-    policies: tuple[str, ...] = DEFAULT_FAULT_POLICIES,
-    launches: int = 12,
-    seed: int = 4,
-) -> FaultsResult:
-    """Score every policy under every fault scenario."""
+def run_faults(*, launches: int = 12) -> FaultsResult:
+    """Score every policy under every fault scenario on p9-v100."""
     workload = _build_workload(launches)
     all_regions = [
         region
@@ -222,21 +215,18 @@ def run_faults(
     ]
     # one policy instance per name, shared across scenarios so the
     # model-guided calibration is fitted once
-    instances = {name: policy_by_name(name) for name in policies}
-    oracle = instances.get("oracle") or policy_by_name("oracle")
+    instances = {name: policy_by_name(name) for name in DEFAULT_FAULT_POLICIES}
 
     rows: list[FaultScore] = []
-    for scenario in scenarios:
-        oracle_run = _run_one(
-            platform, oracle, scenario, seed, workload, all_regions
-        )
+    for scenario in FAULT_SCENARIOS:
+        oracle_run = _run_one(instances["oracle"], scenario, workload, all_regions)
         oracle_total = oracle_run[0]
-        for name in policies:
+        for name in DEFAULT_FAULT_POLICIES:
             if name == "oracle":
                 total, records, runtime = oracle_run
             else:
                 total, records, runtime = _run_one(
-                    platform, instances[name], scenario, seed, workload, all_regions
+                    instances[name], scenario, workload, all_regions
                 )
             rows.append(
                 FaultScore(

@@ -215,11 +215,8 @@ def run_hedge(
     seed: int = 0,
     platform: Platform = PLATFORM_P9_V100,
     utilization: float = 0.6,
-    flavours: tuple[str, ...] = HEDGE_FLAVOURS,
-    budget_factors: dict[str, float | None] | None = None,
 ) -> HedgeResult:
     """Run the hedged-vs-unhedged grid over one calibrated trace."""
-    factors = BUDGET_FACTORS if budget_factors is None else budget_factors
     trace = calibrate(platform, launches, seed)
     workload = trace.workload(utilization)
     requests = trace.requests(workload)
@@ -240,7 +237,7 @@ def run_hedge(
 
     budgets = {
         label: None if factor is None else factor * trace.mean_service_s
-        for label, factor in factors.items()
+        for label, factor in BUDGET_FACTORS.items()
     }
     cells = [
         HedgeCell(
@@ -250,7 +247,7 @@ def run_hedge(
             hedged=arm(flavour, budget_s, hedge=True),
             unhedged=arm(flavour, budget_s, hedge=False),
         )
-        for flavour in flavours
+        for flavour in HEDGE_FLAVOURS
         for label, budget_s in budgets.items()
     ]
     return HedgeResult(

@@ -35,6 +35,15 @@ from .retry import SimulatedClock
 
 __all__ = ["BreakerState", "CircuitBreaker", "DeviceHealth"]
 
+#: Consecutive failures that open a breaker.
+FAILURE_THRESHOLD = 3
+#: Launches an open breaker waits before its half-open probe.
+COOLDOWN_LAUNCHES = 5
+#: Weight of the newest outcome in a device's failure rate.
+FAILURE_EWMA_ALPHA = 0.25
+#: Prediction multiplier per unit failure rate.
+PENALTY_WEIGHT = 4.0
+
 
 class BreakerState(str, enum.Enum):
     CLOSED = "closed"
@@ -44,10 +53,9 @@ class BreakerState(str, enum.Enum):
 
 @dataclass
 class CircuitBreaker:
-    """Open after N consecutive failures; half-open probe after a cooldown."""
+    """Open after :data:`FAILURE_THRESHOLD` consecutive failures; half-open
+    probe after :data:`COOLDOWN_LAUNCHES` launches."""
 
-    failure_threshold: int = 3
-    cooldown_launches: int = 5
     state: BreakerState = BreakerState.CLOSED
     consecutive_failures: int = 0
     _cooldown_left: int = 0
@@ -55,10 +63,6 @@ class CircuitBreaker:
     transitions: list[str] = field(default_factory=list)
     #: times the breaker has opened (the "open" entries of ``transitions``)
     opens: int = 0
-
-    def __post_init__(self):
-        if self.failure_threshold < 1 or self.cooldown_launches < 1:
-            raise ValueError("threshold and cooldown must be >= 1")
 
     def _move(self, state: BreakerState) -> None:
         if state is not self.state:
@@ -86,9 +90,9 @@ class CircuitBreaker:
         self.consecutive_failures += 1
         if (
             self.state is BreakerState.HALF_OPEN
-            or self.consecutive_failures >= self.failure_threshold
+            or self.consecutive_failures >= FAILURE_THRESHOLD
         ):
-            self._cooldown_left = self.cooldown_launches
+            self._cooldown_left = COOLDOWN_LAUNCHES
             self._move(BreakerState.OPEN)
 
 
@@ -98,8 +102,6 @@ class DeviceHealth:
 
     device_name: str
     breaker: CircuitBreaker = field(default_factory=CircuitBreaker)
-    ewma_alpha: float = 0.25  # weight of the newest outcome
-    penalty_weight: float = 4.0  # prediction multiplier per unit failure rate
     clock: SimulatedClock | None = None  # simulated time base for decay
     decay_halflife_s: float | None = None  # None = no time-based decay
     successes: int = 0
@@ -133,13 +135,13 @@ class DeviceHealth:
     def record_success(self) -> None:
         self._decay()
         self.successes += 1
-        self.failure_ewma *= 1.0 - self.ewma_alpha
+        self.failure_ewma *= 1.0 - FAILURE_EWMA_ALPHA
         self.breaker.record_success()
 
     def record_failure(self, error: DeviceError) -> None:
         self._decay()
         self.failures += 1
-        self.failure_ewma += self.ewma_alpha * (1.0 - self.failure_ewma)
+        self.failure_ewma += FAILURE_EWMA_ALPHA * (1.0 - self.failure_ewma)
         name = type(error).__name__
         self.fault_counts[name] = self.fault_counts.get(name, 0) + 1
         self.breaker.record_failure()
@@ -153,7 +155,7 @@ class DeviceHealth:
         long-healthy device reads a shrunken penalty.
         """
         self._decay()
-        return 1.0 + self.penalty_weight * self.failure_ewma
+        return 1.0 + PENALTY_WEIGHT * self.failure_ewma
 
     @property
     def healthy(self) -> bool:

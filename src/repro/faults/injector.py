@@ -132,27 +132,22 @@ class FootprintOOM:
     """OOM when the region footprint exceeds the device memory.
 
     ``limit_bytes`` overrides the device capacity (useful to model a card
-    shared with other tenants); ``headroom`` scales whichever limit
-    applies (1.0 = the full capacity is usable).
+    shared with other tenants).
     """
 
     limit_bytes: int | None = None
-    headroom: float = 1.0
     device: str | None = None
 
     def check(self, ctx: LaunchContext, rng: random.Random) -> DeviceError | None:
         if not _matches(self.device, ctx):
             return None
         limit = self.limit_bytes if self.limit_bytes is not None else ctx.memory_bytes
-        if limit is None:
-            return None
-        usable = limit * self.headroom
-        if ctx.footprint_bytes <= usable:
+        if limit is None or ctx.footprint_bytes <= limit:
             return None
         return _make(
             DeviceMemoryError,
             f"footprint {ctx.footprint_bytes} B exceeds usable "
-            f"device memory {usable:.0f} B",
+            f"device memory {limit:.0f} B",
             ctx,
         )
 

@@ -36,6 +36,10 @@ __all__ = [
 #: histogram: 0.01 ≈ 2.3% off, 0.3 ≈ 2x off, 1.0 = an order of magnitude.
 DEFAULT_LOG_ERROR_BUCKETS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0)
 
+#: Significant figures every :class:`QuantileSketch` quantizes to.
+SIGNIFICANT_DIGITS = 6
+_QUANTUM = f"%.{SIGNIFICANT_DIGITS}g"
+
 
 class Counter:
     """A monotonically increasing count."""
@@ -97,7 +101,7 @@ class Histogram:
 class QuantileSketch:
     """Deterministic streaming quantiles (p50/p95/p99) over quantized values.
 
-    Observations are quantized to ``significant_digits`` significant
+    Observations are quantized to :data:`SIGNIFICANT_DIGITS` significant
     figures and counted in a value→count map, so the sketch is
 
     * **streaming** — O(1) per observation, memory bounded by the number
@@ -116,23 +120,18 @@ class QuantileSketch:
     percentile gate — gates check ``nonfinite == 0`` explicitly instead.
     """
 
-    __slots__ = ("significant_digits", "counts", "count", "nonfinite", "_format")
+    __slots__ = ("counts", "count", "nonfinite")
 
-    def __init__(self, significant_digits: int = 6):
-        if significant_digits < 1:
-            raise ValueError("need at least one significant digit")
-        self.significant_digits = significant_digits
+    def __init__(self):
         self.counts: dict[float, int] = {}
         self.count = 0
         self.nonfinite = 0
-        #: the quantization format, e.g. ``%.6g``
-        self._format = f"%.{significant_digits}g"
 
     def observe(self, value: float) -> None:
         if not math.isfinite(value):
             self.nonfinite += 1
             return
-        q = float(self._format % value)
+        q = float(_QUANTUM % value)
         self.counts[q] = self.counts.get(q, 0) + 1
         self.count += 1
 
@@ -176,11 +175,6 @@ class QuantileSketch:
 
     def merge(self, other: "QuantileSketch") -> None:
         """Fold another sketch in (order-independent, exact counts)."""
-        if other.significant_digits != self.significant_digits:
-            raise ValueError(
-                f"cannot merge sketches with {other.significant_digits} vs "
-                f"{self.significant_digits} significant digits"
-            )
         for value, count in other.counts.items():
             self.counts[value] = self.counts.get(value, 0) + count
         self.count += other.count
@@ -265,15 +259,11 @@ class MetricsRegistry:
             )
         return inst
 
-    def quantiles(
-        self, name: str, significant_digits: int | None = None, **labels
-    ) -> QuantileSketch:
+    def quantiles(self, name: str, **labels) -> QuantileSketch:
         key = _key(name, labels)
         inst = self._quantiles.get(key)
         if inst is None:
-            inst = self._quantiles[key] = QuantileSketch(
-                6 if significant_digits is None else significant_digits
-            )
+            inst = self._quantiles[key] = QuantileSketch()
         return inst
 
     def merge_snapshot(self, snap: dict) -> None:
@@ -323,15 +313,7 @@ class MetricsRegistry:
         for key, payload in snap.get("quantiles", {}).items():
             sketch = self._quantiles.get(key)
             if sketch is None:
-                sketch = self._quantiles[key] = QuantileSketch(
-                    payload["significant_digits"]
-                )
-            elif sketch.significant_digits != payload["significant_digits"]:
-                raise ValueError(
-                    f"quantile sketch {key!r}: cannot merge "
-                    f"{payload['significant_digits']} significant digits "
-                    f"into {sketch.significant_digits}"
-                )
+                sketch = self._quantiles[key] = QuantileSketch()
             for value, count in payload["counts"].items():
                 v = float(value)
                 sketch.counts[v] = sketch.counts.get(v, 0) + count
@@ -358,7 +340,7 @@ class MetricsRegistry:
             sketches[key] = {
                 "count": s.count,
                 "nonfinite": s.nonfinite,
-                "significant_digits": s.significant_digits,
+                "significant_digits": SIGNIFICANT_DIGITS,
                 "counts": {repr(v): s.counts[v] for v in sorted(s.counts)},
             }
         return {

@@ -222,29 +222,16 @@ class TestDriftSentinel:
 
 class TestWatchdog:
     def test_deadline_formula(self):
-        wd = Watchdog(factor=4.0, slack_s=0.5)
-        assert wd.deadline(2.0) == pytest.approx(8.5)
-        assert wd.exceeded(2.0, 8.6)
-        assert not wd.exceeded(2.0, 8.5)  # at the deadline is not over it
+        wd = Watchdog()
+        assert wd.deadline(2.0) == 2.0 * 8.0 + 1e-4
+        assert wd.exceeded(2.0, 16.0002)
+        assert not wd.exceeded(2.0, 16.0001)  # at the deadline is not over it
 
     def test_unusable_prediction_disables_deadline(self):
         wd = Watchdog()
         assert wd.deadline(math.nan) == math.inf
         assert wd.deadline(0.0) == math.inf
         assert not wd.exceeded(math.nan, 1e9)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"factor": 0.5},
-            {"factor": math.inf},
-            {"slack_s": -1.0},
-            {"slack_s": math.nan},
-        ],
-    )
-    def test_invalid_watchdog_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            Watchdog(**kwargs)
 
 
 class TestSelfHealing:
@@ -395,7 +382,9 @@ class TestRuntimeIntegration:
         rt = OffloadingRuntime(
             PLATFORM_P9_V100,
             sentinel=DriftSentinel(),
-            watchdog=Watchdog(factor=1.0, slack_s=0.0),
+            watchdog=Watchdog(),
+            # a card 100x slower than predicted overruns the 8x deadline
+            time_dilation=lambda kind: 100.0 if kind == "gpu" else 1.0,
         )
         for region in spec.build():
             rt.compile_region(region)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments import run_faults
+from repro.faults import health as health_module
 from repro.faults import (
     BreakerState,
     CircuitBreaker,
@@ -54,6 +55,9 @@ from .kernels import build_gemm, build_vecadd
 ENV = {"ni": 512, "nj": 512, "nk": 512}
 #: benchmark-dataset GEMM — big enough that the model offloads it
 ENV_BIG = {"ni": 9600, "nj": 9600, "nk": 9600}
+#: a GEMM the model offloads by a narrow margin (V100 predicted 1.23x
+#: faster than the host), so a flaky card's health penalty outweighs it
+ENV_NARROW = {"ni": 7000, "nj": 7000, "nk": 7000}
 
 
 def _ctx(launch: int, attempt: int = 1, footprint: int = 0) -> LaunchContext:
@@ -173,13 +177,14 @@ class TestStreamIsolation:
 
 class TestCircuitBreaker:
     def test_open_half_open_close_transitions(self):
-        br = CircuitBreaker(failure_threshold=2, cooldown_launches=3)
+        br = CircuitBreaker()
         assert br.allows()
-        br.record_failure()
-        assert br.state is BreakerState.CLOSED
-        br.record_failure()
+        for _ in range(2):
+            br.record_failure()
+            assert br.state is BreakerState.CLOSED
+        br.record_failure()  # the third consecutive failure opens it
         assert br.state is BreakerState.OPEN and not br.allows()
-        for _ in range(3):
+        for _ in range(5):  # five cooldown launches
             assert br.state is not BreakerState.HALF_OPEN
             br.on_launch()
         assert br.state is BreakerState.HALF_OPEN and br.allows()
@@ -188,31 +193,33 @@ class TestCircuitBreaker:
         assert br.transitions == ["open", "half-open", "closed"]
 
     def test_half_open_probe_failure_reopens(self):
-        br = CircuitBreaker(failure_threshold=1, cooldown_launches=1)
-        br.record_failure()
-        br.on_launch()
+        br = CircuitBreaker()
+        for _ in range(3):
+            br.record_failure()
+        for _ in range(5):
+            br.on_launch()
         assert br.state is BreakerState.HALF_OPEN
-        br.record_failure()
+        br.record_failure()  # one failed probe is enough
         assert br.state is BreakerState.OPEN
 
     def test_success_resets_consecutive_count(self):
-        br = CircuitBreaker(failure_threshold=2)
+        br = CircuitBreaker()
+        br.record_failure()
         br.record_failure()
         br.record_success()
+        br.record_failure()
         br.record_failure()
         assert br.state is BreakerState.CLOSED
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(
-        threshold=st.integers(1, 4),
-        cooldown=st.integers(1, 4),
         calls=st.lists(
             st.sampled_from(("on_launch", "record_success", "record_failure")),
             max_size=60,
         ),
     )
-    def test_open_count_matches_the_transition_log(self, threshold, cooldown, calls):
-        br = CircuitBreaker(failure_threshold=threshold, cooldown_launches=cooldown)
+    def test_open_count_matches_the_transition_log(self, calls):
+        br = CircuitBreaker()
         for call in calls:
             getattr(br, call)()
             assert br.opens == br.transitions.count("open")
@@ -242,10 +249,12 @@ class TestResilientDispatch:
         )
         assert rt.clock.now == pytest.approx(backoff_delay(1))
 
-    def test_retries_exhausted_falls_back_to_host(self):
+    def test_retries_exhausted_falls_back_to_host(self, monkeypatch):
+        # MAX_ATTEMPTS failures reach the breaker's threshold, whose check
+        # comes first; raise it to keep the breaker out of it
+        monkeypatch.setattr(health_module, "FAILURE_THRESHOLD", 10)
         inj = FaultInjector([ScheduledFault(TransferError, launches=(0,))])
         rt = _runtime(AlwaysGPU(), inj)
-        rt.health[0].breaker.failure_threshold = 10  # keep the breaker out of it
         rec = rt.launch("gemm", ENV)
         assert rec.target == "cpu" and rec.requested_target == "gpu"
         assert rec.fallback == "retries-exhausted"
@@ -270,7 +279,7 @@ class TestResilientDispatch:
 
     def test_dead_gpu_breaker_stops_routing_within_n_plus_one(self):
         rt = _runtime(AlwaysGPU(), scenario_by_name("dead-gpu"))
-        threshold = rt.health[0].breaker.failure_threshold
+        threshold = health_module.FAILURE_THRESHOLD
         records = [rt.launch("gemm", ENV) for _ in range(10)]
         # every launch completes on the host, no unhandled exceptions
         assert all(r.target == "cpu" for r in records)
@@ -283,7 +292,7 @@ class TestResilientDispatch:
         probe_at = next(
             i for i in range(tripped, len(records)) if records[i].attempts
         )
-        assert tripped < probe_at <= tripped + rt.health[0].breaker.cooldown_launches
+        assert tripped < probe_at <= tripped + health_module.COOLDOWN_LAUNCHES
         probe = records[probe_at]
         assert probe.attempts == 1 and probe.target == "cpu"
         # ...fails, and the breaker re-opens immediately
@@ -292,11 +301,11 @@ class TestResilientDispatch:
 
     def test_health_penalty_reroutes_model_guided(self):
         rt = _runtime(ModelGuided(), FaultInjector((), seed=0))
-        baseline = rt.launch("gemm", ENV_BIG)
-        assert baseline.target == "gpu"  # benchmark-size gemm offloads
-        rt.health[0].penalty_weight = 1e12
+        baseline = rt.launch("gemm", ENV_NARROW)
+        assert baseline.target == "gpu"  # the narrow-margin gemm offloads
         rt.health[0].failure_ewma = 0.5  # pretend the card has been flaky
-        rec = rt.launch("gemm", ENV_BIG)
+        assert rt.health[0].penalty() == 3.0
+        rec = rt.launch("gemm", ENV_NARROW)
         assert rec.target == "cpu" and rec.requested_target == "gpu"
         assert rec.fallback == "health-penalty"
         assert rec.attempts == 0  # never dispatched to the accelerator
@@ -401,12 +410,11 @@ class TestMultiDeviceResilience:
 
     def test_penalized_first_card_loses_to_the_host(self):
         rt = self._multi()
-        baseline = rt.launch("gemm", ENV_BIG)
+        baseline = rt.launch("gemm", ENV_NARROW)
         assert "V100" in baseline.requested_target  # the fast card wins when healthy
         for health in rt.health:  # pretend both cards have been flaky
-            health.penalty_weight = 1e12
             health.failure_ewma = 0.5
-        rec = rt.launch("gemm", ENV_BIG)
+        rec = rt.launch("gemm", ENV_NARROW)
         # the first-ranked card is still requested; the health gate moves
         # the launch down the chain past both cards to the host
         assert rec.requested_target == baseline.requested_target

@@ -231,16 +231,6 @@ class TestDifferentialSweeps:
         par = canon_predictions(predict_suite("p9-v100", "test", jobs=2))
         assert par == seq
 
-    def test_predict_uncalibrated_bitwise(self):
-        seq = canon_predictions(
-            predict_suite("p9-v100", "test", calibrated=False)
-        )
-        clear_caches()
-        par = canon_predictions(
-            predict_suite("p9-v100", "test", calibrated=False, jobs=2)
-        )
-        assert par == seq
-
     def test_jobs_excluded_from_memo_key(self):
         first = measure_suite("p9-v100", "test", jobs=2)
         # memo hit: same object, no second sweep regardless of jobs value

@@ -235,7 +235,7 @@ class TestDifferential:
             PLATFORM_P9_V100,
             policy=ModelGuided(),
             sentinel=DriftSentinel(),
-            watchdog=Watchdog(factor=8.0),
+            watchdog=Watchdog(),
             health_decay_halflife_s=5.0,
         )
         cases, regions = build_catalog(workload.sizes)
