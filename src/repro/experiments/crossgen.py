@@ -22,9 +22,8 @@ from ..machines import (
     TESLA_P100,
     TESLA_V100,
 )
-from ..polybench import all_kernel_cases
-from ..sim import simulate_cpu, simulate_gpu_kernel, simulate_transfers
 from ..util import geomean, render_table
+from .common import _database, _measure_case
 
 __all__ = ["CrossGenResult", "run_crossgen", "GENERATIONS"]
 
@@ -88,16 +87,20 @@ class CrossGenResult:
 
 
 def run_crossgen(mode: str = "benchmark") -> CrossGenResult:
-    """Sweep the three accelerator generations over the suite."""
+    """Sweep the three accelerator generations over the suite.
+
+    Every generation prices the suite's compiled records, so each region
+    runs IPDA and its POWER9 lowering once for the whole sweep.
+    """
+    db, cases = _database(mode)
     rows = []
-    for case in all_kernel_cases(mode):
-        speedups = []
-        for plat in GENERATIONS:
-            cpu = simulate_cpu(case.region, plat.host, case.env)
-            gpu = simulate_gpu_kernel(case.region, plat.gpu, case.env)
-            xfer = simulate_transfers(case.region, plat.bus, case.env)
-            speedups.append(cpu.seconds / (gpu.seconds + xfer.total_seconds))
-        rows.append((case.name, tuple(speedups)))
+    for case in cases:
+        attrs = db.lookup(case.name)
+        speedups = tuple(
+            _measure_case(attrs, case, plat, None).true_speedup
+            for plat in GENERATIONS
+        )
+        rows.append((case.name, speedups))
     return CrossGenResult(
         mode=mode,
         generations=tuple(p.name for p in GENERATIONS),

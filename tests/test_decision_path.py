@@ -19,6 +19,7 @@ from pathlib import Path
 
 from repro.analysis import ProgramAttributeDatabase
 from repro.calibrate.kernels import build_dot_rows, build_triad
+from repro.experiments import run_crossgen
 from repro.experiments.common import (
     _database,
     clear_caches,
@@ -178,7 +179,9 @@ class TestSimulatorsOnTheRecord:
                 checked += 1
         assert checked == (24 * len(MODES) + len(CALIBRATION_CASES)) * 2
 
-    def test_cold_sweep_runs_each_static_analysis_once_per_region(self):
+    @staticmethod
+    def _static_analyses(run) -> collections.Counter:
+        """IPDA and lowering calls made by ``run()`` from cold caches."""
         watched = {
             analyze_region.__code__: "analyze_region",
             lower_region.__code__: "lower_region",
@@ -193,13 +196,20 @@ class TestSimulatorsOnTheRecord:
         previous = sys.getprofile()
         sys.setprofile(count)
         try:
+            run()
+        finally:
+            sys.setprofile(previous)
+            clear_caches()
+        return calls
+
+    def test_cold_sweep_runs_each_static_analysis_once_per_region(self):
+        def sweep():
             for platform in PLATFORMS:
                 for mode in MODES:
                     measure_suite(platform, mode, jobs=1)
                     predict_suite(platform, mode, jobs=1)
-        finally:
-            sys.setprofile(previous)
-            clear_caches()
+
+        calls = self._static_analyses(sweep)
         # the 24 suite regions once, plus each platform's calibration fit
         # compiling its two kernels; lowered once per region and host CPU
         fits = len(PLATFORMS) * len(CALIBRATION_CASES)
@@ -207,6 +217,11 @@ class TestSimulatorsOnTheRecord:
             "analyze_region": 24 + fits,
             "lower_region": 24 * len(PLATFORMS) + fits,
         }
+
+    def test_cold_crossgen_runs_each_static_analysis_once_per_region(self):
+        calls = self._static_analyses(lambda: run_crossgen("test"))
+        # the three generations share one POWER9 host
+        assert calls == {"analyze_region": 24, "lower_region": 24}
 
     def test_both_datasets_share_one_compiled_region_per_kernel(self):
         for spec in SUITE:
