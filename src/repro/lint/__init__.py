@@ -29,56 +29,55 @@ from .diagnostics import (
     reports_to_json,
 )
 
-#: Lazily resolved public names -> defining submodule.
+from .._lazy import lazy_exports
+
+#: public names by defining submodule, loaded on first use
 _LAZY = {
-    "Verdict": "dependence",
-    "DimForm": "dependence",
-    "PairVerdict": "dependence",
-    "affine_dims": "dependence",
-    "cross_thread_conflict": "dependence",
-    "LintContext": "passes",
-    "LintPass": "passes",
-    "PassManager": "passes",
-    "StructuralPass": "passes",
-    "default_pass_manager": "passes",
-    "lint_region": "passes",
-    "MapDirectionPass": "dataflow",
-    "RaceDetectionPass": "correctness",
-    "UndeclaredReductionPass": "correctness",
-    "BoundsPass": "correctness",
-    "is_reduction_like": "correctness",
-    "UncoalescedAccessPass": "performance",
-    "FalseSharingPass": "performance",
-    "BranchDivergencePass": "performance",
-    "FootprintPass": "performance",
-    "FALLBACK_LINT": "gate",
-    "GATE_MODES": "gate",
-    "GateDecision": "gate",
-    "LintGate": "gate",
-    "LintGateError": "gate",
+    "dependence": (
+        "Verdict",
+        "DimForm",
+        "PairVerdict",
+        "affine_dims",
+        "cross_thread_conflict",
+    ),
+    "passes": (
+        "LintContext",
+        "LintPass",
+        "PassManager",
+        "StructuralPass",
+        "default_pass_manager",
+        "lint_region",
+    ),
+    "dataflow": ("MapDirectionPass",),
+    "correctness": (
+        "RaceDetectionPass",
+        "UndeclaredReductionPass",
+        "BoundsPass",
+        "is_reduction_like",
+    ),
+    "performance": (
+        "UncoalescedAccessPass",
+        "FalseSharingPass",
+        "BranchDivergencePass",
+        "FootprintPass",
+    ),
+    "gate": (
+        "FALLBACK_LINT",
+        "GATE_MODES",
+        "GateDecision",
+        "LintGate",
+        "LintGateError",
+    ),
 }
 
-__all__ = [
-    "Severity",
-    "Diagnostic",
-    "LintReport",
-    "render_reports_text",
-    "reports_to_json",
-    *_LAZY,
-]
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value  # cache for subsequent lookups
-    return value
-
-
-def __dir__():
-    return sorted(__all__)
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    _LAZY,
+    eager=(
+        "Severity",
+        "Diagnostic",
+        "LintReport",
+        "render_reports_text",
+        "reports_to_json",
+    ),
+)

@@ -16,25 +16,31 @@ from .lowering import (
     lower_region,
     machine_cycles_per_iter,
 )
-from .report import MCAReport, analyze_region
-from .timeline import render_timeline
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MachineOp",
-    "OPCODE_PORT",
-    "UNPIPELINED",
-    "vector_opcode",
-    "ScheduleResult",
-    "schedule_ops",
-    "steady_state_cycles",
-    "unroll",
-    "LoopInfo",
-    "LoweredLevel",
-    "find_band_level",
-    "level_cycles_per_iteration",
-    "lower_region",
-    "machine_cycles_per_iter",
-    "MCAReport",
-    "analyze_region",
-    "render_timeline",
-]
+#: loaded on first use: the models and simulators need neither
+_LAZY = {
+    "report": ("MCAReport", "analyze_region"),
+    "timeline": ("render_timeline",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    _LAZY,
+    eager=(
+        "MachineOp",
+        "OPCODE_PORT",
+        "UNPIPELINED",
+        "vector_opcode",
+        "ScheduleResult",
+        "schedule_ops",
+        "steady_state_cycles",
+        "unroll",
+        "LoopInfo",
+        "LoweredLevel",
+        "find_band_level",
+        "level_cycles_per_iteration",
+        "lower_region",
+        "machine_cycles_per_iter",
+    ),
+)

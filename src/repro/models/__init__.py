@@ -20,23 +20,28 @@ from .gpu_model import (
     predict_gpu_time,
 )
 from .selector import CalibrationLike, SelectionPrediction, predict_both
-from .split import SplitPrediction, predict_split
+from .._lazy import lazy_exports
 
-__all__ = [
-    "TransferEstimate",
-    "estimate_transfer",
-    "CPUPrediction",
-    "predict_cpu_time",
-    "DEPARTURE_DELAY_COAL",
-    "DEPARTURE_DELAY_UNCOAL",
-    "GPUPrediction",
-    "MWPCWPInputs",
-    "MWPCWPResult",
-    "mwp_cwp",
-    "predict_gpu_time",
-    "CalibrationLike",
-    "SelectionPrediction",
-    "predict_both",
-    "SplitPrediction",
-    "predict_split",
-]
+#: loaded on first use: only the split-execution extension predicts a split
+_LAZY = {"split": ("SplitPrediction", "predict_split")}
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    _LAZY,
+    eager=(
+        "TransferEstimate",
+        "estimate_transfer",
+        "CPUPrediction",
+        "predict_cpu_time",
+        "DEPARTURE_DELAY_COAL",
+        "DEPARTURE_DELAY_UNCOAL",
+        "GPUPrediction",
+        "MWPCWPInputs",
+        "MWPCWPResult",
+        "mwp_cwp",
+        "predict_gpu_time",
+        "CalibrationLike",
+        "SelectionPrediction",
+        "predict_both",
+    ),
+)

@@ -27,28 +27,32 @@ from .metrics import (
     QuantileSketch,
 )
 from .catalog import CATALOGUE, METRICS, MetricSpec, families
-from .export import chrome_trace_events, chrome_trace_json, render_trace_text
+from .._lazy import lazy_exports
 
-__all__ = [
-    "NULL_TRACER",
-    "InstantRecord",
-    "NullTracer",
-    "Span",
-    "SpanRecord",
-    "Tracer",
-    "current_tracer",
-    "DEFAULT_LOG_ERROR_BUCKETS",
-    "Counter",
-    "Family",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "QuantileSketch",
-    "CATALOGUE",
-    "METRICS",
-    "MetricSpec",
-    "families",
-    "chrome_trace_events",
-    "chrome_trace_json",
-    "render_trace_text",
-]
+#: loaded on first use: only the commands that render a trace need them
+_LAZY = {"export": ("chrome_trace_events", "chrome_trace_json", "render_trace_text")}
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    _LAZY,
+    eager=(
+        "NULL_TRACER",
+        "InstantRecord",
+        "NullTracer",
+        "Span",
+        "SpanRecord",
+        "Tracer",
+        "current_tracer",
+        "DEFAULT_LOG_ERROR_BUCKETS",
+        "Counter",
+        "Family",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "QuantileSketch",
+        "CATALOGUE",
+        "METRICS",
+        "MetricSpec",
+        "families",
+    ),
+)

@@ -53,15 +53,16 @@ from __future__ import annotations
 import atexit
 import contextlib
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..obs import MetricsRegistry, Tracer
 from ..obs.tracer import InstantRecord, SpanRecord
 from .cache import AnalysisCache, current_cache
 from .chunks import partition_chunks
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "ChunkFailure",
@@ -319,6 +320,9 @@ class _WorkerPool:
 
     def executor(self, slot: int) -> ProcessPoolExecutor:
         if self._slots[slot] is None:
+            # imported here so a ``jobs <= 1`` run never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             for warmup in _PREFORK_WARMUPS:
                 warmup()
             self._slots[slot] = ProcessPoolExecutor(
@@ -454,6 +458,9 @@ class SweepEngine:
         items: list,
         labels: Sequence[str] | None,
     ) -> list:
+        from concurrent.futures import as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         if labels is None:
             labels = [repr(item)[:120] for item in items]
         pool = _pool_for(self.jobs, self._effective_cache_dir())

@@ -23,37 +23,30 @@ from .locality import (
 from .cpu_sim import CPUSimResult, cpu_memory_hierarchy, simulate_cpu
 from .gpu_sim import GPUSimResult, simulate_gpu_kernel
 from .interconnect_sim import TransferSimResult, simulate_transfers
+from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from .executor import ExecutionProfile, allocate_arrays, execute_region
 
-_EXECUTOR_NAMES = ("ExecutionProfile", "allocate_arrays", "execute_region")
+_LAZY = {"executor": ("ExecutionProfile", "allocate_arrays", "execute_region")}
 
-__all__ = [
-    "AccessLocality",
-    "AccessSpec",
-    "CacheLevel",
-    "LoopExtent",
-    "MemoryHierarchy",
-    "analyze_access",
-    "group_accesses",
-    "CPUSimResult",
-    "cpu_memory_hierarchy",
-    "simulate_cpu",
-    "GPUSimResult",
-    "simulate_gpu_kernel",
-    "TransferSimResult",
-    "simulate_transfers",
-    "ExecutionProfile",
-    "allocate_arrays",
-    "execute_region",
-]
-
-
-def __getattr__(name: str):
-    """Load the functional executor when one of its names is first used."""
-    if name in _EXECUTOR_NAMES:
-        from . import executor
-
-        return getattr(executor, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    _LAZY,
+    eager=(
+        "AccessLocality",
+        "AccessSpec",
+        "CacheLevel",
+        "LoopExtent",
+        "MemoryHierarchy",
+        "analyze_access",
+        "group_accesses",
+        "CPUSimResult",
+        "cpu_memory_hierarchy",
+        "simulate_cpu",
+        "GPUSimResult",
+        "simulate_gpu_kernel",
+        "TransferSimResult",
+        "simulate_transfers",
+    ),
+)
