@@ -5,8 +5,8 @@ from its compile-time record instead of recomputing them, and the
 simulators take the record's IPDA result and lowered loop nest; these
 tests pin that the shortcuts change no number, that the lowering memo
 tells apart same-name CPU descriptors, that a cold suite sweep runs each
-static analysis once per compiled region, and that the decision path
-imports no numpy.
+static analysis once per compiled region, and that a fresh process
+imports only the layers its entry point runs.
 """
 
 import collections
@@ -16,6 +16,8 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.analysis import ProgramAttributeDatabase
 from repro.calibrate.kernels import build_dot_rows, build_triad
@@ -36,15 +38,55 @@ from repro.sim import simulate_cpu, simulate_gpu_kernel
 
 PLATFORMS = (PLATFORM_P8_K80, PLATFORM_P9_V100)
 SRC = Path(__file__).resolve().parent.parent / "src"
-#: what the benchmark workloads import: decisions, sweeps and replays
-DECISION_MODULES = (
-    "repro.models",
-    "repro.analysis",
-    "repro.calibrate",
-    "repro.polybench",
+
+#: what the benchmark workloads import before their first operation
+SWEEP_IMPORTS = "from repro.experiments import measure_suite, predict_suite\n"
+DECIDE_IMPORTS = """\
+from repro import models
+from repro.analysis import ProgramAttributeDatabase
+from repro.calibrate import fit_model_calibration
+from repro.machines import platform_by_name
+from repro.polybench import SUITE
+"""
+REPLAY_IMPORTS = """\
+from repro.machines import platform_by_name
+from repro.replay import MemoizedPolicy, ReplayConfig, ReplayEngine, generate_requests
+from repro.runtime import ExecutionMemo
+"""
+#: every name each of those packages exports, every experiment's included
+EVERYTHING_IMPORTS = "".join(
+    f"from repro.{package} import *\n"
+    for package in (
+        "models", "analysis", "calibrate", "polybench", "replay", "runtime", "experiments"
+    )
+)
+#: every experiment module but the suite sweep's own
+OTHER_EXPERIMENTS = tuple(
+    f"repro.experiments.{path.stem}"
+    for path in sorted((SRC / "repro" / "experiments").glob("*.py"))
+    if path.stem not in ("__init__", "common")
+)
+#: what neither a cold sweep nor a decision runs: numpy costs ~14 MB of
+#: RSS and only the functional executor needs it; the rest are the other
+#: experiments, the replay stack, the process pool and the analyses only
+#: a report or a probe command renders
+UNUSED_BY_DECISIONS = (
+    "numpy",
+    "multiprocessing",
+    "concurrent.futures.process",
+    *OTHER_EXPERIMENTS,
     "repro.replay",
     "repro.runtime",
-    "repro.experiments",
+    "repro.obs.export",
+    "repro.calibrate.epcc",
+    "repro.calibrate.tlb",
+    "repro.calibrate.gpu_microbench",
+    "repro.mca.report",
+    "repro.mca.timeline",
+    "repro.models.split",
+)
+UNUSED_BY_REPLAYS = tuple(
+    m for m in UNUSED_BY_DECISIONS if m not in ("repro.replay", "repro.runtime")
 )
 
 
@@ -268,10 +310,9 @@ class TestDecisionWork:
         assert len(calls) == 1
 
 
-def test_decision_path_imports_no_numpy():
-    """numpy costs ~14 MB of RSS; only the functional executor needs it."""
-    code = "import sys\n" + "".join(f"import {m}\n" for m in DECISION_MODULES)
-    code += "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+def _fresh_imports(code: str) -> set[str]:
+    """Every module a fresh interpreter holds after running ``code``."""
+    code += "import sys\nprint('\\n'.join(sys.modules))\n"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -281,3 +322,21 @@ def test_decision_path_imports_no_numpy():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize(
+    "code, loads, unused",
+    [
+        pytest.param(SWEEP_IMPORTS, ("repro.experiments.common",), UNUSED_BY_DECISIONS, id="sweep"),
+        pytest.param(DECIDE_IMPORTS, ("repro.models.selector",), UNUSED_BY_DECISIONS, id="decide"),
+        pytest.param(REPLAY_IMPORTS, ("repro.replay.engine",), UNUSED_BY_REPLAYS, id="replay"),
+        pytest.param(EVERYTHING_IMPORTS, OTHER_EXPERIMENTS, ("numpy",), id="all-experiments"),
+    ],
+)
+def test_entry_point_imports(code, loads, unused):
+    """A fresh process imports what its entry point runs and nothing else listed."""
+    modules = _fresh_imports(code)
+    assert set(loads) <= modules, sorted(set(loads) - modules)
+    extra = sorted(m for m in modules if any(m == u or m.startswith(u + ".") for u in unused))
+    assert not extra, f"imported {extra}"
