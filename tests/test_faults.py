@@ -283,6 +283,10 @@ class TestResilientDispatch:
         records = [rt.launch("gemm", ENV) for _ in range(10)]
         # every launch completes on the host, no unhandled exceptions
         assert all(r.target == "cpu" for r in records)
+        # the first launch fails every attempt; its last failure opens the
+        # breaker, which is checked before the attempt count
+        assert records[0].attempts == MAX_ATTEMPTS
+        assert records[0].fallback == "breaker-open"
         # the breaker trips within N+1 launches, after which the dead
         # device is skipped without any dispatch attempts
         tripped = next(i for i, r in enumerate(records) if r.attempts == 0)
