@@ -17,14 +17,12 @@ from typing import Mapping
 
 from ..ir import Region, validate_region
 from ..ir.dataflow import RegionDataflow, analyze_transfers
-from ..ir.printer import region_to_text
 from ..ipda import BoundIPDA, IPDAResult, analyze_region
 from ..machines import CPUDescriptor
 from ..mca import LoweredLevel, find_band_level, lower_region
 from ..obs.tracer import current_tracer
-from ..parallel.cache import current_cache
 from ..symbolic import Expr
-from .features import AccessWeight, InstructionLoadout, extract_loadout
+from .features import InstructionLoadout, extract_loadout
 from .tripcount import PAPER_LOOP_TRIPS, nest_trips, paper_trip_abstraction
 
 __all__ = ["RegionAttributes", "BoundAttributes", "ProgramAttributeDatabase"]
@@ -135,77 +133,6 @@ class BoundAttributes:
         return self.attributes.region
 
 
-def _cached_static_loadout(region: Region) -> InstructionLoadout:
-    """Memoize the static (128-iteration abstraction) loadout.
-
-    Keyed on the printed canonical region text alone — the static
-    loadout depends on no machine model and no runtime binding.  Runtime
-    loadouts (``RegionAttributes.bind``) are *not* cached: they are
-    cheap and environment-dependent.
-    """
-    cache = current_cache()
-    if not cache.enabled:
-        return extract_loadout(region, paper_trip_abstraction)
-    entry = cache.get_or_compute(
-        "analysis.static_loadout",
-        region_to_text(region),
-        None,
-        lambda: _encode_loadout(
-            extract_loadout(region, paper_trip_abstraction)
-        ),
-        validate=_valid_loadout_entry,
-    )
-    return _decode_loadout(entry)
-
-
-_LOADOUT_SCALARS = (
-    "region_name",
-    "fp_insts",
-    "int_insts",
-    "sfu_insts",
-    "load_insts",
-    "store_insts",
-    "branch_insts",
-)
-
-
-def _encode_loadout(loadout: InstructionLoadout) -> dict:
-    entry = {f: getattr(loadout, f) for f in _LOADOUT_SCALARS}
-    entry["access_weights"] = [
-        [w.access_index, w.array_name, w.is_store, w.weight, w.elem_bytes]
-        for w in loadout.access_weights
-    ]
-    return entry
-
-
-def _valid_loadout_entry(entry) -> bool:
-    return (
-        isinstance(entry, dict)
-        and all(f in entry for f in _LOADOUT_SCALARS)
-        and isinstance(entry.get("access_weights"), list)
-        and all(
-            isinstance(w, list) and len(w) == 5
-            for w in entry["access_weights"]
-        )
-    )
-
-
-def _decode_loadout(entry: dict) -> InstructionLoadout:
-    return InstructionLoadout(
-        region_name=entry["region_name"],
-        fp_insts=entry["fp_insts"],
-        int_insts=entry["int_insts"],
-        sfu_insts=entry["sfu_insts"],
-        load_insts=entry["load_insts"],
-        store_insts=entry["store_insts"],
-        access_weights=tuple(
-            AccessWeight(idx, name, bool(store), weight, bytes_)
-            for idx, name, store, weight, bytes_ in entry["access_weights"]
-        ),
-        branch_insts=entry["branch_insts"],
-    )
-
-
 class ProgramAttributeDatabase:
     """Keyed store of compile-time attributes, queried by the runtime.
 
@@ -232,7 +159,7 @@ class ProgramAttributeDatabase:
             validate_region(region)
             with tracer.span("analyse", region=region.name) as sp:
                 ipda = analyze_region(region)
-                static_loadout = _cached_static_loadout(region)
+                static_loadout = extract_loadout(region, paper_trip_abstraction)
                 if tracer.enabled:
                     sp.set("accesses", len(ipda.accesses))
             attrs = RegionAttributes(

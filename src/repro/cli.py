@@ -16,7 +16,7 @@ Installed as ``repro-paper`` (see pyproject.toml), or run as
     repro-paper trace --format json -o trace.json   # Chrome trace of a sweep
     repro-paper trace --jobs 4                 # parallel sweep, same output
     repro-paper table1 --jobs 4                # warm-worker sweep
-    repro-paper table1 --cache-dir .cache      # reuse analysis across runs
+    repro-paper table1 --cache-dir .cache      # reuse sweep results across runs
     repro-paper cache stats                    # inspect the analysis cache
     repro-paper probe tlb|gpu|epcc
 """
@@ -297,8 +297,8 @@ def _cmd_cache(args) -> int:
         print(emit_json(stats))
     else:
         width = max(len(k) for k in stats)
-        for k in ("cache_dir", "entries", "version"):
-            print(f"{k:<{width}}  {stats[k]}")
+        for k, value in stats.items():
+            print(f"{k:<{width}}  {value}")
     return 0
 
 

@@ -146,15 +146,14 @@ def _calibration(plat: Platform, num_threads: int | None) -> ModelCalibration:
 
 # -- result-level caching ---------------------------------------------------
 #
-# The three analysis kinds (loadout/IPDA/MCA) cover the *static* pieces
-# of a sweep, but a fully warm sweep still pays simulation and model
-# evaluation per case.  Both are deterministic pure functions of
-# (canonical region IR, env, platform, knobs), so the sweep results
-# themselves are cacheable under the same content-addressing rules:
+# The compiled record holds each region's static products, so what a
+# sweep pays per case is simulation and model evaluation.  Both are
+# deterministic pure functions of (canonical region IR, env, platform,
+# knobs), so the persistent cache stores the sweep results themselves:
 # ``sim.measure`` stores the three measured seconds, ``model.predict``
 # stores an encoded :class:`SelectionPrediction` tree.  These entries
-# ship between warm workers like any others, which is what lets a warm
-# pool replay entire sweeps instead of recomputing them.
+# ship between warm workers, which is what lets a warm pool replay
+# entire sweeps instead of recomputing them.
 
 
 def _codec_types() -> dict:

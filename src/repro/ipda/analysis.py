@@ -40,11 +40,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..ir import Region
-from ..ir.parser import parse_index
-from ..ir.printer import region_to_text
 from ..ir.visit import MemoryAccess, memory_accesses
 from ..obs.tracer import current_tracer
-from ..parallel.cache import current_cache
 from ..symbolic import Expr, NonAffineError, decompose_affine
 from .coalescing import CoalescingClass, classify_stride, transactions_per_warp_access
 
@@ -204,88 +201,11 @@ def analyze_region(region: Region) -> IPDAResult:
     """
     tracer = current_tracer()
     if not tracer.enabled:
-        return _cached_analyze(region)
+        return _analyze_region(region)
     with tracer.span("ipda.analyze", region=region.name) as sp:
-        result = _cached_analyze(region)
+        result = _analyze_region(region)
         sp.set("accesses", len(result.accesses))
         return result
-
-
-def _cached_analyze(region: Region) -> IPDAResult:
-    """Consult the persistent analysis cache before running IPDA.
-
-    Cached entries store only the *symbolic strides* (as ``Expr`` reprs,
-    which round-trip exactly through :func:`repro.ir.parse_index`); the
-    per-access ``MemoryAccess`` handles are rehydrated from the region
-    itself — :func:`memory_accesses` enumerates them in a fixed order —
-    so the expensive affine decomposition is what gets skipped.  An
-    entry whose access count no longer matches the region is treated as
-    corrupt: recomputed, never trusted.
-    """
-    cache = current_cache()
-    if not cache.enabled:
-        return _analyze_region(region)
-    text = region_to_text(region)
-    entry = cache.get_or_compute(
-        "ipda.analyze",
-        text,
-        None,
-        lambda: _encode_ipda(_analyze_region(region)),
-        validate=_valid_ipda_entry,
-    )
-    result = _decode_ipda(region, entry)
-    if result is None:  # stale shape: recompute and overwrite
-        result = _analyze_region(region)
-    return result
-
-
-def _encode_ipda(result: IPDAResult) -> dict:
-    return {
-        "band_vars": list(result.band_vars),
-        "accesses": [
-            {
-                "thread_stride": (
-                    None if a.thread_stride is None else repr(a.thread_stride)
-                ),
-                "loop_strides": {
-                    var: repr(e) for var, e in sorted(a.loop_strides.items())
-                },
-            }
-            for a in result.accesses
-        ],
-    }
-
-
-def _valid_ipda_entry(entry) -> bool:
-    return (
-        isinstance(entry, dict)
-        and isinstance(entry.get("band_vars"), list)
-        and isinstance(entry.get("accesses"), list)
-        and all(
-            isinstance(a, dict) and isinstance(a.get("loop_strides"), dict)
-            for a in entry["accesses"]
-        )
-    )
-
-
-def _decode_ipda(region: Region, entry: dict) -> IPDAResult | None:
-    accesses = list(memory_accesses(region))
-    if len(accesses) != len(entry["accesses"]):
-        return None
-    out: list[AccessStride] = []
-    for acc, stored in zip(accesses, entry["accesses"]):
-        ts = stored["thread_stride"]
-        out.append(
-            AccessStride(
-                acc,
-                None if ts is None else parse_index(ts),
-                {
-                    var: parse_index(e)
-                    for var, e in stored["loop_strides"].items()
-                },
-            )
-        )
-    return IPDAResult(region.name, tuple(entry["band_vars"]), tuple(out))
 
 
 def _analyze_region(region: Region) -> IPDAResult:

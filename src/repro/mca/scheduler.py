@@ -19,7 +19,6 @@ from typing import Callable, Mapping, Sequence
 
 from ..machines import CPUDescriptor
 from ..obs.tracer import current_tracer
-from ..parallel.cache import current_cache
 from .ops import UNPIPELINED, MachineOp
 
 __all__ = ["ScheduleResult", "schedule_ops", "steady_state_cycles"]
@@ -177,57 +176,17 @@ def steady_state_cycles(
         raise ValueError(f"measure must be >= 1, got {measure}")
     if not body:
         return 0.0
-    tracer = current_tracer()
-    if not tracer.enabled:
-        return _cached_steady_state(
-            body, cpu, carried_regs, warmup, measure, latency_of
-        )
-    with tracer.span("mca.steady_state", ops=len(body), cpu=cpu.name) as sp:
-        cycles = _cached_steady_state(
-            body, cpu, carried_regs, warmup, measure, latency_of
-        )
-        sp.set("cycles_per_iter", cycles)
-        return cycles
-
-
-def _cached_steady_state(
-    body: Sequence[MachineOp],
-    cpu: CPUDescriptor,
-    carried_regs: frozenset[int],
-    warmup: int,
-    measure: int,
-    latency_of: Callable[[MachineOp], float] | None,
-) -> float:
-    """Consult the analysis cache before running the scoreboard.
-
-    The key covers the full op listing (opcode, registers, tag), the
-    unroll parameters and the CPU descriptor.  A ``latency_of`` override
-    is folded in by *evaluating it over the body ops*: both in-tree
-    overrides are pure functions of ``(opcode, tag)``, which the renamed
-    unrolled copies preserve, so the evaluated latencies determine the
-    schedule exactly.  The scoreboard reuses the same evaluation.
-    """
     if latency_of is None:
         latencies = [float(cpu.latency(op.opcode)) for op in body]
     else:
         latencies = [float(latency_of(op)) for op in body]
-    cache = current_cache()
-    if not cache.enabled:
+    tracer = current_tracer()
+    if not tracer.enabled:
         return _steady_state(body, cpu, carried_regs, warmup, measure, latencies)
-    payload = {
-        "ops": [[op.opcode, op.dest, list(op.srcs), op.tag] for op in body],
-        "carried": sorted(carried_regs),
-        "warmup": warmup,
-        "measure": measure,
-        "latencies": None if latency_of is None else latencies,
-    }
-    return cache.get_or_compute(
-        "mca.steady_state",
-        payload,
-        cpu,
-        lambda: _steady_state(body, cpu, carried_regs, warmup, measure, latencies),
-        validate=lambda v: isinstance(v, (int, float)),
-    )
+    with tracer.span("mca.steady_state", ops=len(body), cpu=cpu.name) as sp:
+        cycles = _steady_state(body, cpu, carried_regs, warmup, measure, latencies)
+        sp.set("cycles_per_iter", cycles)
+        return cycles
 
 
 # How a source register of a body op is renamed in unrolled copy ``c``

@@ -12,7 +12,8 @@ they differ or when ``src/`` emits a metric some other way.
 for everything a runtime or replay does on its
 :class:`~repro.faults.SimulatedClock` (every ``*_seconds`` value is
 simulated seconds, not wall time), ``real`` for work of the process
-itself, outside any simulated run.
+itself, outside any simulated run.  Every metric declared today is
+``simulated``.
 
 The ``device`` label holds one of three things, named per metric:
 
@@ -174,12 +175,6 @@ CATALOGUE: tuple[MetricSpec, ...] = (
     MetricSpec(
         "service_lane_max_depth", "gauge", ("device",), "requests", "simulated",
         f"deepest each lane got over the replay; {_LANE}",
-    ),
-    # -- the persistent analysis cache --------------------------------------
-    MetricSpec(
-        "analysis_cache_total", "counter", ("kind", "outcome"), "lookups", "real",
-        "persistent analysis cache hits, misses and invalidations "
-        "(docs/PERFORMANCE.md)",
     ),
 )
 

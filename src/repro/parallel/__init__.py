@@ -10,8 +10,9 @@ Two cooperating subsystems that make suite sweeps scale:
   (``--jobs N`` / ``$REPRO_JOBS``, one chunk per worker);
 * :class:`AnalysisCache` — a persistent, content-addressed store (JSON
   records keyed by SHA-256 over canonical region IR + machine-model
-  fingerprint + package version) that memoizes compile/IPDA/MCA
-  analysis across processes and across runs (``$REPRO_CACHE_DIR``).
+  fingerprint + package version) that memoizes each suite case's
+  simulated measurement and model prediction across processes and
+  across runs (``$REPRO_CACHE_DIR``).
 
 Both are off by default: without an activated cache and with
 ``jobs <= 1`` every code path is bit-identical to the pre-engine build.
@@ -27,7 +28,6 @@ from .cache import (
     current_cache,
     default_cache_dir,
     machine_fingerprint,
-    region_cache_key,
 )
 from .chunks import partition_chunks
 from .engine import (
@@ -59,7 +59,6 @@ __all__ = [
     "machine_fingerprint",
     "merge_tracer_payloads",
     "partition_chunks",
-    "region_cache_key",
     "register_prefork_warmup",
     "resolve_jobs",
     "shutdown_pools",

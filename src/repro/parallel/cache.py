@@ -1,16 +1,15 @@
-"""Persistent, content-addressed cache for static-analysis artefacts.
+"""Persistent, content-addressed cache for suite-sweep results.
 
-The paper's central economy (Figure 2) is that *static* analysis is done
-once and amortized over every later launch; within one process the
-experiment harness already memoizes, but every new process — each worker
-of the parallel sweep engine, each CLI invocation, each CI job — used to
-recompute compile/IPDA/MCA analysis from scratch.  The
-:class:`AnalysisCache` closes that gap: JSON records under a cache
-directory, addressed by SHA-256 over the *canonical content* of the
-computation — canonical region IR text (or machine-op listings), a
-machine-model fingerprint, and the package version — so any perturbation
-of the kernel, the schedule or the machine model changes the key, while
-reformatting or printer/parser round-trips do not.
+Within one process the experiment harness memoizes, and the compiled
+record holds each region's static products (Figure 2), but every new
+process — each worker of the parallel sweep engine, each CLI
+invocation, each CI job — used to re-simulate and re-predict every
+suite case.  The :class:`AnalysisCache` closes that gap: JSON records
+under a cache directory, addressed by SHA-256 over the *canonical
+content* of the computation — the canonical region IR text, the
+bindings, a machine-model fingerprint and the package version — so any
+perturbation of the kernel, the schedule or the machine model changes
+the key, while reformatting or printer/parser round-trips do not.
 
 Design rules (docs/PERFORMANCE.md):
 
@@ -23,9 +22,7 @@ Design rules (docs/PERFORMANCE.md):
 * **off by default** — library code reaches the cache through
   :func:`current_cache`, which hands back the disabled
   :data:`NULL_CACHE` unless an :class:`AnalysisCache` was activated, so
-  the zero-cache path stays bit-identical to an uncached build;
-* hit/miss/invalidation counters mirror into a
-  :class:`~repro.obs.MetricsRegistry` when one is attached.
+  the zero-cache path stays bit-identical to an uncached build.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ import tempfile
 from typing import Any, Callable, Mapping
 
 from .. import __version__
-from ..obs import METRICS
 
 __all__ = [
     "AnalysisCache",
@@ -47,7 +43,6 @@ __all__ = [
     "current_cache",
     "default_cache_dir",
     "machine_fingerprint",
-    "region_cache_key",
 ]
 
 #: Environment variable naming the cache directory for CLI/benchmark runs.
@@ -125,19 +120,6 @@ def compute_key(kind: str, payload: Any, machine: Any = None) -> str:
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
-def region_cache_key(region, machine: Any = None, *, kind: str = "region") -> str:
-    """Cache key of a region's canonical IR text (plus optional machine).
-
-    The canonical form is :func:`repro.ir.region_to_text`, so any region
-    that prints identically — in particular a printer→parser round-trip
-    of itself — shares the key, while any node/schedule mutation that
-    changes the text changes it.
-    """
-    from ..ir import region_to_text
-
-    return compute_key(kind, region_to_text(region), machine)
-
-
 class AnalysisCache:
     """Content-addressed JSON store shared across processes and runs.
 
@@ -145,20 +127,14 @@ class AnalysisCache:
     the in-memory layer only.  That is the warm-worker configuration —
     each pool worker of the sweep engine holds a memory-only cache for
     its process lifetime and ships new entries back to the parent (see
-    :meth:`export_entries` / :meth:`merge_entries`), so analysis done in
-    one worker warms every other without any cache directory being
-    configured.
+    :meth:`export_entries` / :meth:`merge_entries`), so a case measured
+    or predicted in one worker warms every other without any cache
+    directory being configured.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        cache_dir: str | None = None,
-        *,
-        metrics=None,
-        persist: bool = True,
-    ):
+    def __init__(self, cache_dir: str | None = None, *, persist: bool = True):
         self.cache_dir = cache_dir or default_cache_dir()
         self.persist = persist
         self._mem: dict[str, Any] = {}
@@ -167,27 +143,12 @@ class AnalysisCache:
         self.misses = 0
         self.invalidations = 0
         self.writes = 0
-        self._metrics = metrics
-
-    _COUNTER_FIELD = {
-        "hit": "hits",
-        "miss": "misses",
-        "invalidation": "invalidations",
-    }
-
-    def _count(self, outcome: str, kind: str) -> None:
-        field = self._COUNTER_FIELD[outcome]
-        setattr(self, field, getattr(self, field) + 1)
-        if self._metrics is not None:
-            self._metrics.family(METRICS["analysis_cache_total"]).labels(
-                kind, outcome
-            ).inc()
 
     # -- storage ---------------------------------------------------------
     def _path(self, key: str) -> str:
         return os.path.join(self.cache_dir, key[:2], f"{key}.json")
 
-    def _read(self, key: str, kind: str) -> Any:
+    def _read(self, key: str) -> Any:
         """The stored value, ``_MISS`` when absent, invalid or corrupt."""
         if key in self._mem:
             return self._mem[key]
@@ -200,7 +161,7 @@ class AnalysisCache:
         except FileNotFoundError:
             return _MISS
         except (OSError, ValueError, UnicodeDecodeError):
-            self._count("invalidation", kind)
+            self.invalidations += 1
             return _MISS
         if (
             not isinstance(entry, dict)
@@ -209,7 +170,7 @@ class AnalysisCache:
             or entry.get("schema") != _SCHEMA
             or "value" not in entry
         ):
-            self._count("invalidation", kind)
+            self.invalidations += 1
             return _MISS
         value = entry["value"]
         self._mem[key] = value
@@ -257,14 +218,14 @@ class AnalysisCache:
         invalidation (recomputed, overwritten), never a wrong answer.
         """
         key = compute_key(kind, payload, machine)
-        value = self._read(key, kind)
+        value = self._read(key)
         if value is not _MISS and (validate is None or validate(value)):
-            self._count("hit", kind)
+            self.hits += 1
             return value
         if value is not _MISS:  # present but rejected by the validator
-            self._count("invalidation", kind)
+            self.invalidations += 1
             self._mem.pop(key, None)
-        self._count("miss", kind)
+        self.misses += 1
         value = compute()
         self._write(key, kind, value)
         return value
@@ -344,14 +305,15 @@ class AnalysisCache:
                 pass
 
     def stats(self) -> dict:
-        """Deterministic counters + layout snapshot (the CLI's payload)."""
+        """What the store holds (the CLI's payload).
+
+        The hit, miss, invalidation and write counters describe this
+        instance's own lookups; they stay attributes, since a fresh
+        instance built only to inspect a store has made none.
+        """
         return {
             "cache_dir": self.cache_dir,
             "entries": self.entry_count(),
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "writes": self.writes,
             "version": __version__,
         }
 
@@ -367,16 +329,9 @@ class NullCache:
     cache_dir = None
     persist = False
     hits = misses = invalidations = writes = 0
-    journal_size = 0
 
     def get_or_compute(self, kind, payload, machine, compute, *, validate=None):
         return compute()
-
-    def export_entries(self, since: int = 0) -> list[list]:
-        return []
-
-    def merge_entries(self, entries) -> int:
-        return 0
 
     def entry_count(self) -> int:
         return 0
@@ -385,15 +340,7 @@ class NullCache:
         pass
 
     def stats(self) -> dict:
-        return {
-            "cache_dir": None,
-            "entries": 0,
-            "hits": 0,
-            "misses": 0,
-            "invalidations": 0,
-            "writes": 0,
-            "version": __version__,
-        }
+        return {"cache_dir": None, "entries": 0, "version": __version__}
 
     def activate(self) -> "_Activation":
         return _Activation(self)

@@ -28,8 +28,8 @@ showed *losing* to sequential at suite granularity):
   cache directory is configured), journals the entries it *computes*,
   and returns them with each chunk; the parent absorbs them into a
   per-pool store and re-broadcasts the accumulated delta with the next
-  round of chunks, so static analysis done anywhere propagates
-  everywhere instead of being recomputed per worker.
+  round of chunks, so a case measured or predicted anywhere reaches
+  every worker instead of being recomputed per worker.
 
 Failure handling is loud, never lossy: a task exception aborts the
 sweep with a :class:`ChunkFailure` naming the offending case; a worker
@@ -51,7 +51,6 @@ same parallel sweep render byte-identical traces.
 from __future__ import annotations
 
 import atexit
-import contextlib
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
@@ -270,9 +269,9 @@ class _EntryStore:
 
     Keyed by cache directory (one store per logical cache, shared by
     every pool size), holding ``[key, kind, value]`` records in
-    first-arrival order with first-write-wins dedup — so analysis done
-    by a ``--jobs 2`` sweep warms a later ``--jobs 4`` pool's workers
-    through their first broadcast.
+    first-arrival order with first-write-wins dedup — so results
+    computed by a ``--jobs 2`` sweep warm a later ``--jobs 4`` pool's
+    workers through their first broadcast.
     """
 
     def __init__(self):
@@ -294,11 +293,12 @@ class _WorkerPool:
 
     Each of the ``jobs`` slots is its own single-worker executor, and
     chunk ``ci`` always runs on slot ``ci % jobs`` — so the *same* case
-    range lands on the *same* warm worker in every sweep (a measure
-    sweep's analysis is sitting in-cache when the predict sweep for the
-    same cases arrives), and the store delta each slot still needs is
-    exactly known (``broadcast_for`` tracks a per-slot watermark; every
-    entry is shipped to every slot at most once).  An anonymous shared
+    range lands on the *same* warm worker in every sweep (the lowered
+    loop nests a measure sweep left on the worker's compiled records
+    are there when the predict sweep for the same cases arrives), and
+    the store delta each slot still needs is exactly known
+    (``broadcast_for`` tracks a per-slot watermark; every entry is
+    shipped to every slot at most once).  An anonymous shared
     pool can't do either: chunk pickup is a race, so a worker that sat
     out a round would silently miss that round's broadcast forever.
 
@@ -403,29 +403,17 @@ class SweepObsResult:
 class SweepEngine:
     """Fan kernel-case chunks over warm workers; merge in declaration order."""
 
-    def __init__(
-        self,
-        jobs: int | None = None,
-        *,
-        cache_dir: str | None = None,
-    ):
+    def __init__(self, jobs: int | None = None):
         self.jobs = resolve_jobs(jobs)
-        self.cache_dir = cache_dir
 
     @property
     def parallel(self) -> bool:
         return self.jobs > 1
 
-    def _sequential_cache(self):
-        if self.cache_dir and not current_cache().enabled:
-            return AnalysisCache(self.cache_dir).activate()
-        return contextlib.nullcontext()
-
     def _effective_cache_dir(self) -> str | None:
         """The cache directory the worker pool should persist into.
 
-        An engine constructed without an explicit ``cache_dir`` inherits
-        the directory of the *activated* persistent cache, when there is
+        The directory of the *activated* persistent cache, when there is
         one — so ``measure_suite(..., jobs=4)`` under an
         ``AnalysisCache(dir).activate()`` block gives every warm worker
         the same disk store the sequential path would use: workers
@@ -433,8 +421,6 @@ class SweepEngine:
         parallel, any process) replays it.  Memory-only caches keep the
         pool memory-only too.
         """
-        if self.cache_dir:
-            return self.cache_dir
         active = current_cache()
         if getattr(active, "persist", False) and active.enabled:
             return active.cache_dir
@@ -448,8 +434,7 @@ class SweepEngine:
     ) -> list:
         """Run ``fn`` over ``items``; results indexed by declaration order."""
         if not self.parallel or len(items) <= 1:
-            with self._sequential_cache():
-                return [fn(item) for item in items]
+            return [fn(item) for item in items]
         return self._collect_parallel(fn, items, labels)
 
     def _collect_parallel(

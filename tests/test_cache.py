@@ -11,6 +11,9 @@ Three properties matter, in this order:
    ``test_ir_parser.py`` are load-bearing for this file.
 3. **Corruption safety** — truncated, garbage or mismatched entries are
    invalidations (recompute + overwrite), never wrong answers.
+
+The store holds sweep results only (``sim.measure``, ``model.predict``):
+the compiled record already keeps each region's static analyses.
 """
 
 import dataclasses
@@ -21,20 +24,19 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import ProgramAttributeDatabase
 from repro.experiments.common import clear_caches, measure_suite, predict_suite
 from repro.ir import parse_region, region_to_text
 from repro.machines import POWER9
 from repro.mca import steady_state_cycles
-from repro.mca.ops import MachineOp
-from repro.obs import MetricsRegistry
 from repro.parallel import (
     AnalysisCache,
     NULL_CACHE,
     compute_key,
     current_cache,
     machine_fingerprint,
-    region_cache_key,
 )
+from repro.polybench import SUITE
 
 from .kernels import build_gemm, build_vecadd
 from .test_parallel import canon_measurements, canon_predictions
@@ -52,6 +54,11 @@ def run_sweep():
     return canon_measurements(
         measure_suite("p9-v100", "test")
     ) + canon_predictions(predict_suite("p9-v100", "test"))
+
+
+def region_key(region, machine=None):
+    """A content key over a region's canonical text, the result kinds' region part."""
+    return compute_key("sim.measure", region_to_text(region), machine)
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +117,20 @@ class TestTransparency:
             clear_caches(persistent=False)
             assert cache.entry_count() == entries
 
-    def test_metrics_mirroring(self, tmp_path):
-        registry = MetricsRegistry()
-        cache = AnalysisCache(str(tmp_path), metrics=registry)
-        cache.get_or_compute("k", "p", None, lambda: 1)
-        cache.get_or_compute("k", "p", None, lambda: 1)
-        counters = registry.snapshot()["counters"]
-        assert counters["analysis_cache_total{kind=k,outcome=miss}"] == 1
-        assert counters["analysis_cache_total{kind=k,outcome=hit}"] == 1
+    def test_static_analyses_stay_out_of_the_store(self, tmp_path):
+        """Compiling the suite and scheduling its bands touch no entry."""
+        cache = AnalysisCache(str(tmp_path))
+        with cache.activate():
+            db = ProgramAttributeDatabase()
+            for spec in SUITE:
+                for region in spec.build():
+                    level = db.compile_region(region).band_level(POWER9)
+                    steady_state_cycles(
+                        level.leaf_ops, POWER9, carried_regs=level.carried
+                    )
+        assert len(db) == 24
+        assert cache.entry_count() == 0
+        assert (cache.hits, cache.misses, cache.writes) == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +143,8 @@ class TestKeyStability:
     @given(regions())
     def test_printer_parser_roundtrip_preserves_key(self, region):
         rt = parse_region(region_to_text(region))
-        assert region_cache_key(rt) == region_cache_key(region)
-        assert region_cache_key(rt, POWER9) == region_cache_key(
-            region, POWER9
-        )
+        assert region_key(rt) == region_key(region)
+        assert region_key(rt, POWER9) == region_key(region, POWER9)
 
     def test_key_is_stable_across_processes_by_construction(self):
         # pure function of content: same inputs, same key, every call
@@ -147,9 +158,7 @@ class TestKeyStability:
 
 class TestKeyInjectivity:
     def test_different_kernels_different_keys(self):
-        assert region_cache_key(build_gemm()) != region_cache_key(
-            build_vecadd()
-        )
+        assert region_key(build_gemm()) != region_key(build_vecadd())
 
     def test_node_mutation_changes_key(self):
         base = build_gemm()
@@ -157,11 +166,11 @@ class TestKeyInjectivity:
         mutated_text = text.replace("[nk]", "[nz]")
         assert mutated_text != text
         mutated = parse_region(mutated_text)
-        assert region_cache_key(mutated) != region_cache_key(base)
+        assert region_key(mutated) != region_key(base)
 
     def test_kind_is_part_of_the_key(self):
-        assert compute_key("ipda.analyze", "x") != compute_key(
-            "mca.steady_state", "x"
+        assert compute_key("sim.measure", "x") != compute_key(
+            "model.predict", "x"
         )
 
     @settings(max_examples=30, deadline=None)
@@ -310,18 +319,17 @@ class TestCorruption:
         entry = json.loads(open(path).read())
         assert entry["value"] == [1, 2, 3]
 
-    def test_steady_state_survives_corrupt_cache(self, tmp_path):
-        body = [
-            MachineOp("load", 0, (), "load A[i]"),
-            MachineOp("fma", 1, (0, 1), "acc"),
-        ]
-        baseline = steady_state_cycles(body, POWER9)
-        cache = AnalysisCache(str(tmp_path))
-        with cache.activate():
-            assert steady_state_cycles(body, POWER9) == baseline
-        for path in _entry_files(tmp_path):
+    def test_sweep_survives_torn_entries(self, tmp_path):
+        baseline = run_sweep()
+        clear_caches()
+        with AnalysisCache(str(tmp_path)).activate():
+            assert run_sweep() == baseline
+        paths = _entry_files(tmp_path)
+        assert paths
+        for path in paths:
             open(path, "w").write("}{ torn write")
+        clear_caches(persistent=False)  # keep the torn entries
         fresh = AnalysisCache(str(tmp_path))
         with fresh.activate():
-            assert steady_state_cycles(body, POWER9) == baseline
+            assert run_sweep() == baseline
         assert fresh.invalidations >= 1

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from repro import __version__
 from repro.cli import build_parser, main
+from repro.experiments.common import clear_caches, measure_suite, predict_suite
+from repro.parallel import AnalysisCache
 
 
 class TestParser:
@@ -92,6 +95,38 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["region"] == "gemm"
         assert payload[0]["errors"] == 0
+
+
+class TestCacheCommand:
+    """``repro-paper cache`` reports what a store holds."""
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        """A store one test-dataset sweep populated: 24 cases, two kinds."""
+        clear_caches()
+        with AnalysisCache(str(tmp_path)).activate():
+            measure_suite("p9-v100", "test")
+            predict_suite("p9-v100", "test")
+        clear_caches(persistent=False)
+        yield str(tmp_path)
+        clear_caches(persistent=False)
+
+    def test_stats_json_reports_the_store(self, store, capsys):
+        assert main(["cache", "stats", "--cache-dir", store, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"cache_dir": store, "entries": 48, "version": __version__}
+
+    def test_stats_text_and_clear(self, store, capsys):
+        assert main(["cache", "stats", "--cache-dir", store]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines() == [
+            f"cache_dir  {store}",
+            "entries    48",
+            f"version    {__version__}",
+        ]
+        assert main(["cache", "clear", "--cache-dir", store]) == 0
+        assert capsys.readouterr().out == f"cleared 48 entries from {store}\n"
+        assert AnalysisCache(store).entry_count() == 0
 
 
 class TestDriftCommand:

@@ -631,8 +631,7 @@ class TestReplayMetricsPin:
     A 1500-launch, three-tenant replay on p9-v100 through per-device
     lanes, with a fault storm, a 6x GPU hardware drift, hedging,
     budgets and degrading admission.  It emits every
-    runtime, service and replay metric except the lint pair and the
-    analysis cache's.
+    runtime, service and replay metric except the lint pair.
     """
 
     def test_replay_metrics_pinned(self, single_replay, grid_pin):
@@ -718,9 +717,8 @@ class TestCatalogue:
         assert set(sites) <= set(METRICS), set(sites) - set(METRICS)
         assert len(set(sites)) == len(CATALOGUE)  # no declaration goes unused
 
-    def test_runs_emit_declared_names_and_label_sets(self, single_replay, tmp_path):
+    def test_runs_emit_declared_names_and_label_sets(self, single_replay):
         from repro.lint import LintGate
-        from repro.parallel import AnalysisCache
 
         from .kernels import build_write_write_race
         from .test_dispatch import TestMultiReplayPin
@@ -732,16 +730,11 @@ class TestCatalogue:
         )
         gated.compile_region(build_write_write_race())
         gated.launch("ww_race", {"n": 1024})
-        cache = MetricsRegistry()
-        AnalysisCache(str(tmp_path), metrics=cache).get_or_compute(
-            "k", "p", None, lambda: 1
-        )
         emitted = set()
         for registry in (
             single_replay.metrics,
             TestMultiReplayPin()._run().metrics,
             gated.metrics,
-            cache,
         ):
             emitted |= _emitted(registry.snapshot())
         declared = {(s.name, tuple(sorted(s.labels))) for s in CATALOGUE}
