@@ -56,9 +56,9 @@ class CircuitBreaker:
     """Open after :data:`FAILURE_THRESHOLD` consecutive failures; half-open
     probe after :data:`COOLDOWN_LAUNCHES` launches."""
 
-    state: BreakerState = BreakerState.CLOSED
-    consecutive_failures: int = 0
-    _cooldown_left: int = 0
+    state: BreakerState = field(default=BreakerState.CLOSED, init=False)
+    consecutive_failures: int = field(default=0, init=False)
+    _cooldown_left: int = field(default=0, init=False)
     #: state-transition log, (launch tick not tracked here): new state names
     transitions: list[str] = field(default_factory=list)
     #: times the breaker has opened (the "open" entries of ``transitions``)
@@ -87,11 +87,11 @@ class CircuitBreaker:
         self._move(BreakerState.CLOSED)
 
     def record_failure(self) -> None:
+        # only a success resets the count, and a success closes the
+        # breaker: a half-open breaker's failed probe is past the
+        # threshold too, so this one test reopens it
         self.consecutive_failures += 1
-        if (
-            self.state is BreakerState.HALF_OPEN
-            or self.consecutive_failures >= FAILURE_THRESHOLD
-        ):
+        if self.consecutive_failures >= FAILURE_THRESHOLD:
             self._cooldown_left = COOLDOWN_LAUNCHES
             self._move(BreakerState.OPEN)
 
