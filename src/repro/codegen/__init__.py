@@ -8,20 +8,22 @@ structure on the host.
 
 from .gpu_plan import DEFAULT_THREADS_PER_BLOCK, GPULaunchPlan, plan_gpu_launch
 from .cpu_plan import CPUPlan, OMPSchedule, plan_cpu_execution
-from .tuning import (
-    CANDIDATE_BLOCK_SIZES,
-    GeometryChoice,
-    tune_threads_per_block,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_THREADS_PER_BLOCK",
-    "GPULaunchPlan",
-    "plan_gpu_launch",
-    "CPUPlan",
-    "OMPSchedule",
-    "plan_cpu_execution",
-    "CANDIDATE_BLOCK_SIZES",
-    "GeometryChoice",
-    "tune_threads_per_block",
-]
+#: loaded on first use: the models and simulators use the default geometry
+_LAZY = {
+    "tuning": ("CANDIDATE_BLOCK_SIZES", "GeometryChoice", "tune_threads_per_block"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    _LAZY,
+    eager=(
+        "DEFAULT_THREADS_PER_BLOCK",
+        "GPULaunchPlan",
+        "plan_gpu_launch",
+        "CPUPlan",
+        "OMPSchedule",
+        "plan_cpu_execution",
+    ),
+)

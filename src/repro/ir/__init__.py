@@ -46,7 +46,6 @@ from .dataflow import (
     analyze_transfers,
 )
 from .printer import region_to_text
-from .parser import ParseError, parse_index, parse_region
 from .validate import ValidationError, validate_region
 from .visit import (
     MemoryAccess,
@@ -55,54 +54,59 @@ from .visit import (
     memory_accesses,
     walk_statements,
 )
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DType",
-    "f32",
-    "f64",
-    "i32",
-    "i64",
-    "Array",
-    "Bin",
-    "Cmp",
-    "ConstV",
-    "If",
-    "IterVar",
-    "Load",
-    "LocalAssign",
-    "LocalDef",
-    "LocalRef",
-    "Loop",
-    "Param",
-    "ReduceStore",
-    "ScalarArg",
-    "Select",
-    "Stmt",
-    "Store",
-    "Un",
-    "VExpr",
-    "Region",
-    "ArrayDataflow",
-    "Direction",
-    "RegionDataflow",
-    "analyze_transfers",
-    "evaluate_transfer_bytes",
-    "absv",
-    "cmp",
-    "expv",
-    "maxv",
-    "minv",
-    "select",
-    "sqrt",
-    "region_to_text",
-    "ParseError",
-    "parse_index",
-    "parse_region",
-    "ValidationError",
-    "validate_region",
-    "MemoryAccess",
-    "count_reductions",
-    "iter_loops",
-    "memory_accesses",
-    "walk_statements",
-]
+#: loaded on first use: no analysis, model or simulator parses IR text
+_LAZY = {"parser": ("ParseError", "parse_index", "parse_region")}
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    _LAZY,
+    eager=(
+        "DType",
+        "f32",
+        "f64",
+        "i32",
+        "i64",
+        "Array",
+        "Bin",
+        "Cmp",
+        "ConstV",
+        "If",
+        "IterVar",
+        "Load",
+        "LocalAssign",
+        "LocalDef",
+        "LocalRef",
+        "Loop",
+        "Param",
+        "ReduceStore",
+        "ScalarArg",
+        "Select",
+        "Stmt",
+        "Store",
+        "Un",
+        "VExpr",
+        "Region",
+        "ArrayDataflow",
+        "Direction",
+        "RegionDataflow",
+        "analyze_transfers",
+        "evaluate_transfer_bytes",
+        "absv",
+        "cmp",
+        "expv",
+        "maxv",
+        "minv",
+        "select",
+        "sqrt",
+        "region_to_text",
+        "ValidationError",
+        "validate_region",
+        "MemoryAccess",
+        "count_reductions",
+        "iter_loops",
+        "memory_accesses",
+        "walk_statements",
+    ),
+)

@@ -23,25 +23,30 @@ from .expr import (
     as_expr,
 )
 from .affine import AffineForm, NonAffineError, decompose_affine
-from .signs import Sign, definitely_negative, definitely_nonnegative, sign_of
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Add",
-    "Const",
-    "EvalError",
-    "Expr",
-    "FloorDiv",
-    "Max",
-    "Min",
-    "Mod",
-    "Mul",
-    "Sym",
-    "as_expr",
-    "AffineForm",
-    "NonAffineError",
-    "decompose_affine",
-    "Sign",
-    "definitely_negative",
-    "definitely_nonnegative",
-    "sign_of",
-]
+#: loaded on first use: only the lint passes reason about signs
+_LAZY = {
+    "signs": ("Sign", "definitely_negative", "definitely_nonnegative", "sign_of"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    _LAZY,
+    eager=(
+        "Add",
+        "Const",
+        "EvalError",
+        "Expr",
+        "FloorDiv",
+        "Max",
+        "Min",
+        "Mod",
+        "Mul",
+        "Sym",
+        "as_expr",
+        "AffineForm",
+        "NonAffineError",
+        "decompose_affine",
+    ),
+)

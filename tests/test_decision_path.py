@@ -68,9 +68,10 @@ OTHER_EXPERIMENTS = tuple(
 )
 #: what neither a cold sweep nor a decision runs: numpy costs ~14 MB of
 #: RSS and only the functional executor needs it; the rest are the other
-#: experiments, the replay stack, the process pool and the analyses only
-#: a report or a probe command renders
-UNUSED_BY_DECISIONS = (
+#: experiments, the replay stack, the process pool, the analyses only
+#: a report or a probe command renders, and the IR parser, block-size
+#: tuning and sign lattice that only tests and the lint passes use
+UNUSED_BY_SWEEPS = (
     "numpy",
     "multiprocessing",
     "concurrent.futures.process",
@@ -84,7 +85,12 @@ UNUSED_BY_DECISIONS = (
     "repro.mca.report",
     "repro.mca.timeline",
     "repro.models.split",
+    "repro.ir.parser",
+    "repro.codegen.tuning",
+    "repro.symbolic.signs",
 )
+#: a decision reads no persistent cache, so it loads no sweep engine
+UNUSED_BY_DECISIONS = (*UNUSED_BY_SWEEPS, "repro.parallel")
 UNUSED_BY_REPLAYS = tuple(
     m for m in UNUSED_BY_DECISIONS if m not in ("repro.replay", "repro.runtime")
 )
@@ -328,7 +334,9 @@ def _fresh_imports(code: str) -> set[str]:
 @pytest.mark.parametrize(
     "code, loads, unused",
     [
-        pytest.param(SWEEP_IMPORTS, ("repro.experiments.common",), UNUSED_BY_DECISIONS, id="sweep"),
+        pytest.param(
+            SWEEP_IMPORTS, ("repro.experiments.common", "repro.parallel"), UNUSED_BY_SWEEPS, id="sweep"
+        ),
         pytest.param(DECIDE_IMPORTS, ("repro.models.selector",), UNUSED_BY_DECISIONS, id="decide"),
         pytest.param(REPLAY_IMPORTS, ("repro.replay.engine",), UNUSED_BY_REPLAYS, id="replay"),
         pytest.param(EVERYTHING_IMPORTS, OTHER_EXPERIMENTS, ("numpy",), id="all-experiments"),

@@ -12,12 +12,15 @@ import pytest
 
 LAZY_PACKAGES = (
     "repro.calibrate",
+    "repro.codegen",
     "repro.experiments",
+    "repro.ir",
     "repro.lint",
     "repro.mca",
     "repro.models",
     "repro.obs",
     "repro.sim",
+    "repro.symbolic",
 )
 
 
