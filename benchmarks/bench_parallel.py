@@ -5,11 +5,10 @@ predict) four ways — sequential, ``--jobs 2``, ``--jobs 4``, and
 cold-vs-warm persistent cache — and writes the ``BENCH_parallel.json``
 summary.  The headline invariant: a warm-cache sweep must be at least
 ``min_warm_speedup`` (2x) faster than the cold-cache sweep.  The
-speedup comes from the result entries (``sim.measure`` and
-``model.predict``), which replay whole cases from disk: with the three
-static kinds (MCA steady state, IPDA, loadouts) switched off, a warm
-full-grid sweep took 0.126 s against 0.112 s with them (medians of 15
-sweeps each, quartiles overlapping, on a 2-vCPU x86_64 VM).
+speedup comes from the only two kinds the cache holds, ``sim.measure``
+and ``model.predict``, which replay whole cases from disk; the static
+analyses run once per region on the compiled record and are not
+cached.
 
 ``python benchmarks/bench_parallel.py --tiny`` runs a reduced grid (one
 platform, test datasets) without enforcing the warm-cache floor — the
