@@ -231,6 +231,16 @@ class TestReplayCommand:
             main(["replay", "--launches", "200", "--scenarios", "steady,nope"])
 
 
+class TestAllPin:
+    def test_all_stdout_pinned(self, capsys, grid_pin):
+        """Every paper artefact's text, Figure 3, the ablations and crossgen
+        included, byte for byte (384 lines)."""
+        assert main(["all"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 384
+        grid_pin("all-stdout", out)
+
+
 class TestHedgeCommand:
     def test_hedge_tiny_reports_pinned_json(self, capsys, grid_pin):
         assert main(["hedge", "--tiny", "--format", "json"]) == 0
