@@ -16,9 +16,10 @@ All nodes are plain immutable dataclasses; structural passes walk them with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Union
 
-from ..symbolic import Expr, Sym, as_expr
+from ..symbolic import Expr, NonAffineError, Sym, as_expr, decompose_affine
 from .types import DType, f32
 
 __all__ = [
@@ -89,10 +90,23 @@ class Array:
         return flat
 
     def element_count(self) -> Expr:
+        """The symbolic element count, built once per array."""
+        return self._element_count
+
+    @cached_property
+    def _element_count(self) -> Expr:
         count: Expr = as_expr(1)
         for s in self.shape:
             count = count * s
         return count
+
+    def byte_count(self) -> Expr:
+        """The symbolic size in bytes, built once per array."""
+        return self._byte_count
+
+    @cached_property
+    def _byte_count(self) -> Expr:
+        return self.element_count() * as_expr(self.dtype.size)
 
     def __repr__(self) -> str:
         dims = "][".join(repr(s) for s in self.shape)
@@ -181,6 +195,43 @@ def _lift(x) -> Expr:
 
 def _as_index(x) -> Expr:
     return _lift(x)
+
+
+class _Access:
+    """What a :class:`Load` and a :class:`Store` share: one array element.
+
+    The flattened index and the per-variable strides depend on the access
+    alone, so each is built once and kept on the (frozen) node, outside
+    its equality and repr.
+    """
+
+    __slots__ = ()
+
+    def flat_index(self) -> Expr:
+        """Row-major flattened element index of this access."""
+        return self._flat_index
+
+    @cached_property
+    def _flat_index(self) -> Expr:
+        return self.array.flat_index(self.idxs)  # type: ignore[attr-defined]
+
+    def stride_along(self, var: str) -> Expr | None:
+        """Element stride of :meth:`flat_index` along loop variable ``var``.
+
+        ``None`` when the index is not affine in ``var``.
+        """
+        strides = self._strides
+        if var not in strides:
+            try:
+                form = decompose_affine(self.flat_index(), frozenset({var}))
+                strides[var] = form.coefficient(var)
+            except NonAffineError:
+                strides[var] = None
+        return strides[var]
+
+    @cached_property
+    def _strides(self) -> dict[str, Expr | None]:
+        return {}
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +324,7 @@ class LocalRef(VExpr):
 
 
 @dataclass(frozen=True, repr=False)
-class Load(VExpr):
+class Load(_Access, VExpr):
     """A read of ``array[idxs]``; the memory instruction IPDA analyses."""
 
     array: Array
@@ -282,9 +333,6 @@ class Load(VExpr):
     @property
     def dtype(self) -> DType:  # type: ignore[override]
         return self.array.dtype
-
-    def flat_index(self) -> Expr:
-        return self.array.flat_index(self.idxs)
 
     def __repr__(self) -> str:
         dims = "][".join(repr(i) for i in self.idxs)
@@ -390,15 +438,12 @@ class Stmt:
 
 
 @dataclass(frozen=True, repr=False)
-class Store(Stmt):
+class Store(_Access, Stmt):
     """``array[idxs] = value`` — the memory write IPDA analyses."""
 
     array: Array
     idxs: tuple[Expr, ...]
     value: VExpr
-
-    def flat_index(self) -> Expr:
-        return self.array.flat_index(self.idxs)
 
     def __repr__(self) -> str:
         dims = "][".join(repr(i) for i in self.idxs)

@@ -275,10 +275,7 @@ class Region:
         to_host = 0
         for arr in self.arrays.values():
             nbytes = evaluate_transfer_bytes(
-                self.name,
-                arr.name,
-                arr.element_count() * as_expr(arr.dtype.size),
-                env,
+                self.name, arr.name, arr.byte_count(), env
             )
             if arr.is_input:
                 to_dev += nbytes

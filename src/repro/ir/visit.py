@@ -76,7 +76,7 @@ class MemoryAccess:
     node: object = None
 
     def flat_index(self):
-        return self.array.flat_index(self.idxs)
+        return self.node.flat_index()
 
     @property
     def dtype(self):

@@ -49,7 +49,7 @@ from ..ir import (
     VExpr,
 )
 from ..machines import CPUDescriptor
-from ..symbolic import Const, NonAffineError, decompose_affine
+from ..symbolic import Const
 from .ops import MachineOp, vector_opcode
 from .scheduler import steady_state_cycles
 
@@ -462,7 +462,7 @@ class _Lowerer:
                     continue
                 values: list[VExpr] = []
                 if isinstance(s, Store):
-                    if not self._stride_ok(s.array, s.idxs, var, store=True):
+                    if not self._stride_ok(s, var, store=True):
                         return False
                     values.append(s.value)
                 elif isinstance(s, LocalDef):
@@ -472,7 +472,7 @@ class _Lowerer:
                 for v in values:
                     for node in v.walk():
                         if isinstance(node, Load) and not self._stride_ok(
-                            node.array, node.idxs, var, store=False
+                            node, var, store=False
                         ):
                             return False
             return True
@@ -483,7 +483,7 @@ class _Lowerer:
         for s in stmts:
             values: list[VExpr] = []
             if isinstance(s, Store):
-                if not self._stride_ok(s.array, s.idxs, var, store=True):
+                if not self._stride_ok(s, var, store=True):
                     return False
                 values.append(s.value)
             elif isinstance(s, LocalAssign):
@@ -491,17 +491,17 @@ class _Lowerer:
             for v in values:
                 for node in v.walk():
                     if isinstance(node, Load) and not self._stride_ok(
-                        node.array, node.idxs, var, store=False
+                        node, var, store=False
                     ):
                         return False
         return True
 
-    def _stride_ok(self, array, idxs, var: str, *, store: bool) -> bool:
-        try:
-            form = decompose_affine(array.flat_index(idxs), frozenset({var}))
-        except NonAffineError:
+    def _stride_ok(self, access: Load | Store, var: str, *, store: bool) -> bool:
+        # the stride is kept on the access node: every host CPU's
+        # lowering of the region shares it
+        coeff = access.stride_along(var)
+        if coeff is None:
             return False
-        coeff = form.coefficient(var)
         if coeff == Const(1):
             return True
         if coeff == Const(0):
