@@ -92,16 +92,32 @@ def _canonical(obj: Any) -> Any:
     return repr(obj)
 
 
+#: (machine, fingerprint) pairs, most recent last, matched by value: a
+#: sweep looks up every case against the same platform
+_FINGERPRINTS: list[tuple[Any, str]] = []
+_FINGERPRINTS_KEPT = 8
+
+
 def machine_fingerprint(machine: Any) -> str:
     """Deterministic fingerprint of a machine descriptor (or any config).
 
     Any field change — a latency, a port count, a bandwidth — produces a
     different fingerprint, so cached analysis can never be replayed
-    against a perturbed machine model.
+    against a perturbed machine model.  The canonical form is built once
+    per machine value and reused while that value stays among the last
+    few fingerprinted.
     """
     if machine is None:
         return ""
-    return json.dumps(_canonical(machine), sort_keys=True, separators=(",", ":"))
+    for known, fingerprint in reversed(_FINGERPRINTS):
+        if known is machine or known == machine:
+            return fingerprint
+    fingerprint = json.dumps(
+        _canonical(machine), sort_keys=True, separators=(",", ":")
+    )
+    _FINGERPRINTS.append((machine, fingerprint))
+    del _FINGERPRINTS[:-_FINGERPRINTS_KEPT]
+    return fingerprint
 
 
 def compute_key(kind: str, payload: Any, machine: Any = None) -> str:
