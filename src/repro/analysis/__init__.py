@@ -8,12 +8,18 @@ that carries symbolic analysis products from compile time to run time.
 from .tripcount import (
     PAPER_BRANCH_PROBABILITY,
     PAPER_LOOP_TRIPS,
+    TripPlan,
     hybrid_trips,
     nest_trips,
     paper_trip_abstraction,
     runtime_trips,
 )
-from .features import AccessWeight, InstructionLoadout, extract_loadout
+from .features import (
+    AccessWeight,
+    InstructionLoadout,
+    LoadoutPlan,
+    extract_loadout,
+)
 from .attribute_db import (
     BoundAttributes,
     ProgramAttributeDatabase,
@@ -23,12 +29,14 @@ from .attribute_db import (
 __all__ = [
     "PAPER_BRANCH_PROBABILITY",
     "PAPER_LOOP_TRIPS",
+    "TripPlan",
     "hybrid_trips",
     "nest_trips",
     "paper_trip_abstraction",
     "runtime_trips",
     "AccessWeight",
     "InstructionLoadout",
+    "LoadoutPlan",
     "extract_loadout",
     "BoundAttributes",
     "ProgramAttributeDatabase",

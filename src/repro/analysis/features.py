@@ -24,6 +24,7 @@ from ..ir import (
     LocalDef,
     LocalRef,
     Loop,
+    ReduceStore,
     Region,
     ScalarArg,
     Select,
@@ -34,7 +35,7 @@ from ..ir import (
 )
 from .tripcount import PAPER_BRANCH_PROBABILITY, TripFn
 
-__all__ = ["InstructionLoadout", "AccessWeight", "extract_loadout"]
+__all__ = ["InstructionLoadout", "AccessWeight", "LoadoutPlan", "extract_loadout"]
 
 #: Op classes billed to the special-function path (GPU SFU / CPU long ops).
 _SFU_BIN = frozenset({"div"})
@@ -96,103 +97,182 @@ class InstructionLoadout:
         return self.fp_insts / bytes_moved
 
 
-class _Counter:
-    def __init__(self, trip_of: TripFn, branch_probability):
-        self.trip_of = trip_of
-        # a float (the 50% abstraction) or a callable If -> probability
-        # (profile-guided mode)
-        self.p_branch = branch_probability
-        self.fp = 0.0
-        self.int_ = 0.0
-        self.sfu = 0.0
-        self.loads = 0.0
-        self.stores = 0.0
-        self.branches = 0.0
-        self.weights: list[AccessWeight] = []
-        self._access_index = 0
+#: multiplier kinds of a :class:`LoadoutPlan` slot
+_LOOP, _THEN, _ELSE = 0, 1, 2
 
-    def value(self, v: VExpr, mult: float) -> None:
+
+@dataclass(frozen=True)
+class LoadoutPlan:
+    """:func:`extract_loadout` compiled once per region.
+
+    The walk below the parallel band becomes data, in walk order:
+
+    * ``slots`` — execution multipliers.  Slot 0 is the work item (1.0);
+      each later slot is ``(parent slot, kind, index)``: its parent times
+      the trip count of ``loops[index]``, or times the taken (``_THEN``)
+      or not-taken (``_ELSE``) probability of ``branches[index]``;
+    * ``terms`` — per op class (fp, int, sfu, loads, stores, branches),
+      the monomials it sums: ``(slot, loop, scale)`` is the slot's
+      multiplier, times ``scale`` × that loop's trips when ``scale`` is
+      non-zero (loop control);
+    * ``accesses`` — ``(slot, array, is_store, elem_bytes)`` per memory
+      access, in :func:`repro.ir.memory_accesses` order.
+
+    :meth:`evaluate` multiplies and sums in the walk's own order, so a
+    loadout is bit-identical to counting the IR directly.
+    """
+
+    region_name: str
+    loops: tuple[Loop, ...]
+    branches: tuple[If, ...]
+    slots: tuple[tuple[int, int, int], ...]
+    terms: tuple[tuple[tuple[int, int, int], ...], ...]
+    accesses: tuple[tuple[int, str, bool, int], ...]
+
+    @classmethod
+    def of(cls, region: Region) -> "LoadoutPlan":
+        return _Compiler(region).plan()
+
+    def evaluate(
+        self,
+        trip_of: TripFn,
+        *,
+        branch_probability=PAPER_BRANCH_PROBABILITY,
+    ) -> InstructionLoadout:
+        """The loadout under one trip function (see :func:`extract_loadout`)."""
+        trips = [trip_of(loop) for loop in self.loops]
+        if callable(branch_probability):
+            probs = [branch_probability(b) for b in self.branches]
+        else:
+            probs = [branch_probability] * len(self.branches)
+        mults = [1.0]
+        for parent, kind, index in self.slots:
+            mult = mults[parent]
+            if kind == _LOOP:
+                mults.append(mult * trips[index])
+            elif kind == _THEN:
+                mults.append(mult * probs[index])
+            else:
+                mults.append(mult * (1.0 - probs[index]))
+        sums = []
+        for monomials in self.terms:
+            total = 0.0
+            for slot, loop, scale in monomials:
+                if scale:
+                    total += scale * trips[loop] * mults[slot]
+                else:
+                    total += mults[slot]
+            sums.append(total)
+        fp, int_, sfu, loads, stores, branches = sums
+        return InstructionLoadout(
+            region_name=self.region_name,
+            fp_insts=fp,
+            int_insts=int_,
+            sfu_insts=sfu,
+            load_insts=loads,
+            store_insts=stores,
+            access_weights=tuple(
+                AccessWeight(i, name, is_store, mults[slot], elem_bytes)
+                for i, (slot, name, is_store, elem_bytes) in enumerate(
+                    self.accesses
+                )
+            ),
+            branch_insts=branches,
+        )
+
+
+#: positions of the op classes in ``LoadoutPlan.terms``
+_FP, _INT, _SFU, _LOADS, _STORES, _BRANCHES = range(6)
+
+
+class _Compiler:
+    """One walk below the band, recording what a count would add where."""
+
+    def __init__(self, region: Region):
+        self.region = region
+        self.loops: list[Loop] = []
+        self.branches: list[If] = []
+        self.slots: list[tuple[int, int, int]] = []
+        self.terms: list[list[tuple[int, int, int]]] = [[] for _ in range(6)]
+        self.accesses: list[tuple[int, str, bool, int]] = []
+
+    def plan(self) -> LoadoutPlan:
+        band = self.region.parallel_band()
+        self.stmts(band[-1].body, 0)
+        return LoadoutPlan(
+            region_name=self.region.name,
+            loops=tuple(self.loops),
+            branches=tuple(self.branches),
+            slots=tuple(self.slots),
+            terms=tuple(tuple(t) for t in self.terms),
+            accesses=tuple(self.accesses),
+        )
+
+    def slot(self, parent: int, kind: int, index: int) -> int:
+        self.slots.append((parent, kind, index))
+        return len(self.slots)
+
+    def add(self, cls: int, slot: int, loop: int = -1, scale: int = 0) -> None:
+        self.terms[cls].append((slot, loop, scale))
+
+    def value(self, v: VExpr, slot: int) -> None:
         if isinstance(v, (ConstV, ScalarArg, LocalRef)):
             return
         if isinstance(v, Load):
-            self.loads += mult
-            self.weights.append(
-                AccessWeight(
-                    self._access_index,
-                    v.array.name,
-                    False,
-                    mult,
-                    v.array.dtype.size,
-                )
-            )
-            self._access_index += 1
+            self.add(_LOADS, slot)
+            self.accesses.append((slot, v.array.name, False, v.array.dtype.size))
             # address computation
-            self.int_ += mult
+            self.add(_INT, slot)
             return
         if isinstance(v, Bin):
-            self.value(v.lhs, mult)
-            self.value(v.rhs, mult)
-            if v.op in _SFU_BIN:
-                self.sfu += mult
-            else:
-                self.fp += mult
+            self.value(v.lhs, slot)
+            self.value(v.rhs, slot)
+            self.add(_SFU if v.op in _SFU_BIN else _FP, slot)
             return
         if isinstance(v, Un):
-            self.value(v.operand, mult)
-            if v.op in _SFU_UN:
-                self.sfu += mult
-            else:
-                self.fp += mult
+            self.value(v.operand, slot)
+            self.add(_SFU if v.op in _SFU_UN else _FP, slot)
             return
         if isinstance(v, Cmp):
-            self.value(v.lhs, mult)
-            self.value(v.rhs, mult)
-            self.int_ += mult
+            self.value(v.lhs, slot)
+            self.value(v.rhs, slot)
+            self.add(_INT, slot)
             return
         if isinstance(v, Select):
-            self.value(v.cond, mult)
-            self.value(v.if_true, mult)
-            self.value(v.if_false, mult)
-            self.fp += mult  # the select itself
+            self.value(v.cond, slot)
+            self.value(v.if_true, slot)
+            self.value(v.if_false, slot)
+            self.add(_FP, slot)  # the select itself
             return
         raise TypeError(f"cannot count {type(v).__name__}")  # pragma: no cover
 
-    def stmts(self, body: list[Stmt], mult: float) -> None:
+    def stmts(self, body: list[Stmt], slot: int) -> None:
         for s in body:
             if isinstance(s, Loop):
-                trips = self.trip_of(s)
+                loop = len(self.loops)
+                self.loops.append(s)
                 # loop control: one increment + one compare+branch per trip
-                self.int_ += 2 * trips * mult
-                self.branches += trips * mult
-                self.stmts(s.body, mult * trips)
+                self.add(_INT, slot, loop, 2)
+                self.add(_BRANCHES, slot, loop, 1)
+                self.stmts(s.body, self.slot(slot, _LOOP, loop))
             elif isinstance(s, If):
-                self.value(s.cond, mult)
-                self.branches += mult
-                p = self.p_branch(s) if callable(self.p_branch) else self.p_branch
-                self.stmts(s.then_body, mult * p)
-                self.stmts(s.else_body, mult * (1.0 - p))
+                self.value(s.cond, slot)
+                self.add(_BRANCHES, slot)
+                branch = len(self.branches)
+                self.branches.append(s)
+                self.stmts(s.then_body, self.slot(slot, _THEN, branch))
+                self.stmts(s.else_body, self.slot(slot, _ELSE, branch))
             elif isinstance(s, Store):
-                self.value(s.value, mult)
-                self.stores += mult
-                self.int_ += mult  # address computation
-                from ..ir import ReduceStore
-
+                self.value(s.value, slot)
+                self.add(_STORES, slot)
+                self.add(_INT, slot)  # address computation
                 if isinstance(s, ReduceStore):
-                    self.fp += mult  # the per-contribution combine op
-                self.weights.append(
-                    AccessWeight(
-                        self._access_index,
-                        s.array.name,
-                        True,
-                        mult,
-                        s.array.dtype.size,
-                    )
-                )
-                self._access_index += 1
+                    self.add(_FP, slot)  # the per-contribution combine op
+                self.accesses.append((slot, s.array.name, True, s.array.dtype.size))
             elif isinstance(s, LocalDef):
-                self.value(s.init, mult)
+                self.value(s.init, slot)
             elif isinstance(s, LocalAssign):
-                self.value(s.value, mult)
+                self.value(s.value, slot)
             else:  # pragma: no cover - validator precludes this
                 raise TypeError(f"cannot count {type(s).__name__}")
 
@@ -209,18 +289,9 @@ def extract_loadout(
     are work items, so their multiplicity is carried by grid geometry /
     thread counts, not by the loadout.  ``branch_probability`` is either
     the fixed 50% abstraction or a callable ``If -> probability`` supplied
-    by profile-guided analysis.
+    by profile-guided analysis.  A compiled record keeps its region's
+    :class:`LoadoutPlan` and evaluates it directly.
     """
-    band = region.parallel_band()
-    counter = _Counter(trip_of, branch_probability)
-    counter.stmts(band[-1].body, 1.0)
-    return InstructionLoadout(
-        region_name=region.name,
-        fp_insts=counter.fp,
-        int_insts=counter.int_,
-        sfu_insts=counter.sfu,
-        load_insts=counter.loads,
-        store_insts=counter.stores,
-        access_weights=tuple(counter.weights),
-        branch_insts=counter.branches,
+    return LoadoutPlan.of(region).evaluate(
+        trip_of, branch_probability=branch_probability
     )
