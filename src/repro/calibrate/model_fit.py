@@ -71,16 +71,9 @@ def fit_model_calibration(
         bound = attrs.bind(env)
         pred = predict_both(bound, platform, num_threads=num_threads)
         sim_cpu = simulate_cpu(
-            region,
-            platform.host,
-            env,
-            num_threads=num_threads,
-            ipda=attrs.ipda,
-            lowered=attrs.lowered(platform.host),
+            attrs, platform.host, env, num_threads=num_threads
         ).seconds
-        sim_gpu = simulate_gpu_kernel(
-            region, platform.gpu, env, ipda=attrs.ipda
-        )
+        sim_gpu = simulate_gpu_kernel(attrs, platform.gpu, env)
         cpu_ratios.append(sim_cpu / pred.cpu.seconds)
         # compare kernel-only portions: launch+transfer are separately exact
         pred_kernel = max(pred.gpu.kernel_seconds, 1e-12)

@@ -157,7 +157,7 @@ def _variant_offload(variant, bound, platform, num_threads, calibration) -> bool
     if variant.startswith("no-ipda"):
         forced = _force_coalescing(bound.ipda, "all coalesced" in variant)
         cpu_pred = predict_cpu_time(
-            bound.region,
+            bound.attributes,
             bound.loadout,
             bound.parallel_iterations,
             platform.host,
@@ -184,7 +184,7 @@ def _variant_offload(variant, bound, platform, num_threads, calibration) -> bool
         return gpu_s < cpu_s
     if variant == "no-omp-rep":
         cpu_pred = predict_cpu_time(
-            bound.region,
+            bound.attributes,
             bound.loadout,
             bound.parallel_iterations,
             platform.host,

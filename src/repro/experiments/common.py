@@ -217,17 +217,9 @@ def _simulate_case(
     plat: Platform,
     num_threads: int | None,
 ) -> list[float]:
-    region = attrs.region
-    cpu = simulate_cpu(
-        region,
-        plat.host,
-        env,
-        num_threads=num_threads,
-        ipda=attrs.ipda,
-        lowered=attrs.lowered(plat.host),
-    )
-    gpu = simulate_gpu_kernel(region, plat.gpu, env, ipda=attrs.ipda)
-    xfer = simulate_transfers(region, plat.bus, env)
+    cpu = simulate_cpu(attrs, plat.host, env, num_threads=num_threads)
+    gpu = simulate_gpu_kernel(attrs, plat.gpu, env)
+    xfer = simulate_transfers(attrs.region, plat.bus, env)
     return [cpu.seconds, gpu.seconds, xfer.total_seconds]
 
 

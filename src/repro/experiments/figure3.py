@@ -74,7 +74,7 @@ def run_figure3(
         attrs = db.compile_region(case.region)
         bound = attrs.bind(case.env)
         pred = predict_cpu_time(
-            case.region,
+            attrs,
             bound.loadout,
             bound.parallel_iterations,
             cpu,

@@ -29,7 +29,6 @@ from typing import Callable, Mapping
 
 from ..analysis import BoundAttributes, ProgramAttributeDatabase
 from ..ir import Region
-from ..ir.dataflow import analyze_transfers
 from ..lint import lint_region
 from ..machines import Platform
 from ..sim import simulate_cpu, simulate_gpu_kernel, simulate_transfers
@@ -328,7 +327,7 @@ def _inferred_transfer_sim_seconds(
     staging efficiency, full-duplex overlap) but issues only the
     directions the dataflow analysis kept.
     """
-    dataflow = bound.attributes.dataflow or analyze_transfers(region)
+    dataflow = bound.attributes.dataflow
     bus = platform.bus
     rate = bus.bandwidth_gbs * 1e9 * STAGING_EFFICIENCY
     to_dev_s = 0.0
@@ -369,15 +368,8 @@ def _run_scenario(
     declared = attrs.bind(env)
     inferred = inferred_db.compile_region(region).bind(env)
     report = lint_region(region, env=env, platform=platform)
-    cpu = simulate_cpu(
-        region,
-        platform.host,
-        env,
-        num_threads=num_threads,
-        ipda=attrs.ipda,
-        lowered=attrs.lowered(platform.host),
-    )
-    gpu = simulate_gpu_kernel(region, platform.gpu, env, ipda=attrs.ipda)
+    cpu = simulate_cpu(attrs, platform.host, env, num_threads=num_threads)
+    gpu = simulate_gpu_kernel(attrs, platform.gpu, env)
     declared_xfer = simulate_transfers(region, platform.bus, env)
     inferred_xfer_s = _inferred_transfer_sim_seconds(
         region, inferred, platform, env

@@ -12,6 +12,7 @@ from .analysis import (
     BoundIPDA,
     IPDAResult,
     analyze_region,
+    group_accesses,
 )
 from .coalescing import (
     CoalescingClass,
@@ -25,6 +26,7 @@ __all__ = [
     "BoundIPDA",
     "IPDAResult",
     "analyze_region",
+    "group_accesses",
     "CoalescingClass",
     "classify_stride",
     "transactions_per_warp_access",

@@ -37,7 +37,7 @@ sharing indicator mentioned in Section II.C falls out of the same math.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Hashable, Mapping, Sequence
 
 from ..ir import Region
 from ..ir.visit import MemoryAccess, memory_accesses
@@ -51,6 +51,7 @@ __all__ = [
     "IPDAResult",
     "BoundIPDA",
     "analyze_region",
+    "group_accesses",
 ]
 
 
@@ -118,6 +119,25 @@ class IPDAResult:
             if a.thread_stride is not None:
                 syms |= a.thread_stride.free_symbols()
         return frozenset(syms)
+
+    def access_groups(self) -> tuple[tuple[int, ...], ...]:
+        """Indices of the accesses that share one miss profile.
+
+        Accesses to one array with equal strides along every enclosing
+        loop (stencil neighbours) touch the same lines modulo a constant
+        offset; the locality model prices the first of each group.
+        """
+        keys = [
+            (
+                a.access.array.name,
+                tuple(
+                    (lp.var.name, repr(a.loop_strides.get(lp.var.name)))
+                    for lp in a.access.loop_path
+                ),
+            )
+            for a in self.accesses
+        ]
+        return tuple(tuple(group) for group in group_accesses(keys))
 
     def bind(
         self,
@@ -191,6 +211,14 @@ class BoundIPDA:
         return sum(a.transactions_per_access for a in self.accesses) / len(
             self.accesses
         )
+
+
+def group_accesses(keys: Sequence[Hashable]) -> list[list[int]]:
+    """Group access indices whose keys match, in first-seen order."""
+    table: dict[Hashable, list[int]] = {}
+    for i, k in enumerate(keys):
+        table.setdefault(k, []).append(i)
+    return list(table.values())
 
 
 def analyze_region(region: Region) -> IPDAResult:

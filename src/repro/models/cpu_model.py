@@ -25,14 +25,13 @@ from dataclasses import dataclass
 import math
 from typing import Callable, Mapping
 
-from ..analysis import InstructionLoadout, nest_trips
+from ..analysis import InstructionLoadout, RegionAttributes
 from ..analysis.tripcount import PAPER_LOOP_TRIPS
 from ..codegen import CPUPlan, OMPSchedule, plan_cpu_execution
 from ..ipda import IPDAResult, analyze_region
-from ..ir import Region, count_reductions
+from ..ir import Region
 from ..machines import CPUDescriptor
 from ..mca import (
-    LoweredLevel,
     MachineOp,
     find_band_level,
     level_cycles_per_iteration,
@@ -86,7 +85,7 @@ class CPUPrediction:
 
 
 def predict_cpu_time(
-    region: Region,
+    region: Region | RegionAttributes,
     loadout: InstructionLoadout,
     parallel_iterations: int,
     cpu: CPUDescriptor,
@@ -96,8 +95,6 @@ def predict_cpu_time(
     vectorize: bool = True,
     schedule: OMPSchedule = OMPSchedule.STATIC,
     chunk_size: int | None = None,
-    ipda: IPDAResult | None = None,
-    band: LoweredLevel | None = None,
 ) -> CPUPrediction:
     """Evaluate the Liao model for one region launch.
 
@@ -108,11 +105,17 @@ def predict_cpu_time(
     pays Liao's ``Schedule_times × Schedule_c`` with the per-chunk dispatch
     cost instead of the one-off static partitioning cost.
 
-    ``ipda`` and ``band`` are the region's compile-time products: its IPDA
-    result and its innermost parallel band lowered for ``cpu`` under
-    ``vectorize``.  The attribute database stores both, so a launch only
-    binds values; either one left out is computed here from ``region``.
+    ``region`` is the region's compiled record
+    (:class:`~repro.analysis.RegionAttributes`), whose IPDA result, trip
+    plan, reduction count and innermost parallel band lowered for ``cpu``
+    the attribute database keeps, so a launch only binds values; a bare
+    region is compiled here first.
     """
+    attrs = (
+        region
+        if isinstance(region, RegionAttributes)
+        else RegionAttributes(region, analyze_region(region))
+    )
     plan = plan_cpu_execution(
         parallel_iterations,
         cpu,
@@ -120,12 +123,12 @@ def predict_cpu_time(
         schedule=schedule,
         chunk_size=chunk_size,
     )
-    trip_of = nest_trips(region, env or {}, default=PAPER_LOOP_TRIPS)
-    if ipda is None:
-        ipda = analyze_region(region)
-    if band is None:
-        band = find_band_level(lower_region(region, cpu, vectorize=vectorize))
-    classes = _classify_accesses(ipda, env or {}, cpu, trip_of)
+    trip_of = attrs.trip_plan.trips(env or {}, default=PAPER_LOOP_TRIPS)
+    if vectorize:
+        band = attrs.band_level(cpu)
+    else:
+        band = find_band_level(lower_region(attrs.region, cpu, vectorize=False))
+    classes = _classify_accesses(attrs.ipda, env or {}, cpu, trip_of)
     latency_of = _ipda_load_latency(classes, cpu)
     mc_per_iter = level_cycles_per_iteration(
         band, cpu, trip_of, latency_of=latency_of
@@ -155,7 +158,7 @@ def predict_cpu_time(
     fork = cpu.par_startup_cycles * team_scale
     join = cpu.sync_cycles * team_scale
     # Liao's Reduction_c: a log2(team)-deep combining tree per clause
-    n_red = count_reductions(region)
+    n_red = attrs.reductions
     reduction_cycles = (
         n_red * math.ceil(math.log2(max(2, plan.num_threads)))
         * cpu.reduction_step_cycles
@@ -173,7 +176,7 @@ def predict_cpu_time(
         + join
     )
     return CPUPrediction(
-        region_name=region.name,
+        region_name=attrs.region.name,
         cpu_name=cpu.name,
         plan=plan,
         machine_cycles_per_iter=mc_per_iter,

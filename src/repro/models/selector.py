@@ -96,22 +96,18 @@ def predict_both(
     )
     env = dict(bound.env) if use_runtime_tripcounts else {}
     cpu_pred = predict_cpu_time(
-        bound.region,
+        attributes,
         loadout,
         bound.parallel_iterations,
         platform.host,
         num_threads=num_threads,
         env=env,
-        ipda=attributes.ipda,
-        band=attributes.band_level(platform.host),
     )
     plan = plan_gpu_launch(
         bound.parallel_iterations,
         platform.gpu,
         threads_per_block=threads_per_block,
     )
-    from ..ir import count_reductions
-
     gpu_pred = predict_gpu_time(
         bound.region.name,
         loadout,
@@ -121,7 +117,7 @@ def predict_both(
         platform.bus,
         bound.bytes_to_device,
         bound.bytes_to_host,
-        num_reductions=count_reductions(bound.region),
+        num_reductions=attributes.reductions,
     )
     if calibration is not None:
         cpu_pred = dataclasses.replace(

@@ -73,7 +73,7 @@ def predict_split(
         if share <= 0:
             return 0.0
         pred = predict_cpu_time(
-            bound.region,
+            bound.attributes,
             bound.loadout,
             share,
             platform.host,

@@ -6,9 +6,10 @@ way the paper measures it: host time is the parallel region itself; device
 time includes data transfers but never CUDA context initialization.
 
 ``execute`` takes the region's compiled record
-(:class:`~repro.analysis.RegionAttributes`), not the bare region: the
-simulators price its IPDA result and, on the host, the loop nest it
-lowered for this device's CPU, so a launch reruns neither analysis.
+(:class:`~repro.analysis.RegionAttributes`), not the bare region, and
+hands it whole to the simulators, so a launch only evaluates its
+products (IPDA strides, trip plan, loadout monomials and, on the host,
+the loop nest lowered for this device's CPU).
 """
 
 from __future__ import annotations
@@ -58,14 +59,7 @@ class HostDevice(Device):
     def execute(
         self, attrs: RegionAttributes, env: Mapping[str, int]
     ) -> ExecutionRecord:
-        res = simulate_cpu(
-            attrs.region,
-            self.cpu,
-            env,
-            num_threads=self.num_threads,
-            ipda=attrs.ipda,
-            lowered=attrs.lowered(self.cpu),
-        )
+        res = simulate_cpu(attrs, self.cpu, env, num_threads=self.num_threads)
         return ExecutionRecord(self.name, self.kind, res.seconds, res)
 
     def __repr__(self) -> str:
@@ -93,11 +87,7 @@ class AcceleratorDevice(Device):
         self, attrs: RegionAttributes, env: Mapping[str, int]
     ) -> ExecutionRecord:
         kernel = simulate_gpu_kernel(
-            attrs.region,
-            self.gpu,
-            env,
-            threads_per_block=self.threads_per_block,
-            ipda=attrs.ipda,
+            attrs, self.gpu, env, threads_per_block=self.threads_per_block
         )
         xfer = simulate_transfers(attrs.region, self.bus, env)
         total = kernel.seconds + xfer.total_seconds

@@ -18,7 +18,6 @@ from .locality import (
     LoopExtent,
     MemoryHierarchy,
     analyze_access,
-    group_accesses,
 )
 from .cpu_sim import CPUSimResult, cpu_memory_hierarchy, simulate_cpu
 from .gpu_sim import GPUSimResult, simulate_gpu_kernel
@@ -40,7 +39,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "LoopExtent",
         "MemoryHierarchy",
         "analyze_access",
-        "group_accesses",
         "CPUSimResult",
         "cpu_memory_hierarchy",
         "simulate_cpu",

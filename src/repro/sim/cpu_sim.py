@@ -16,9 +16,9 @@ host), fork/join/schedule overheads included, no data transfer.
 
 The simulator takes the region's compile-time products the way the
 predictor does: a caller holding the compiled record
-(:class:`~repro.analysis.RegionAttributes`) passes its IPDA result and its
-lowered loop nest, so a launch binds sizes and prices the tree without
-rerunning either analysis.  A bare region is analysed here.
+(:class:`~repro.analysis.RegionAttributes`) passes it whole, so a launch
+only evaluates its trip plan, strides and access groups against the sizes
+and prices its lowered loop nest.  A bare region is compiled here first.
 """
 
 from __future__ import annotations
@@ -27,20 +27,18 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+from ..analysis import RegionAttributes
 from ..codegen import CPUPlan, OMPSchedule, plan_cpu_execution
-from ..ipda import IPDAResult, analyze_region
+from ..ipda import analyze_region
 from ..ir import Region
-from ..ir.visit import count_reductions
 from ..machines import CPUDescriptor
 from ..obs.tracer import current_tracer
 from ..mca import (
-    LoweredLevel,
     MachineOp,
     find_band_level,
     level_cycles_per_iteration,
     lower_region,
 )
-from ..analysis import nest_trips
 from .locality import (
     AccessLocality,
     AccessSpec,
@@ -48,7 +46,6 @@ from .locality import (
     LoopExtent,
     MemoryHierarchy,
     analyze_access,
-    group_accesses,
 )
 
 __all__ = ["CPUSimResult", "simulate_cpu", "cpu_memory_hierarchy"]
@@ -99,20 +96,18 @@ def cpu_memory_hierarchy(
 
 
 def _access_specs(
-    region: Region,
-    ipda: IPDAResult,
+    attrs: RegionAttributes,
     env: Mapping[str, int],
     plan: CPUPlan,
     trip_of,
-) -> tuple[list[AccessSpec], list[list[int]]]:
-    """Build per-thread access specs + stencil groups for the region."""
-    band_vars = [lp.var.name for lp in region.parallel_band()]
+) -> list[AccessSpec]:
+    """Build per-thread access specs for the region's IPDA accesses."""
+    band_vars = [lp.var.name for lp in attrs.band]
 
     # Per-thread trips of each band loop: inner band dims run fully; the
     # outermost band dim is divided by the thread count.
     band_extents = {
-        lp.var.name: float(lp.count.evaluate(env))
-        for lp in region.parallel_band()
+        lp.var.name: float(lp.count.evaluate(env)) for lp in attrs.band
     }
     inner_product = 1.0
     for name in band_vars[1:]:
@@ -121,8 +116,7 @@ def _access_specs(
     outer_trips = max(1.0, chunk / max(1.0, inner_product))
 
     specs: list[AccessSpec] = []
-    keys: list[tuple] = []
-    for stride_info in ipda.accesses:
+    for stride_info in attrs.ipda.accesses:
         acc = stride_info.access
         loops: list[LoopExtent] = []
         for lp in reversed(acc.loop_path):  # innermost first
@@ -152,16 +146,11 @@ def _access_specs(
                 is_store=acc.is_store,
             )
         )
-        stride_sig = tuple(
-            (lp.var.name, repr(stride_info.loop_strides.get(lp.var.name)))
-            for lp in acc.loop_path
-        )
-        keys.append((acc.array.name, stride_sig))
-    return specs, group_accesses(keys)
+    return specs
 
 
 def simulate_cpu(
-    region: Region,
+    region: Region | RegionAttributes,
     cpu: CPUDescriptor,
     env: Mapping[str, int],
     *,
@@ -169,48 +158,46 @@ def simulate_cpu(
     vectorize: bool = True,
     schedule: OMPSchedule = OMPSchedule.STATIC,
     chunk_size: int | None = None,
-    ipda: IPDAResult | None = None,
-    lowered: LoweredLevel | None = None,
 ) -> CPUSimResult:
     """Simulate host-parallel execution of a region with actual sizes.
 
-    ``ipda`` and ``lowered`` are the region's compile-time products: its
-    IPDA result and its whole loop nest lowered for ``cpu`` under
-    ``vectorize``.  The attribute database stores both
-    (``RegionAttributes.ipda`` and ``RegionAttributes.lowered(cpu)``), so
-    a launch only binds values; either one left out is computed here
-    from ``region``.
+    ``region`` is the region's compiled record
+    (:class:`~repro.analysis.RegionAttributes`), whose IPDA result, trip
+    plan and loop nest lowered for ``cpu`` the attribute database keeps,
+    so a launch only binds values; a bare region is compiled here first.
     """
+    attrs = (
+        region
+        if isinstance(region, RegionAttributes)
+        else RegionAttributes(region, analyze_region(region))
+    )
     tracer = current_tracer()
     if not tracer.enabled:
         return _simulate_cpu(
-            region, cpu, env, num_threads=num_threads, vectorize=vectorize,
-            schedule=schedule, chunk_size=chunk_size, ipda=ipda,
-            lowered=lowered,
+            attrs, cpu, env, num_threads=num_threads, vectorize=vectorize,
+            schedule=schedule, chunk_size=chunk_size,
         )
-    with tracer.span("sim.cpu", region=region.name, cpu=cpu.name) as sp:
+    with tracer.span("sim.cpu", region=attrs.region.name, cpu=cpu.name) as sp:
         result = _simulate_cpu(
-            region, cpu, env, num_threads=num_threads, vectorize=vectorize,
-            schedule=schedule, chunk_size=chunk_size, ipda=ipda,
-            lowered=lowered,
+            attrs, cpu, env, num_threads=num_threads, vectorize=vectorize,
+            schedule=schedule, chunk_size=chunk_size,
         )
         sp.set("seconds", result.seconds)
         return result
 
 
 def _simulate_cpu(
-    region: Region,
+    attrs: RegionAttributes,
     cpu: CPUDescriptor,
     env: Mapping[str, int],
     *,
-    num_threads: int | None = None,
-    vectorize: bool = True,
-    schedule: OMPSchedule = OMPSchedule.STATIC,
-    chunk_size: int | None = None,
-    ipda: IPDAResult | None = None,
-    lowered: LoweredLevel | None = None,
+    num_threads: int | None,
+    vectorize: bool,
+    schedule: OMPSchedule,
+    chunk_size: int | None,
 ) -> CPUSimResult:
-    parallel_iters = int(region.parallel_iterations().evaluate(env))
+    region = attrs.region
+    parallel_iters = int(attrs.parallel_iterations.evaluate(env))
     plan = plan_cpu_execution(
         parallel_iters,
         cpu,
@@ -219,13 +206,11 @@ def _simulate_cpu(
         chunk_size=chunk_size,
     )
     mem = cpu_memory_hierarchy(cpu, plan.threads_per_core)
-    trips = nest_trips(region, env)
-    if ipda is None:
-        ipda = analyze_region(region)
+    trips = attrs.trip_plan.trips(env)
 
-    specs, groups = _access_specs(region, ipda, env, plan, trips)
+    specs = _access_specs(attrs, env, plan, trips)
     localities: dict[int, AccessLocality] = {}
-    for group in groups:
+    for group in attrs.access_groups:
         leader = group[0]
         localities[leader] = analyze_access(specs[leader], mem)
         for other in group[1:]:
@@ -244,9 +229,12 @@ def _simulate_cpu(
             return localities[idx].avg_latency_cycles
         return float(cpu.latency(op.opcode))
 
-    if lowered is None:
-        lowered = lower_region(region, cpu, vectorize=vectorize)
-    band = find_band_level(lowered)
+    if vectorize:
+        lowered = attrs.lowered(cpu)
+        band = attrs.band_level(cpu)
+    else:
+        lowered = lower_region(region, cpu, vectorize=False)
+        band = find_band_level(lowered)
     per_iter = level_cycles_per_iteration(
         band, cpu, trips, latency_of=latency_of
     )
@@ -258,12 +246,12 @@ def _simulate_cpu(
     compute_seconds = cpu.cycles_to_seconds(compute_cycles)
 
     busy_threads = min(plan.num_threads, parallel_iters)
-    outer_band_var = region.parallel_band()[0].var.name
+    outer_band_var = attrs.band[0].var.name
     total_dram = 0.0
     l2_traffic = 0.0  # per-thread bytes refilled from L2
     l3_traffic = 0.0  # per-thread bytes refilled from L3 (or passing it)
     line = float(cpu.cacheline_bytes)
-    for i, (spec_, astride) in enumerate(zip(specs, ipda.accesses)):
+    for i, (spec_, astride) in enumerate(zip(specs, attrs.ipda.accesses)):
         loc = localities[i]
         # Cross-thread sharing: static chunking slices the *outermost* band
         # dimension across threads, so an access invariant along it (e.g.
@@ -312,9 +300,8 @@ def _simulate_cpu(
         if plan.schedule is OMPSchedule.STATIC
         else cpu.par_schedule_dynamic_cycles
     )
-    n_red = count_reductions(region)
     reduction_cycles = (
-        n_red
+        attrs.reductions
         * math.ceil(math.log2(max(2, plan.num_threads)))
         * cpu.reduction_step_cycles
     )

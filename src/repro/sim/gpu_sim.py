@@ -18,8 +18,8 @@ abstracts, this simulator resolves:
 Kernel time = max(issue bound, memory bound) per wave × waves, floored by
 the DRAM roofline, plus launch overhead.  Transfers are simulated
 separately (:mod:`repro.sim.interconnect_sim`).  A caller holding the
-region's compiled record passes its IPDA result, so a launch only binds
-the strides.
+region's compiled record passes it whole, so a launch only evaluates its
+trip plan, loadout monomials and strides against the sizes.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from ..analysis import extract_loadout, nest_trips
+from ..analysis import RegionAttributes
 from ..codegen import DEFAULT_THREADS_PER_BLOCK, GPULaunchPlan, plan_gpu_launch
-from ..ipda import IPDAResult, analyze_region
+from ..ipda import analyze_region
 from ..ir import Region
-from ..ir.visit import count_reductions
 from ..machines import GPUDescriptor
 from ..obs.tracer import current_tracer
 from .locality import (
@@ -42,7 +41,6 @@ from .locality import (
     LoopExtent,
     MemoryHierarchy,
     analyze_access,
-    group_accesses,
 )
 
 __all__ = ["GPUSimResult", "simulate_gpu_kernel"]
@@ -106,49 +104,51 @@ def _gpu_hierarchy(
 
 
 def simulate_gpu_kernel(
-    region: Region,
+    region: Region | RegionAttributes,
     gpu: GPUDescriptor,
     env: Mapping[str, int],
     *,
     threads_per_block: int = DEFAULT_THREADS_PER_BLOCK,
-    ipda: IPDAResult | None = None,
 ) -> GPUSimResult:
     """Simulate one kernel launch with actual sizes and real coalescing.
 
-    ``ipda`` is the region's compile-time IPDA result, which the
-    attribute database stores (``RegionAttributes.ipda``); left out, it
-    is computed here from ``region``.
+    ``region`` is the region's compiled record
+    (:class:`~repro.analysis.RegionAttributes`), whose IPDA result, trip
+    plan and loadout monomials the attribute database keeps; a bare
+    region is compiled here first.
     """
+    attrs = (
+        region
+        if isinstance(region, RegionAttributes)
+        else RegionAttributes(region, analyze_region(region))
+    )
     tracer = current_tracer()
     if not tracer.enabled:
         return _simulate_gpu_kernel(
-            region, gpu, env, threads_per_block=threads_per_block, ipda=ipda
+            attrs, gpu, env, threads_per_block=threads_per_block
         )
-    with tracer.span("sim.gpu", region=region.name, gpu=gpu.name) as sp:
+    with tracer.span("sim.gpu", region=attrs.region.name, gpu=gpu.name) as sp:
         result = _simulate_gpu_kernel(
-            region, gpu, env, threads_per_block=threads_per_block, ipda=ipda
+            attrs, gpu, env, threads_per_block=threads_per_block
         )
         sp.set("seconds", result.seconds)
         return result
 
 
 def _simulate_gpu_kernel(
-    region: Region,
+    attrs: RegionAttributes,
     gpu: GPUDescriptor,
     env: Mapping[str, int],
     *,
-    threads_per_block: int = DEFAULT_THREADS_PER_BLOCK,
-    ipda: IPDAResult | None = None,
+    threads_per_block: int,
 ) -> GPUSimResult:
-    parallel_iters = int(region.parallel_iterations().evaluate(env))
+    parallel_iters = int(attrs.parallel_iterations.evaluate(env))
     plan = plan_gpu_launch(
         parallel_iters, gpu, threads_per_block=threads_per_block
     )
-    trip_of = nest_trips(region, env)
-    loadout = extract_loadout(region, trip_of)
-    if ipda is None:
-        ipda = analyze_region(region)
-    bound_ipda = ipda.bind(
+    trip_of = attrs.trip_plan.trips(env)
+    loadout = attrs.loadout_plan.evaluate(trip_of)
+    bound_ipda = attrs.ipda.bind(
         env, sector_bytes=gpu.sector_bytes, warp_size=gpu.warp_size
     )
     n_warps = plan.active_warps_per_sm
@@ -156,7 +156,6 @@ def _simulate_gpu_kernel(
 
     # --- per-access locality at sector granularity -----------------------
     specs: list[AccessSpec] = []
-    keys: list[tuple] = []
     hierarchies: list[MemoryHierarchy] = []
     for bound, weight in zip(bound_ipda.accesses, loadout.access_weights):
         acc = bound.stride.access
@@ -198,14 +197,9 @@ def _simulate_gpu_kernel(
         else:
             l1_div, l2_div = float(n_warps) * gpu.warp_size, device_warps * gpu.warp_size
         hierarchies.append(_gpu_hierarchy(gpu, l1_div, l2_div))
-        stride_sig = tuple(
-            (lp.var.name, repr(bound.stride.loop_strides.get(lp.var.name)))
-            for lp in acc.loop_path
-        )
-        keys.append((acc.array.name, stride_sig))
 
     localities: dict[int, AccessLocality] = {}
-    for group in group_accesses(keys):
+    for group in attrs.access_groups:
         leader = group[0]
         loc = analyze_access(specs[leader], hierarchies[leader])
         localities[leader] = loc
@@ -280,7 +274,7 @@ def _simulate_gpu_kernel(
 
     waves = plan.rep
     kernel_cycles = max(issue_per_wave, mem_per_wave) * waves
-    n_red = count_reductions(region)
+    n_red = attrs.reductions
     if n_red:
         # block combining tree + one global atomic per block
         tree = math.log2(max(2, plan.threads_per_block)) * gpu.fp_latency
@@ -304,7 +298,7 @@ def _simulate_gpu_kernel(
         + launch_seconds
     )
     return GPUSimResult(
-        region_name=region.name,
+        region_name=attrs.region.name,
         gpu_name=gpu.name,
         plan=plan,
         issue_seconds=issue_seconds,

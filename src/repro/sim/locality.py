@@ -18,14 +18,14 @@ populations:
   whole array (warm caches across repetitions) or DRAM.
 
 Accesses that differ only by a constant offset (stencil neighbours) are
-grouped: one group member pays the full miss profile, the rest hit L1.
+grouped (:meth:`repro.ipda.IPDAResult.access_groups`): one group member
+pays the full miss profile, the rest hit L1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 __all__ = [
     "CacheLevel",
@@ -34,7 +34,6 @@ __all__ = [
     "AccessSpec",
     "AccessLocality",
     "analyze_access",
-    "group_accesses",
 ]
 
 
@@ -253,18 +252,3 @@ def analyze_access(spec: AccessSpec, mem: MemoryHierarchy) -> AccessLocality:
 def _name_for(mem: MemoryHierarchy, nbytes: float) -> str:
     lv = mem.level_holding(nbytes)
     return lv.name if lv is not None else "DRAM"
-
-
-def group_accesses(
-    keys: Sequence[tuple],
-) -> list[list[int]]:
-    """Group access indices whose keys match (stencil-neighbour sharing).
-
-    ``keys`` are hashable descriptors (array name + stride tuple); accesses
-    with equal keys touch the same lines modulo a constant offset, so only
-    one of them pays the miss profile.
-    """
-    table: dict[tuple, list[int]] = {}
-    for i, k in enumerate(keys):
-        table.setdefault(k, []).append(i)
-    return list(table.values())

@@ -3,13 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.ipda import group_accesses
 from repro.sim.locality import (
     AccessSpec,
     CacheLevel,
     LoopExtent,
     MemoryHierarchy,
     analyze_access,
-    group_accesses,
 )
 
 MEM = MemoryHierarchy(
