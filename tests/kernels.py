@@ -5,7 +5,7 @@ are *deliberately broken* lint fixtures: they exercise the race and
 reduction detectors and must never be fed to the correctness executors.
 """
 
-from repro.ir import Region
+from repro.ir import Region, parse_region
 
 
 def build_gemm() -> Region:
@@ -73,6 +73,51 @@ def build_rowwise() -> Region:
             r.assign(acc, acc + A[i, j])
         r.store(y[i], acc)
     return r
+
+
+def build_triangular(name="tri") -> Region:
+    """symmat[j1][j2] = sum_i data[i][j1]*data[i][j2] for j2 >= j1."""
+    r = Region(name)
+    n, m = r.param_tuple("n", "m")
+    data = r.array("data", (n, m))
+    sym = r.array("symmat", (m, m), output=True)
+    with r.parallel_loop("j1", m) as j1:
+        with r.loop("j2", m - j1.sym, start=j1) as j2:
+            acc = r.local("acc", 0.0)
+            with r.loop("i", n) as i:
+                r.assign(acc, acc + data[i, j1] * data[i, j2])
+            r.store(sym[j1, j2], acc)
+    return r
+
+
+def build_guarded() -> Region:
+    """Guarded work in a triangular nest: an if/else inside ``j in i..m``.
+
+    The then-branch holds a loop whose count reads ``j`` (a nest two
+    midpoints deep), the else-branch a store; SFU ops (sqrt, exp,
+    division) and a select round out every op class the loadout counts.
+    """
+    return parse_region("""\
+target region guarded {
+  in f32 A[[n]][[m]]
+  out f32 B[[n]][[m]]
+  out f32 y[[n]]
+  parallel for (i = 0; i < 0 + [n]; i++) {
+    f32 %acc.1 = 0;
+    for (j = [i]; j < [i] + (-1*[i] + [m]); j++) {
+      if (A[[i]][[j]] > 0) {
+        %acc.1 = (%acc.1 + sqrt(A[[i]][[j]]));
+        for (k = 0; k < 0 + [j]; k++) {
+          B[[i]][[k]] = (A[[i]][[k]] / 2);
+        }
+      } else {
+        B[[i]][[j]] = (0 - A[[i]][[j]]);
+      }
+    }
+    y[[i]] = ((%acc.1 < 1) ? exp(%acc.1) : %acc.1);
+  }
+}
+""")
 
 
 def build_write_write_race() -> Region:

@@ -20,20 +20,7 @@ from repro.sim import (
 )
 from repro.symbolic import EvalError
 
-
-def build_triangular(name="tri") -> Region:
-    """symmat[j1][j2] = sum_i data[i][j1]*data[i][j2] for j2 >= j1."""
-    r = Region(name)
-    n, m = r.param_tuple("n", "m")
-    data = r.array("data", (n, m))
-    sym = r.array("symmat", (m, m), output=True)
-    with r.parallel_loop("j1", m) as j1:
-        with r.loop("j2", m - j1.sym, start=j1) as j2:
-            acc = r.local("acc", 0.0)
-            with r.loop("i", n) as i:
-                r.assign(acc, acc + data[i, j1] * data[i, j2])
-            r.store(sym[j1, j2], acc)
-    return r
+from .kernels import build_triangular
 
 
 def _loops(region):
