@@ -47,6 +47,26 @@ class TestTransactions:
         with pytest.raises(ValueError):
             transactions_per_warp_access(4, 0)
 
+    @given(
+        stride_elems=st.integers(-600, 600),
+        elem=st.sampled_from([1, 2, 4, 8, 16, 32]),
+        warp=st.sampled_from([1, 2, 16, 32, 64]),
+        sector=st.sampled_from([32, 64, 128]),
+    )
+    def test_whole_element_strides_equal_the_lane_count(
+        self, stride_elems, elem, warp, sector
+    ):
+        """The closed form for whole-element strides equals counting lanes."""
+        stride = stride_elems * elem
+        sectors = set()
+        for lane in range(warp):
+            first = lane * abs(stride) // sector
+            last = (lane * abs(stride) + elem - 1) // sector
+            sectors.update(range(first, last + 1))
+        assert transactions_per_warp_access(
+            stride, elem, warp_size=warp, sector_bytes=sector
+        ) == len(sectors)
+
     @given(stride=st.integers(0, 4096), elem=st.sampled_from([4, 8]))
     def test_transactions_bounded(self, stride, elem):
         txn = transactions_per_warp_access(stride, elem)
