@@ -95,6 +95,8 @@ class SelfHealingSelector:
         predicted for the host and the accelerator labelled ``card``.
         """
         sentinel = self.sentinel
+        if not sentinel.flagged:
+            return None  # every stream is CALIBRATED: nothing to look up
         flags: tuple[tuple[str, str], ...] = ()
         for label in self.labels:
             state = sentinel.state(label, region)

@@ -63,7 +63,7 @@ CORRECTION_CLAMP = 64.0  # corrections confined to [1/c, c]
 MEASURED_ALPHA = 0.5  # EWMA weight for measured-seconds history
 
 
-@dataclass
+@dataclass(slots=True)
 class Ewma:
     """Exponentially weighted moving average, seeded by the first sample."""
 
@@ -80,7 +80,7 @@ class Ewma:
         return self.value
 
 
-@dataclass
+@dataclass(slots=True)
 class Cusum:
     """Two-sided CUSUM change detector (Page's test).
 
@@ -136,6 +136,13 @@ class StreamStats:
 
         Non-finite or non-positive pairs carry no ratio information (a
         failed launch measures no useful time) and are ignored.
+
+        One pass over the stream's state: the three EWMA steps, the CUSUM
+        step and its statistic are each computed once, with the same
+        float expressions in the same order as :meth:`Ewma.update`,
+        :meth:`Cusum.update` and :attr:`Cusum.statistic` (``max(0.0, v)``
+        is ``v if v > 0.0 else 0.0``, which keeps NaN and ``-0.0`` the
+        same), so the states are bit-identical to stepping those objects.
         """
         if not (
             math.isfinite(predicted)
@@ -146,20 +153,30 @@ class StreamStats:
             return self.state
         log_ratio = math.log(observed / predicted)
         self.observations += 1
-        self.instability.update(
-            abs(log_ratio - self.ratio_ewma.value)
-            if self.ratio_ewma.count
-            else 0.0
-        )
-        self.ratio_ewma.update(log_ratio)
-        self.measured.update(observed)
+        ratio = self.ratio_ewma
+        # the instability input reads the ratio EWMA before the ratio step
+        spread = abs(log_ratio - ratio.value) if ratio.count else 0.0
+        for ewma, x in (
+            (self.instability, spread),
+            (ratio, log_ratio),
+            (self.measured, observed),
+        ):
+            if ewma.count == 0:
+                ewma.value = x
+            else:
+                ewma.value += ewma.alpha * (x - ewma.value)
+            ewma.count += 1
         if self.observations <= WARMUP:
             self._warmup_sum += log_ratio
             if self.observations == WARMUP:
                 self.baseline = self._warmup_sum / WARMUP
             return self.state
         residual = log_ratio - (self.baseline or 0.0)
-        self.cusum.update(residual)
+        cusum = self.cusum
+        pos = cusum.pos + residual - cusum.k
+        cusum.pos = pos = pos if pos > 0.0 else 0.0
+        neg = cusum.neg - residual - cusum.k
+        cusum.neg = neg = neg if neg > 0.0 else 0.0
         if self.state is DriftState.DRIFTED:
             # recovery is streak-based: the CUSUM statistic only decays by
             # k per observation, which would hold a long drift open far
@@ -169,14 +186,16 @@ class StreamStats:
                 # the model looks right again — re-anchor so the applied
                 # correction collapses to ~1 immediately instead of
                 # decaying over several EWMA steps while mis-routing
-                self.ratio_ewma.value = log_ratio
+                ratio.value = log_ratio
             else:
                 self._recover_streak = 0
             if self._recover_streak >= RECOVER_AFTER:
                 self.state = DriftState.CALIBRATED
-                self.cusum.reset()
+                cusum.reset()
                 self._recover_streak = 0
-        elif self.cusum.tripped:
+            return self.state
+        statistic = neg if neg > pos else pos
+        if statistic > cusum.h:
             self.state = DriftState.DRIFTED
             self.drift_count += 1
             self._recover_streak = 0
@@ -185,9 +204,9 @@ class StreamStats:
             # usable immediately) and restart the instability estimator
             # (so the shift transient is not mistaken for an unstable
             # error — only *post-drift* scatter escalates to history mode).
-            self.ratio_ewma.value = log_ratio
+            ratio.value = log_ratio
             self.instability = Ewma(EWMA_ALPHA)
-        elif self.cusum.statistic > CUSUM_H * SUSPECT_FRACTION:
+        elif statistic > CUSUM_H * SUSPECT_FRACTION:
             self.state = DriftState.SUSPECT
         else:
             self.state = DriftState.CALIBRATED
@@ -251,6 +270,9 @@ class DriftSentinel:
         self.streams: dict[tuple[str, str], StreamStats] = {}
         #: (sim time, device, region, old state, new state) per edge.
         self.transitions: list[tuple[float, str, str, DriftState, DriftState]] = []
+        #: streams outside CALIBRATED, counted on the edges ``observe``
+        #: sees (a stream starts CALIBRATED and changes state only there)
+        self.flagged = 0
 
     def stream(self, device: str, region: str) -> StreamStats:
         key = (device, region)
@@ -263,10 +285,16 @@ class DriftSentinel:
         self, device: str, region: str, predicted: float, observed: float
     ) -> tuple[DriftState, DriftState]:
         """Feed one observation to a stream; return its (before, after) states."""
-        stream = self.stream(device, region)
+        stream = self.streams.get((device, region))
+        if stream is None:
+            stream = self.stream(device, region)
         before = stream.state
         state = stream.observe(predicted, observed)
         if state is not before:
+            if before is DriftState.CALIBRATED:
+                self.flagged += 1
+            elif state is DriftState.CALIBRATED:
+                self.flagged -= 1
             if self.clock is not None:
                 self.transitions.append(
                     (self.clock.now, device, region, before, state)

@@ -9,6 +9,7 @@ grid's detection-latency and recovery-accuracy promises.
 """
 
 import math
+import struct
 from types import SimpleNamespace
 
 import pytest
@@ -24,7 +25,17 @@ from repro.drift import (
     Watchdog,
     attach_refit_hook,
 )
-from repro.drift.sentinel import CORRECTION_CLAMP, RECOVER_AFTER
+from repro.drift.sentinel import (
+    CORRECTION_CLAMP,
+    CUSUM_H,
+    CUSUM_K,
+    EWMA_ALPHA,
+    MEASURED_ALPHA,
+    RECOVER_AFTER,
+    RECOVER_BAND,
+    SUSPECT_FRACTION,
+    WARMUP,
+)
 from repro.experiments import SkewScenario, run_drift
 from repro.faults import DeadlineExceeded
 from repro.machines import (
@@ -161,6 +172,173 @@ class TestStreamStats:
         s.observe(1.0, 1e6)
         assert s.state is DriftState.DRIFTED
         assert s.correction() == CORRECTION_CLAMP
+
+
+class _ReferenceStream:
+    """``StreamStats.observe`` stepped through the detector objects.
+
+    The method-based form the one-pass ``observe`` must equal: three
+    :meth:`Ewma.update` calls, :meth:`Cusum.update`, and the CUSUM
+    statistic read through :attr:`Cusum.tripped` and
+    :attr:`Cusum.statistic`.
+    """
+
+    def __init__(self):
+        self.state = DriftState.CALIBRATED
+        self.observations = 0
+        self.baseline = None
+        self.ratio_ewma = Ewma(EWMA_ALPHA)
+        self.instability = Ewma(EWMA_ALPHA)
+        self.cusum = Cusum(CUSUM_K, CUSUM_H)
+        self.measured = Ewma(MEASURED_ALPHA)
+        self._warmup_sum = 0.0
+        self._recover_streak = 0
+        self.drift_count = 0
+
+    def observe(self, predicted: float, observed: float) -> DriftState:
+        if not (
+            math.isfinite(predicted)
+            and math.isfinite(observed)
+            and predicted > 0.0
+            and observed > 0.0
+        ):
+            return self.state
+        log_ratio = math.log(observed / predicted)
+        self.observations += 1
+        self.instability.update(
+            abs(log_ratio - self.ratio_ewma.value)
+            if self.ratio_ewma.count
+            else 0.0
+        )
+        self.ratio_ewma.update(log_ratio)
+        self.measured.update(observed)
+        if self.observations <= WARMUP:
+            self._warmup_sum += log_ratio
+            if self.observations == WARMUP:
+                self.baseline = self._warmup_sum / WARMUP
+            return self.state
+        residual = log_ratio - (self.baseline or 0.0)
+        self.cusum.update(residual)
+        if self.state is DriftState.DRIFTED:
+            if abs(residual) <= RECOVER_BAND:
+                self._recover_streak += 1
+                self.ratio_ewma.value = log_ratio
+            else:
+                self._recover_streak = 0
+            if self._recover_streak >= RECOVER_AFTER:
+                self.state = DriftState.CALIBRATED
+                self.cusum.reset()
+                self._recover_streak = 0
+        elif self.cusum.tripped:
+            self.state = DriftState.DRIFTED
+            self.drift_count += 1
+            self._recover_streak = 0
+            self.ratio_ewma.value = log_ratio
+            self.instability = Ewma(EWMA_ALPHA)
+        elif self.cusum.statistic > CUSUM_H * SUSPECT_FRACTION:
+            self.state = DriftState.SUSPECT
+        else:
+            self.state = DriftState.CALIBRATED
+        return self.state
+
+
+def _bits(value) -> object:
+    """A float's exact bit pattern (NaN payloads and ``-0.0`` included)."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return value
+
+
+def _verdict(stream, predicted: float, observed: float):
+    """The stream's verdict, or the type of the error observing raised."""
+    try:
+        return stream.observe(predicted, observed)
+    except ValueError as err:
+        return type(err)
+
+
+def _stream_fields(stream) -> tuple:
+    return tuple(
+        _bits(v)
+        for v in (
+            stream.state,
+            stream.observations,
+            stream.baseline,
+            stream._warmup_sum,
+            stream.ratio_ewma.value,
+            stream.ratio_ewma.count,
+            stream.instability.value,
+            stream.instability.count,
+            stream.measured.value,
+            stream.measured.count,
+            stream.cusum.pos,
+            stream.cusum.neg,
+            stream.drift_count,
+            stream._recover_streak,
+        )
+    )
+
+
+#: observation pairs: mostly ratios that walk a stream through warmup,
+#: SUSPECT, DRIFTED and recovery, plus pairs the stream must ignore and
+#: extreme magnitudes whose log-ratio overflows
+_PAIRS = st.one_of(
+    st.tuples(
+        st.floats(1e-6, 1e3),
+        st.one_of(
+            st.sampled_from((1.0, 1.01, 1.08, 1.3, 1.5, 3.0, 8.0, 0.5, 0.125)),
+            st.floats(0.5, 2.0),
+        ),
+    ).map(lambda pf: (pf[0], pf[0] * pf[1])),
+    st.tuples(
+        st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1.0)),
+        st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -0.0, -2.0, 1.0)),
+    ),
+    st.tuples(
+        st.floats(min_value=1e-300, max_value=1e300),
+        st.floats(min_value=1e-300, max_value=1e300),
+    ),
+)
+
+
+class TestOnePassObserve:
+    """The one-pass ``observe`` equals the method-based detector steps."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    # runs of one pair let the stream settle, drift and recover
+    @given(st.lists(st.tuples(_PAIRS, st.integers(1, 6)), max_size=25))
+    def test_every_field_bit_equal_after_each_step(self, runs):
+        stream, reference = StreamStats("gpu", "r"), _ReferenceStream()
+        for (predicted, observed), repeat in runs:
+            for _ in range(repeat):
+                # a ratio that underflows to 0.0 has no log: both raise alike
+                assert _verdict(stream, predicted, observed) is _verdict(
+                    reference, predicted, observed
+                )
+                assert _stream_fields(stream) == _stream_fields(reference)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("cpu", "gpu", "K80")),
+                st.sampled_from(("a", "b")),
+                st.sampled_from((0.5, 1.0, 1.05, 1.5, 6.0, 0.1, math.nan, -1.0)),
+                # runs of one ratio let streams settle, drift and recover
+                st.integers(1, 6),
+            ),
+            max_size=40,
+        )
+    )
+    def test_flagged_count_equals_a_recount(self, runs):
+        sentinel = DriftSentinel()
+        for device, region, observed, repeat in runs:
+            for _ in range(repeat):
+                sentinel.observe(device, region, 1.0, observed)
+                assert sentinel.flagged == sum(
+                    s.state is not DriftState.CALIBRATED
+                    for s in sentinel.streams.values()
+                )
 
 
 class TestDriftSentinel:
