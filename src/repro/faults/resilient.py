@@ -38,6 +38,11 @@ class DispatchResult:
     reason: str | None  # fallback provenance when not ok
 
 
+#: the fault-free outcome: one clean attempt, no overhead (frozen, so one
+#: object serves every launch)
+_CLEAN = DispatchResult(True, 1, (), 0.0, None)
+
+
 def _event(err: DeviceError) -> FaultEvent:
     return FaultEvent(
         device_name=err.device_name,
@@ -74,7 +79,7 @@ def dispatch_with_retries(
     """
     if injector is None or not injector.enabled:
         health.record_success()
-        return DispatchResult(True, 1, (), 0.0, None)
+        return _CLEAN
 
     events: list[FaultEvent] = []
     overhead = 0.0
@@ -91,6 +96,8 @@ def dispatch_with_retries(
         )
         if err is None:
             health.record_success()
+            if attempt == 1:
+                return _CLEAN
             return DispatchResult(True, attempt, tuple(events), overhead, None)
         events.append(_event(err))
         health.record_failure(err)

@@ -21,6 +21,7 @@ key is built once per instrument.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 __all__ = [
     "Counter",
@@ -39,6 +40,8 @@ DEFAULT_LOG_ERROR_BUCKETS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0)
 #: Significant figures every :class:`QuantileSketch` quantizes to.
 SIGNIFICANT_DIGITS = 6
 _QUANTUM = f"%.{SIGNIFICANT_DIGITS}g"
+#: integer-valued floats below this magnitude quantize to themselves
+_EXACT_BELOW = 10.0**SIGNIFICANT_DIGITS
 
 
 class Counter:
@@ -91,11 +94,14 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.count += 1
         self.sum += value
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        # the first bound >= value; NaN compares false with every bound,
+        # so it lands past them all (overflow), as does anything > the last
+        buckets = self.buckets
+        i = bisect_left(buckets, value)
+        if i < len(buckets) and value <= buckets[i]:
+            self.counts[i] += 1
+        else:
+            self.counts[-1] += 1
 
 
 class QuantileSketch:
@@ -131,7 +137,16 @@ class QuantileSketch:
         if not math.isfinite(value):
             self.nonfinite += 1
             return
-        q = float(_QUANTUM % value)
+        # an integer-valued float below 1e6 has at most six significant
+        # digits, so the %.6g round trip would return it unchanged (an int
+        # still takes the round trip, which makes it a float)
+        q = (
+            value
+            if value % 1.0 == 0.0
+            and -_EXACT_BELOW < value < _EXACT_BELOW
+            and type(value) is float
+            else float(_QUANTUM % value)
+        )
         self.counts[q] = self.counts.get(q, 0) + 1
         self.count += 1
 

@@ -242,24 +242,14 @@ def score_run(run: ReplayRun, *, recovery_margin_s: float = 0.0) -> ReplayScore:
     restoring.
     """
     windows = run.config.chaos.windows
-    # degraded *and* expired requests never made a model decision, so
-    # they are excluded from the accuracy/overhead views (but still
-    # count toward the completion-latency tails every client feels)
-    full_path = [
-        o
-        for o in run.outcomes
-        if o.record is not None and o.outcome not in ("degraded", "expired")
-    ]
 
     def in_any_window(start_s: float) -> bool:
         return any(
             w.start_s <= start_s < w.stop_s + recovery_margin_s for w in windows
         )
 
-    correct = sum(1 for o in full_path if o.record.decision_correct)
-    steady = [o for o in full_path if not in_any_window(o.start_s or 0.0)]
-    steady_correct = sum(1 for o in steady if o.record.decision_correct)
-
+    # one pass over the outcomes, reading each launch's verdict once
+    launches = correct = steady = steady_correct = 0
     overhead = QuantileSketch()
     overhead_zero = 0
     fallbacks = 0
@@ -267,52 +257,66 @@ def score_run(run: ReplayRun, *, recovery_margin_s: float = 0.0) -> ReplayScore:
     hedged = 0
     hedge_wins = 0
     hedge_extra_s = 0.0
-    for o in full_path:
-        # zero-overhead launches (no retries, no deadline burn) would
-        # collapse the sketch's low buckets and pin p50/p99 to 0.0; they
-        # are counted apart so the tails reflect real dispatch work
-        if o.record.overhead_seconds != 0.0:
-            overhead.observe(o.record.overhead_seconds)
-        else:
-            overhead_zero += 1
-        if o.record.fallback is not None:
-            fallbacks += 1
-        fault_events += len(o.record.fault_events)
-        h = o.record.hedge
-        if h is not None:
-            hedged += 1
-            if h.winner == "backup":
-                hedge_wins += 1
-            hedge_extra_s += h.extra_work_s
-
     completion = QuantileSketch()
     chaos_completion = QuantileSketch()
-    tenant_of = {r.index: r.tenant for r in run.requests}
     tenant_sketches: dict[str, QuantileSketch] = {}
     service_total_s = 0.0
     expired = 0
     for o in run.outcomes:
         if o.outcome == "expired":
             expired += 1
-        if o.record is None or o.start_s is None:
+        record = o.record
+        if record is None:
+            continue
+        in_window = in_any_window(o.start_s or 0.0)
+        # degraded *and* expired requests never made a model decision, so
+        # they are excluded from the accuracy/overhead views (but still
+        # count toward the completion-latency tails every client feels)
+        if o.outcome not in ("degraded", "expired"):
+            launches += 1
+            hit = record.decision_correct
+            if hit:
+                correct += 1
+            if not in_window:
+                steady += 1
+                if hit:
+                    steady_correct += 1
+            # zero-overhead launches (no retries, no deadline burn) would
+            # collapse the sketch's low buckets and pin p50/p99 to 0.0;
+            # they are counted apart so the tails reflect real dispatch work
+            if record.overhead_seconds != 0.0:
+                overhead.observe(record.overhead_seconds)
+            else:
+                overhead_zero += 1
+            if record.fallback is not None:
+                fallbacks += 1
+            fault_events += len(record.fault_events)
+            h = record.hedge
+            if h is not None:
+                hedged += 1
+                if h.winner == "backup":
+                    hedge_wins += 1
+                hedge_extra_s += h.extra_work_s
+        if o.start_s is None:
             continue
         # per-device lanes record the pipeline finish (D2H done); the
         # serial shape leaves it None, so its latency is start + E
         finish = (
             o.finish_s
             if o.finish_s is not None
-            else o.start_s + o.record.executed_seconds
+            else o.start_s + record.executed_seconds
         )
         latency = finish - o.arrival_s
         completion.observe(latency)
-        if in_any_window(o.start_s):
+        if in_window:
             chaos_completion.observe(latency)
-        label = tenant_of.get(o.index) or "default"
+        # the record carries the issuing request's tenant
+        label = record.tenant or "default"
         sketch = tenant_sketches.get(label)
         if sketch is None:
             sketch = tenant_sketches[label] = QuantileSketch()
         sketch.observe(latency)
-        service_total_s += o.record.executed_seconds
+        service_total_s += record.executed_seconds
 
     scored_windows = []
     for w in windows:
@@ -359,12 +363,12 @@ def score_run(run: ReplayRun, *, recovery_margin_s: float = 0.0) -> ReplayScore:
             fairness = math.inf
 
     return ReplayScore(
-        launches=len(full_path),
+        launches=launches,
         requests=requests,
         horizon_s=run.horizon_s,
-        overall_accuracy=(correct / len(full_path)) if full_path else math.nan,
-        steady_accuracy=(steady_correct / len(steady)) if steady else math.nan,
-        steady_launches=len(steady),
+        overall_accuracy=(correct / launches) if launches else math.nan,
+        steady_accuracy=(steady_correct / steady) if steady else math.nan,
+        steady_launches=steady,
         overhead_p50_s=tail(overhead, 0.50),
         overhead_p99_s=tail(overhead, 0.99),
         overhead_zero=overhead_zero,

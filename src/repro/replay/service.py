@@ -55,7 +55,6 @@ from heapq import heappop, heappush
 
 from ..obs import families
 from ..runtime import Budget, LaunchRecord
-from ..runtime.dispatch import case_key
 
 __all__ = [
     "ADMISSION_POLICIES",
@@ -157,6 +156,8 @@ class DeviceLane:
         self.admission = admission
         #: ``admission_queue_depth{device=name}``, observed per arrival
         self.depth_metric = depth_metric
+        #: ``service_occupancy{device=name}``, bound on its first emission
+        self.occupancy_metric = None
         #: model dedicated H2D/D2H DMA channels (accelerator lanes only)
         self.channelled = channelled
         self.pending: deque = deque()
@@ -264,7 +265,17 @@ class OffloadService:
             for name, servers, channelled in shapes
         }
         self._lane_list = list(self.lanes.values())
+        #: the one lane of a shape whose batches open at their arrival
+        #: (the serial preset), which ``_next_lane`` need not scan for
+        self._only_lane = (
+            self._lane_list[0]
+            if len(self._lane_list) == 1 and self._quantum_s <= 0.0
+            else None
+        )
         self.stats = ServiceStats(self.lanes)
+        #: ``replay_requests_total`` by admission decision, each bound on
+        #: its first emission
+        self._request_counters: dict = {}
         self._route_cache: dict = {}
         self._phase_fractions: dict = {}
         self._outcomes: list[ReplayOutcome] = []
@@ -300,6 +311,9 @@ class OffloadService:
 
         Declaration order breaks ties.
         """
+        lane = self._only_lane
+        if lane is not None:
+            return lane if lane.pending and lane.pending[0][0].arrival_s <= until else None
         best = None
         best_open = math.inf
         for lane in self._lane_list:
@@ -327,7 +341,12 @@ class OffloadService:
         depth = lane.depth(now)
         lane.depth_metric.observe(float(depth))
         decision = self._decide(lane, depth)
-        self._families["replay_requests_total"].labels(decision).inc()
+        requests = self._request_counters.get(decision)
+        if requests is None:
+            requests = self._request_counters[decision] = self._families[
+                "replay_requests_total"
+            ].labels(decision)
+        requests.inc()
         if decision == "admit":
             lane.pending.append((request, "ok", depth))
         elif decision == "degrade":
@@ -401,7 +420,7 @@ class OffloadService:
             memo = rt.memo
             host, accel = rt._host, rt._accels[0]
             if memo is not None:
-                key = case_key(request.case.region_name, env)
+                key = memo.key(request.case.region_name, env)
                 bound = memo.bound(attrs, env, key)
                 cpu_s = memo.execution(host, attrs, env, key).seconds
                 gpu_s = memo.execution(accel, attrs, env, key).seconds
@@ -435,9 +454,8 @@ class OffloadService:
         self.stats.batched += len(members) - 1
         if len(members) > 1:
             self._families["service_batches_total"].labels(lane.name).inc()
-        open_t = self._quantize(head.arrival_s)
         if self.overlap:
-            self._dispatch_overlap(lane, open_t, members)
+            self._dispatch_overlap(lane, self._quantize(head.arrival_s), members)
         else:
             self._dispatch_serial(lane, members)
 
@@ -465,9 +483,12 @@ class OffloadService:
         )
         server_free = lane.compute_free[server]
         busy = sum(1 for t in lane.compute_free if t > open_t)
-        self._families["service_occupancy"].labels(lane.name).observe(
-            busy / len(lane.compute_free)
-        )
+        occupancy = lane.occupancy_metric
+        if occupancy is None:
+            occupancy = lane.occupancy_metric = self._families[
+                "service_occupancy"
+            ].labels(lane.name)
+        occupancy.observe(busy / len(lane.compute_free))
         shared_ready = None  # H2D completion the batch's later members reuse
         prev_comp_end = None
         for member in members:
@@ -599,7 +620,7 @@ class OffloadService:
             env = request.case.env_dict()
             accel = rt._accels[0]
             if rt.memo is not None:
-                key = case_key(request.case.region_name, env)
+                key = rt.memo.key(request.case.region_name, env)
                 detail = rt.memo.execution(accel, attrs, env, key).detail
             else:
                 detail = accel.execute(attrs, env).detail

@@ -12,9 +12,10 @@ differential tests pin.
 
 Every lookup takes the region's compiled record and the launch's case
 key (:func:`~repro.runtime.dispatch.case_key` of the region name and
-env), which the runtime builds once per launch.  The record carries the
-static products a miss prices (the IPDA result and the loop nest lowered
-per host CPU), so the memo keys on the runtime half alone.
+env), which :meth:`ExecutionMemo.key` builds once per case and hands
+back on every later launch of it.  The record carries the static
+products a miss prices (the IPDA result and the loop nest lowered per
+host CPU), so the memo keys on the runtime half alone.
 The memo is safe to share across runtimes (and across replay scenarios)
 as long as they run the same platform and host team size: execution keys
 include the executing device names, so a memo accidentally shared across
@@ -27,6 +28,7 @@ from typing import Mapping
 
 from ..analysis import BoundAttributes, RegionAttributes
 from .device import Device, ExecutionRecord
+from .dispatch import case_key
 
 __all__ = ["ExecutionMemo"]
 
@@ -35,11 +37,28 @@ class ExecutionMemo:
     """Cache of deterministic per-(region, env) dispatch inputs."""
 
     def __init__(self):
+        self._keys: dict[tuple, str] = {}
         self._bound: dict[str, BoundAttributes] = {}
         self._executions: dict[tuple[str, str], ExecutionRecord] = {}
         self._footprints: dict[str, int] = {}
         self.hits = 0
         self.misses = 0
+
+    def key(self, region_name: str, env: Mapping[str, int]) -> str:
+        """``case_key(region_name, env)``, built once per case.
+
+        Looked up by the region name, the env's items and their value
+        types, and kept only for int-valued envs: equal ints print alike,
+        while ``512`` and ``512.0`` (or ``0.0`` and ``-0.0``) are equal
+        values whose keys differ, so those envs build their key afresh.
+        """
+        sig = (region_name, *env.items(), *map(type, env.values()))
+        key = self._keys.get(sig)
+        if key is None:
+            key = case_key(region_name, env)
+            if all(type(v) is int for v in env.values()):
+                self._keys[sig] = key
+        return key
 
     def bound(
         self, attrs: RegionAttributes, env: Mapping[str, int], key: str

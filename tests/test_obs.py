@@ -13,9 +13,12 @@ Covers the three contracts ISSUE demands of ``repro.obs``:
 import ast
 import collections
 import json
+import math
+import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments import run_trace
 from repro.machines import (
@@ -266,6 +269,78 @@ class TestQuantileSketch:
         assert left.counts == whole.counts
         assert left.count == whole.count
         assert left.p95 == whole.p95
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+class TestObserveShortcuts:
+    """The sketch's exact-integer shortcut and the histogram's bisection
+    equal the work they skip: the ``%.6g`` round trip and a linear scan."""
+
+    @staticmethod
+    def _quantized(value) -> float:
+        sketch = QuantileSketch()
+        sketch.observe(value)
+        (quantized,) = sketch.counts
+        return quantized
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(-999_999, 999_999).map(float),
+            st.sampled_from(
+                (999_999.0, -999_999.0, 1e6, -1e6, 1e6 + 1, 0.0, -0.0, 0.5, 1e15)
+            ),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(-(10**7), 10**7),
+        )
+    )
+    def test_sketch_quantization_equals_the_format_round_trip(self, value):
+        quantized = self._quantized(value)
+        expected = float(obs_metrics._QUANTUM % value)
+        assert type(quantized) is float
+        assert _bits(quantized) == _bits(expected)
+
+    @staticmethod
+    def _scan(buckets, value) -> int:
+        """The bucket index the linear scan picks (len = overflow)."""
+        for i, bound in enumerate(buckets):
+            if value <= bound:
+                return i
+        return len(buckets)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6),
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from((math.nan, math.inf, -math.inf, -0.0)),
+            ),
+            max_size=20,
+        ),
+    )
+    def test_histogram_buckets_equal_the_linear_scan(self, bounds, values):
+        hist = Histogram(bounds)
+        # every bound, and its float neighbours, besides the drawn values
+        probes = list(values)
+        for b in hist.buckets:
+            probes += [b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)]
+        expected = [0] * (len(hist.buckets) + 1)
+        for value in probes:
+            hist.observe(value)
+            expected[self._scan(hist.buckets, value)] += 1
+            assert hist.counts == expected
+
+    def test_default_buckets_on_their_bounds_and_non_finite(self):
+        hist = Histogram()
+        for value in (*DEFAULT_LOG_ERROR_BUCKETS, math.nan, math.inf, -math.inf):
+            hist.observe(value)
+        # each bound lands in its own bucket, -inf in the first, and NaN
+        # and +inf overflow
+        assert hist.counts == [2] + [1] * (len(DEFAULT_LOG_ERROR_BUCKETS) - 1) + [2]
 
 
 class TestRegistryQuantiles:
