@@ -22,7 +22,12 @@ from ..ir import Loop, Region, count_reductions, validate_region
 from ..ir.dataflow import RegionDataflow, analyze_transfers
 from ..ipda import BoundIPDA, IPDAResult, analyze_region
 from ..machines import CPUDescriptor
-from ..mca import LoweredLevel, find_band_level, lower_region
+from ..mca import (
+    LoweredLevel,
+    find_band_level,
+    lower_region,
+    vectorized_access_indices,
+)
 from ..obs.tracer import current_tracer
 from ..symbolic import Expr
 from .features import InstructionLoadout, LoadoutPlan
@@ -49,11 +54,11 @@ class RegionAttributes:
     #: bit-identical to the historical behaviour); "inferred" prices them
     #: from the dataflow analysis (drops provably wasted directions)
     transfer_mode: str = "declared"
-    #: (host descriptor, its lowered tree, the tree's band level) entries
-    #: filled by ``_lowering``
-    _bands: list[tuple[CPUDescriptor, LoweredLevel, LoweredLevel]] = field(
-        default_factory=list, init=False, compare=False, repr=False
-    )
+    #: (host descriptor, its lowered tree, the tree's band level, the
+    #: tree's vector-moved access indices) entries filled by ``_lowering``
+    _bands: list[
+        tuple[CPUDescriptor, LoweredLevel, LoweredLevel, frozenset[int]]
+    ] = field(default_factory=list, init=False, compare=False, repr=False)
 
     @cached_property
     def band(self) -> tuple[Loop, ...]:
@@ -108,8 +113,11 @@ class RegionAttributes:
         """
         return analyze_transfers(self.region)
 
-    def _lowering(self, cpu: CPUDescriptor) -> tuple[LoweredLevel, LoweredLevel]:
-        """The region lowered for ``cpu`` and its band level, memoized.
+    def _lowering(
+        self, cpu: CPUDescriptor
+    ) -> tuple[LoweredLevel, LoweredLevel, frozenset[int]]:
+        """The region lowered for ``cpu``, its band level and its vector
+        accesses, memoized.
 
         Lowering is compile-time work: it depends on the region and the
         host descriptor only, so each record lowers once per descriptor
@@ -117,13 +125,14 @@ class RegionAttributes:
         value, not by name: a same-name variant built with
         ``dataclasses.replace`` (an ablation, a test) gets its own tree.
         """
-        for known, tree, level in self._bands:
+        for known, tree, level, vectorized in self._bands:
             if known is cpu or known == cpu:
-                return tree, level
+                return tree, level, vectorized
         tree = lower_region(self.region, cpu)
         level = find_band_level(tree)
-        self._bands.append((cpu, tree, level))
-        return tree, level
+        vectorized = vectorized_access_indices(tree)
+        self._bands.append((cpu, tree, level, vectorized))
+        return tree, level, vectorized
 
     def lowered(self, cpu: CPUDescriptor) -> LoweredLevel:
         """The region's whole loop nest lowered for ``cpu`` (vectorized).
@@ -136,6 +145,10 @@ class RegionAttributes:
     def band_level(self, cpu: CPUDescriptor) -> LoweredLevel:
         """The innermost parallel band level of :meth:`lowered` for ``cpu``."""
         return self._lowering(cpu)[1]
+
+    def vectorized_accesses(self, cpu: CPUDescriptor) -> frozenset[int]:
+        """IPDA access indices :meth:`lowered` moves with vector memory ops."""
+        return self._lowering(cpu)[2]
 
     def bind(self, env: Mapping[str, int]) -> "BoundAttributes":
         """Complete the record with runtime values (Figure 2, runtime side).

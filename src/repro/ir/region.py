@@ -26,7 +26,7 @@ import contextlib
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from ..symbolic import Expr, as_expr
+from ..symbolic import EvalError, Expr, as_expr
 from .nodes import (
     Array,
     Cmp,
@@ -324,15 +324,20 @@ def evaluate_transfer_bytes(
 
     Shared by the declared pricing (:meth:`Region.transfer_bytes`) and the
     inferred pricing (:meth:`repro.ir.dataflow.RegionDataflow.transfer_bytes`)
-    so both fail identically on incomplete or nonsensical bindings.
+    so both fail identically on incomplete or nonsensical bindings.  The
+    expression's symbols are walked only when evaluation fails, to name
+    the unbound ones.
     """
-    missing = nbytes.free_symbols() - set(env)
-    if missing:
+    try:
+        total = int(nbytes.evaluate(env))
+    except EvalError:
+        missing = nbytes.free_symbols() - set(env)
+        if not missing:
+            raise
         raise KeyError(
             f"region {region_name!r}: transfer sizing of array "
             f"{array_name!r} needs unbound symbols {sorted(missing)}"
-        )
-    total = int(nbytes.evaluate(env))
+        ) from None
     if total < 0:
         raise ValueError(
             f"region {region_name!r}: array {array_name!r} transfer size "

@@ -15,6 +15,7 @@ from .lowering import (
     level_cycles_per_iteration,
     lower_region,
     machine_cycles_per_iter,
+    vectorized_access_indices,
 )
 from .._lazy import lazy_exports
 
@@ -42,5 +43,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "level_cycles_per_iteration",
         "lower_region",
         "machine_cycles_per_iter",
+        "vectorized_access_indices",
     ),
 )

@@ -60,6 +60,7 @@ __all__ = [
     "level_cycles_per_iteration",
     "machine_cycles_per_iter",
     "find_band_level",
+    "vectorized_access_indices",
 ]
 
 _BIN_OPCODE = {
@@ -604,6 +605,30 @@ def find_band_level(root: LoweredLevel) -> LoweredLevel:
     if chosen is None:
         raise ValueError("region has no parallel loop level")
     return chosen
+
+
+def vectorized_access_indices(root: LoweredLevel) -> frozenset[int]:
+    """Access indices a lowered tree moves with vector memory ops.
+
+    A vector load or store moves a lane-wide run of elements, so the CPU
+    simulator re-fetches a line once per ``lanes`` elements for these
+    accesses.  Depends on the tree alone; a compiled record keeps it
+    with each lowering (``RegionAttributes.vectorized_accesses``).
+    """
+    out: set[int] = set()
+    stack = [root]
+    while stack:
+        lv = stack.pop()
+        for op in lv.leaf_ops:
+            if " acc:" in op.tag and op.opcode.startswith("v"):
+                idx = int(op.tag.rsplit("acc:", 1)[1])
+                if idx >= 0:
+                    out.add(idx)
+        stack.extend(lv.sub_loops)
+        for t, e in lv.sub_branches:
+            stack.append(t)
+            stack.append(e)
+    return frozenset(out)
 
 
 def level_cycles_per_iteration(

@@ -38,6 +38,7 @@ from ..mca import (
     find_band_level,
     level_cycles_per_iteration,
     lower_region,
+    vectorized_access_indices,
 )
 from .locality import (
     AccessLocality,
@@ -230,15 +231,15 @@ def _simulate_cpu(
         return float(cpu.latency(op.opcode))
 
     if vectorize:
-        lowered = attrs.lowered(cpu)
         band = attrs.band_level(cpu)
+        vectorized_accesses = attrs.vectorized_accesses(cpu)
     else:
         lowered = lower_region(region, cpu, vectorize=False)
         band = find_band_level(lowered)
+        vectorized_accesses = vectorized_access_indices(lowered)
     per_iter = level_cycles_per_iteration(
         band, cpu, trips, latency_of=latency_of
     )
-    vectorized_accesses = _vectorized_access_indices(lowered)
 
     tpc = plan.threads_per_core
     smt_penalty = tpc / cpu.smt_throughput(tpc)
@@ -336,21 +337,3 @@ def _simulate_cpu(
         dram_bytes=total_dram,
         seconds=seconds,
     )
-
-
-def _vectorized_access_indices(root) -> set[int]:
-    """Access indices lowered to vector memory ops (lane-wide transfers)."""
-    out: set[int] = set()
-    stack = [root]
-    while stack:
-        lv = stack.pop()
-        for op in lv.leaf_ops:
-            if " acc:" in op.tag and op.opcode.startswith("v"):
-                idx = int(op.tag.rsplit("acc:", 1)[1])
-                if idx >= 0:
-                    out.add(idx)
-        stack.extend(lv.sub_loops)
-        for t, e in lv.sub_branches:
-            stack.append(t)
-            stack.append(e)
-    return out

@@ -212,6 +212,40 @@ class TestTransferSizing:
         with pytest.raises(KeyError, match=r"vecadd.*'x'.*\['n'\]"):
             build_vecadd().transfer_bytes({})
 
+    @pytest.mark.parametrize("inferred", [False, True], ids=["declared", "inferred"])
+    def test_unbound_and_negative_messages_are_pinned(self, inferred):
+        """The exact texts, on the declared map and the inferred directions.
+
+        Evaluation runs first and the symbols are walked only to name the
+        unbound ones, so the texts must not move with that order.
+        """
+        cases = [
+            (build_vecadd(), {}, KeyError,
+             "region 'vecadd': transfer sizing of array 'x' needs unbound "
+             "symbols ['n']"),
+            (build_gemm(), {}, KeyError,
+             "region 'gemm': transfer sizing of array 'A' needs unbound "
+             "symbols ['ni', 'nk']"),
+            (build_gemm(), {"ni": 4}, KeyError,
+             "region 'gemm': transfer sizing of array 'A' needs unbound "
+             "symbols ['nk']"),
+            (build_vecadd(), {"n": -5}, ValueError,
+             "region 'vecadd': array 'x' transfer size is negative (-20 "
+             "bytes) — check the extent bindings"),
+            (build_gemm(), {"ni": 4, "nj": 4, "nk": -2}, ValueError,
+             "region 'gemm': array 'A' transfer size is negative (-32 "
+             "bytes) — check the extent bindings"),
+        ]
+        for region, env, error, text in cases:
+            price = (
+                analyze_transfers(region).transfer_bytes
+                if inferred
+                else region.transfer_bytes
+            )
+            with pytest.raises(error) as raised:
+                price(env)
+            assert raised.value.args == (text,)
+
     def test_dataflow_bytes_share_the_hardening(self):
         with pytest.raises(KeyError, match="rowscratch"):
             df = analyze_transfers(TestCoverageRules()._scratch_region())

@@ -64,11 +64,12 @@ from repro.ir import (
 from repro.ir.dataflow import analyze_transfers
 from repro.ir.nodes import Array
 from repro.machines import PLATFORM_P8_K80, PLATFORM_P9_V100, POWER9
-from repro.mca import find_band_level, lower_region
+from repro.mca import find_band_level, lower_region, vectorized_access_indices
 from repro.models import predict_both, predict_cpu_time
 from repro.polybench import MODES, SUITE, benchmark_by_name
 from repro.sim import simulate_cpu, simulate_gpu_kernel
-from repro.symbolic import EvalError
+from repro.ir.region import evaluate_transfer_bytes
+from repro.symbolic import EvalError, Expr
 
 from .kernels import build_guarded, build_triangular
 
@@ -541,7 +542,10 @@ class TestPerCaseWork:
         ``analyze_transfers`` never runs (declared transfers read no
         dataflow); the trip walk, the loadout walk and the reduction count
         run at most once per region object, and each array builds its
-        element-count product at most once.
+        element-count product at most once.  The vector-access walk runs
+        once per lowered tree, and transfer sizing never walks an
+        expression's symbols (it evaluates, and walks only to name an
+        unbound symbol in an error).
         """
         per_region = {
             analyze_transfers.__code__: "analyze_transfers",
@@ -551,9 +555,15 @@ class TestPerCaseWork:
             TripPlan.of.__func__.__code__: "TripPlan.of",
         }
         element_count = Array.__dict__["_element_count"].func.__code__
+        walk = vectorized_access_indices.__code__
+        lower = lower_region.__code__
+        free_symbols = Expr.free_symbols.__code__
+        sizing = evaluate_transfer_bytes.__code__
         seen: dict[str, list] = collections.defaultdict(list)
+        lowerings = 0
 
         def watch(frame, event, arg):
+            nonlocal lowerings
             if event != "call":
                 return
             code = frame.f_code
@@ -561,6 +571,12 @@ class TestPerCaseWork:
                 seen[per_region[code]].append(frame.f_locals["region"])
             elif code is element_count:
                 seen["element_count"].append(frame.f_locals["self"])
+            elif code is walk:
+                seen["vectorized_access_indices"].append(frame.f_locals["root"])
+            elif code is lower:
+                lowerings += 1
+            elif code is free_symbols and frame.f_back.f_code is sizing:
+                seen["transfer free_symbols"].append(frame.f_locals["self"])
 
         clear_caches()
         previous = sys.getprofile()
@@ -574,9 +590,12 @@ class TestPerCaseWork:
             sys.setprofile(previous)
             clear_caches()
         assert "analyze_transfers" not in seen
+        assert "transfer free_symbols" not in seen
         # 24 suite regions, plus each platform's calibration fit
         fits = len(PLATFORMS) * len(CALIBRATION_CASES)
         assert len(seen["TripPlan.of"]) == 24 + fits
+        # one walk per lowered tree (each tree object walked once, below)
+        assert 0 < len(seen["vectorized_access_indices"]) <= lowerings
         for name, objects in seen.items():
             repeats = collections.Counter(map(id, objects))
             assert max(repeats.values()) == 1, name
