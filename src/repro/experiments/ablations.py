@@ -22,15 +22,12 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from ..analysis import ProgramAttributeDatabase
-from ..calibrate import fit_model_calibration
 from ..codegen import plan_gpu_launch
 from ..ipda import BoundAccess, BoundIPDA, CoalescingClass
 from ..machines import PLATFORM_P9_V100, Platform
 from ..models import predict_both, predict_cpu_time, predict_gpu_time
-from ..polybench import all_kernel_cases
 from ..util import geomean, render_table
-from .common import measure_suite
+from .common import _calibration, _database, measure_suite
 
 __all__ = ["AblationScore", "AblationResult", "run_ablations"]
 
@@ -105,12 +102,9 @@ def run_ablations(
 ) -> AblationResult:
     """Score every ablation variant over the suite."""
     measured = measure_suite(platform, mode, num_threads=num_threads)
-    calibration = fit_model_calibration(platform, num_threads=num_threads)
-    db = ProgramAttributeDatabase()
-    bounds = []
-    for case in all_kernel_cases(mode):
-        attrs = db.compile_region(case.region)
-        bounds.append(attrs.bind(case.env))
+    calibration = _calibration(platform, num_threads)
+    db, cases = _database(mode)
+    bounds = [db.lookup(case.name).bind(case.env) for case in cases]
 
     scores = []
     for variant in _VARIANTS:
@@ -140,48 +134,8 @@ def run_ablations(
 
 
 def _variant_offload(variant, bound, platform, num_threads, calibration) -> bool:
-    if variant == "full":
-        return predict_both(
-            bound, platform, num_threads=num_threads, calibration=calibration
-        ).offload
-    if variant == "static-tripcounts":
-        return predict_both(
-            bound,
-            platform,
-            num_threads=num_threads,
-            calibration=calibration,
-            use_runtime_tripcounts=False,
-        ).offload
-    if variant == "no-calibration":
-        return predict_both(bound, platform, num_threads=num_threads).offload
-    if variant.startswith("no-ipda"):
-        forced = _force_coalescing(bound.ipda, "all coalesced" in variant)
-        cpu_pred = predict_cpu_time(
-            bound.attributes,
-            bound.loadout,
-            bound.parallel_iterations,
-            platform.host,
-            num_threads=num_threads,
-            env=dict(bound.env),
-        )
-        plan = plan_gpu_launch(bound.parallel_iterations, platform.gpu)
-        gpu_pred = predict_gpu_time(
-            bound.region.name,
-            bound.loadout,
-            forced,
-            plan,
-            platform.gpu,
-            platform.bus,
-            bound.bytes_to_device,
-            bound.bytes_to_host,
-        )
-        cpu_s = cpu_pred.seconds * calibration.cpu_time_scale
-        gpu_s = (
-            gpu_pred.kernel_seconds * calibration.gpu_time_scale
-            + gpu_pred.launch_seconds
-            + gpu_pred.transfer.total_seconds
-        )
-        return gpu_s < cpu_s
+    if variant not in _VARIANTS:
+        raise KeyError(f"unknown ablation variant {variant!r}")
     if variant == "no-omp-rep":
         cpu_pred = predict_cpu_time(
             bound.attributes,
@@ -202,6 +156,7 @@ def _variant_offload(variant, bound, platform, num_threads, calibration) -> bool
             platform.bus,
             bound.bytes_to_device,
             bound.bytes_to_host,
+            num_reductions=bound.attributes.reductions,
         )
         cpu_s = cpu_pred.seconds * calibration.cpu_time_scale
         gpu_s = (
@@ -210,7 +165,16 @@ def _variant_offload(variant, bound, platform, num_threads, calibration) -> bool
             + gpu_pred.transfer.total_seconds
         )
         return gpu_s < cpu_s
-    raise KeyError(f"unknown ablation variant {variant!r}")
+    if variant.startswith("no-ipda"):
+        forced = _force_coalescing(bound.ipda, "all coalesced" in variant)
+        bound = dataclasses.replace(bound, ipda=forced)
+    return predict_both(
+        bound,
+        platform,
+        num_threads=num_threads,
+        calibration=None if variant == "no-calibration" else calibration,
+        use_runtime_tripcounts=variant != "static-tripcounts",
+    ).offload
 
 
 if __name__ == "__main__":  # pragma: no cover

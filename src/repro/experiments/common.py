@@ -105,8 +105,8 @@ def _database(mode: str) -> tuple[ProgramAttributeDatabase, list[KernelCase]]:
             db.compile_region(case.region)
         # regions must come from the compiled database so attribute
         # lookups hit; memoize the rebound cases alongside the database —
-        # per-task callers (_case_by_name) hit this on every case, so the
-        # suite IR must not be rebuilt per call
+        # the sweep tasks look their case up here, so the suite IR must
+        # not be rebuilt per call
         for each, cases in raw.items():
             _DB_CACHE[each] = (
                 db,
@@ -261,7 +261,6 @@ def _predict_case(
     plat: Platform,
     num_threads: int | None,
     calibration: ModelCalibration,
-    use_runtime_tripcounts: bool,
 ) -> SelectionPrediction:
     cache = current_cache()
     if not cache.enabled:
@@ -270,7 +269,6 @@ def _predict_case(
             plat,
             num_threads=num_threads,
             calibration=calibration,
-            use_runtime_tripcounts=use_runtime_tripcounts,
         )
     from ..ir import region_to_text
 
@@ -282,7 +280,9 @@ def _predict_case(
             "env": dict(env),
             "threads": num_threads,
             "calibration": calibration,
-            "use_runtime_tripcounts": use_runtime_tripcounts,
+            # every sweep predicts with runtime trip counts; the field
+            # keeps the key bytes of entries written when it was an option
+            "use_runtime_tripcounts": True,
         },
         plat,
         lambda: _encode_tree(
@@ -291,7 +291,6 @@ def _predict_case(
                 plat,
                 num_threads=num_threads,
                 calibration=calibration,
-                use_runtime_tripcounts=use_runtime_tripcounts,
             )
         ),
         validate=lambda v: isinstance(v, list) and v and v[0] == "@dc",
@@ -299,50 +298,41 @@ def _predict_case(
     return _decode_tree(value, _codec_types())
 
 
-def _case_by_name(mode: str, name: str) -> KernelCase:
-    """The (process-local) database's case for a shipped case name."""
-    _, cases = _database(mode)
-    for case in cases:
-        if case.name == name:
-            return case
-    raise KeyError(f"unknown suite case {name!r} in mode {mode!r}")
-
-
 def _measure_task(task: tuple) -> tuple[float, float, float]:
-    """Worker task: simulate one suite case, returning only the numbers.
+    """Sweep task: simulate one suite case, returning only the numbers.
 
-    Chunks ship only case *names* and env bindings; the worker holds the
-    compiled attribute database (built once per process, then warm for
-    every later chunk of any sweep) and regions compare by identity, so
-    the parent reattaches its own :class:`KernelCase` objects while the
-    worker ships back three floats.
+    A task names its case by position in the dataset: the compiled
+    database (built once per process, and inherited by forked workers)
+    holds the regions, so a worker ships back three floats and
+    :func:`measure_suite` pairs them with its own :class:`KernelCase`.
     """
-    plat_name, mode, name, env, num_threads = task
-    plat = _resolve_platform(plat_name)
-    case = _case_by_name(mode, name)
-    case = KernelCase(
-        benchmark=case.benchmark,
-        mode=case.mode,
-        region=case.region,
-        env=env,
-        scalars=case.scalars,
+    plat_name, mode, index, num_threads = task
+    db, cases = _database(mode)
+    case = cases[index]
+    m = _measure_case(
+        db.lookup(case.name), case, _resolve_platform(plat_name), num_threads
     )
-    db, _ = _database(mode)
-    m = _measure_case(db.lookup(name), case, plat, num_threads)
     return (m.cpu_seconds, m.gpu_kernel_seconds, m.gpu_transfer_seconds)
 
 
 def _predict_task(task: tuple) -> SelectionPrediction:
-    """Worker task: run the analytical predictor over one suite case.
+    """Sweep task: run the analytical predictor over one suite case.
 
-    The fitted :class:`ModelCalibration` travels with the chunk (it is a
-    tiny frozen dataclass): the parent fits once and every worker reuses
-    it, instead of each worker process refitting per platform.
+    The fitted :class:`ModelCalibration` travels with the task (it is a
+    tiny frozen dataclass): :func:`predict_suite` fits once and every
+    task reuses it, in process or in a worker.
     """
-    plat_name, mode, name, env, num_threads, calibration, use_rt = task
-    plat = _resolve_platform(plat_name)
-    db, _ = _database(mode)
-    return _predict_case(db, name, env, plat, num_threads, calibration, use_rt)
+    plat_name, mode, index, num_threads, calibration = task
+    db, cases = _database(mode)
+    case = cases[index]
+    return _predict_case(
+        db,
+        case.name,
+        case.env,
+        _resolve_platform(plat_name),
+        num_threads,
+        calibration,
+    )
 
 
 def measure_suite(
@@ -354,42 +344,32 @@ def measure_suite(
 ) -> list[KernelMeasurement]:
     """Simulate every suite kernel on both devices of a platform.
 
-    ``jobs`` (default: ``$REPRO_JOBS``, else 1) fans case chunks over
-    the persistent warm-worker pool, one chunk per worker; results
-    always come back in case-declaration order and are bit-identical to
-    the sequential sweep.  ``jobs`` is excluded from the memo key for
-    exactly that reason.
+    The cases run through :class:`SweepEngine`: ``jobs`` (default:
+    ``$REPRO_JOBS``, else 1) fans case chunks over the persistent
+    warm-worker pool, one chunk per worker, and ``jobs <= 1`` runs the
+    same tasks in process.  Results always come back in
+    case-declaration order and are bit-identical at every ``jobs``,
+    which is why ``jobs`` is excluded from the memo key.
     """
     plat = _resolve_platform(platform)
     key = (plat.name, mode, num_threads)
     if key in _MEASURE_CACHE:
         return _MEASURE_CACHE[key]
-    db, cases = _database(mode)
-    engine = SweepEngine(jobs)
-    if engine.parallel:
-        numbers = engine.map(
-            _measure_task,
-            [
-                (plat.name, mode, case.name, dict(case.env), num_threads)
-                for case in cases
-            ],
-            labels=[case.name for case in cases],
+    _, cases = _database(mode)
+    numbers = SweepEngine(jobs).map(
+        _measure_task,
+        [(plat.name, mode, i, num_threads) for i in range(len(cases))],
+        labels=[case.name for case in cases],
+    )
+    out = _MEASURE_CACHE[key] = [
+        KernelMeasurement(
+            case=case,
+            cpu_seconds=n[0],
+            gpu_kernel_seconds=n[1],
+            gpu_transfer_seconds=n[2],
         )
-        out = [
-            KernelMeasurement(
-                case=case,
-                cpu_seconds=n[0],
-                gpu_kernel_seconds=n[1],
-                gpu_transfer_seconds=n[2],
-            )
-            for case, n in zip(cases, numbers)
-        ]
-    else:
-        out = [
-            _measure_case(db.lookup(case.name), case, plat, num_threads)
-            for case in cases
-        ]
-    _MEASURE_CACHE[key] = out
+        for case, n in zip(cases, numbers)
+    ]
     return out
 
 
@@ -398,45 +378,26 @@ def predict_suite(
     mode: str,
     *,
     num_threads: int | None = None,
-    use_runtime_tripcounts: bool = True,
     jobs: int | None = None,
 ) -> list[SelectionPrediction]:
     """Run the calibrated analytical predictor over every suite kernel.
 
-    ``jobs`` parallelizes exactly like :func:`measure_suite`:
-    declaration order, bit-identical results, excluded from the memo key.
+    ``jobs`` works exactly like :func:`measure_suite`'s: declaration
+    order, bit-identical results, excluded from the memo key.
     """
     plat = _resolve_platform(platform)
-    key = (plat.name, mode, num_threads, use_runtime_tripcounts)
+    key = (plat.name, mode, num_threads)
     if key in _PREDICT_CACHE:
         return _PREDICT_CACHE[key]
-    db, cases = _database(mode)
-    engine = SweepEngine(jobs)
-    # Fit once in the parent; the tiny frozen calibration dataclass
-    # ships with each chunk so no worker ever refits.
+    _, cases = _database(mode)
+    # fitted once here; the calibration ships with each task
     calibration = _calibration(plat, num_threads)
-    if engine.parallel:
-        out = engine.map(
-            _predict_task,
-            [
-                (plat.name, mode, case.name, dict(case.env), num_threads,
-                 calibration, use_runtime_tripcounts)
-                for case in cases
-            ],
-            labels=[case.name for case in cases],
-        )
-    else:
-        out = [
-            _predict_case(
-                db,
-                case.name,
-                case.env,
-                plat,
-                num_threads,
-                calibration,
-                use_runtime_tripcounts,
-            )
-            for case in cases
-        ]
-    _PREDICT_CACHE[key] = out
+    out = _PREDICT_CACHE[key] = SweepEngine(jobs).map(
+        _predict_task,
+        [
+            (plat.name, mode, i, num_threads, calibration)
+            for i in range(len(cases))
+        ],
+        labels=[case.name for case in cases],
+    )
     return out

@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from ..analysis import ProgramAttributeDatabase
 from ..drift.sentinel import WARMUP
 from ..machines import PLATFORM_P9_V100, Platform
 from ..polybench import benchmark_by_name
@@ -279,17 +280,15 @@ def _run_arm(
     platform: Platform,
     policy,
     workload: list[tuple[str, dict]],
-    regions,
+    db: ProgramAttributeDatabase,
     *,
     sentinel: DriftSentinel | None = None,
     watchdog: Watchdog | None = None,
 ) -> tuple[list[LaunchRecord], list[bool]]:
     """Replay the workload; also track per-launch 'any stream DRIFTED'."""
     runtime = OffloadingRuntime(
-        platform, policy=policy, sentinel=sentinel, watchdog=watchdog
+        platform, policy=policy, db=db, sentinel=sentinel, watchdog=watchdog
     )
-    for region in regions:
-        runtime.compile_region(region)
     records: list[LaunchRecord] = []
     drifted: list[bool] = []
     for region_name, env in workload:
@@ -330,14 +329,14 @@ def run_drift(
             for s in default_scenarios(launches)
         )
     workload = _build_workload(launches)
-    all_regions = [
-        region
-        for name in dict.fromkeys(name for name, _, _ in _WORKLOAD)
-        for region in benchmark_by_name(name).build()
-    ]
+    # compiled once; every arm's runtime launches from it
+    db = ProgramAttributeDatabase()
+    for name in dict.fromkeys(name for name, _, _ in _WORKLOAD):
+        for region in benchmark_by_name(name).build():
+            db.compile_region(region)
     # shared so the analytical calibration is fitted once per platform
     inner = ModelGuided()
-    baseline_records, _ = _run_arm(platform, inner, workload, all_regions)
+    baseline_records, _ = _run_arm(platform, inner, workload, db)
 
     rows: list[DriftScore] = []
     for scenario in scenarios:
@@ -348,14 +347,12 @@ def run_drift(
             # control: no wrapper, so the healed arm is record-for-record
             # comparable (policy_name included) with the baseline
             skewed_policy = healed_policy = inner
-        skewed_records, _ = _run_arm(
-            platform, skewed_policy, workload, all_regions
-        )
+        skewed_records, _ = _run_arm(platform, skewed_policy, workload, db)
         healed_records, drifted = _run_arm(
             platform,
             healed_policy,
             workload,
-            all_regions,
+            db,
             sentinel=DriftSentinel(),
             watchdog=Watchdog(),
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..analysis import ProgramAttributeDatabase
 from ..faults import FAULT_SCENARIOS, scenario_by_name
 from ..machines import PLATFORM_P9_V100
 from ..polybench import benchmark_by_name
@@ -192,15 +193,14 @@ def _run_one(
     policy: Policy,
     scenario: str,
     workload: list[tuple[str, dict]],
-    regions,
+    db: ProgramAttributeDatabase,
 ) -> tuple[float, list[LaunchRecord], OffloadingRuntime]:
     runtime = OffloadingRuntime(
         PLATFORM_P9_V100,
         policy=policy,
+        db=db,
         injector=scenario_by_name(scenario, seed=FAULT_SEED),
     )
-    for region in regions:
-        runtime.compile_region(region)
     records = [runtime.launch(name, env) for name, env in workload]
     return sum(r.executed_seconds for r in records), records, runtime
 
@@ -208,25 +208,25 @@ def _run_one(
 def run_faults(*, launches: int = 12) -> FaultsResult:
     """Score every policy under every fault scenario on p9-v100."""
     workload = _build_workload(launches)
-    all_regions = [
-        region
-        for name in dict(_WORKLOAD_CYCLE)
-        for region in benchmark_by_name(name).build()
-    ]
+    # compiled once; every runtime of the grid launches from it
+    db = ProgramAttributeDatabase()
+    for name in dict(_WORKLOAD_CYCLE):
+        for region in benchmark_by_name(name).build():
+            db.compile_region(region)
     # one policy instance per name, shared across scenarios so the
     # model-guided calibration is fitted once
     instances = {name: policy_by_name(name) for name in DEFAULT_FAULT_POLICIES}
 
     rows: list[FaultScore] = []
     for scenario in FAULT_SCENARIOS:
-        oracle_run = _run_one(instances["oracle"], scenario, workload, all_regions)
+        oracle_run = _run_one(instances["oracle"], scenario, workload, db)
         oracle_total = oracle_run[0]
         for name in DEFAULT_FAULT_POLICIES:
             if name == "oracle":
                 total, records, runtime = oracle_run
             else:
                 total, records, runtime = _run_one(
-                    instances[name], scenario, workload, all_regions
+                    instances[name], scenario, workload, db
                 )
             rows.append(
                 FaultScore(

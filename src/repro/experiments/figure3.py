@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..machines import CPUDescriptor, POWER9
-from ..polybench import all_kernel_cases
-from ..analysis import ProgramAttributeDatabase
 from ..models import predict_cpu_time
 from ..util import render_table
+from .common import _database
 
 __all__ = ["Figure3Result", "run_figure3"]
 
@@ -68,10 +67,10 @@ def run_figure3(
     num_threads: int | None = None,
 ) -> Figure3Result:
     """Evaluate the Figure 3 equations for every suite kernel."""
-    db = ProgramAttributeDatabase()
+    db, cases = _database(mode)
     rows = []
-    for case in all_kernel_cases(mode):
-        attrs = db.compile_region(case.region)
+    for case in cases:
+        attrs = db.lookup(case.name)
         bound = attrs.bind(case.env)
         pred = predict_cpu_time(
             attrs,

@@ -364,9 +364,9 @@ def run_replay(
 ) -> ReplayResult:
     """Run the scenario grid over one calibrated trace.
 
-    ``jobs`` fans whole scenarios over the persistent
-    warm-worker pool; rows come back in scenario-declaration order with
-    payloads identical to the sequential loop.
+    ``jobs`` > 1 fans whole scenarios over the persistent warm-worker
+    pool (:func:`~repro.experiments.traffic.fan_out`); rows come back in
+    scenario-declaration order with the same payloads at every ``jobs``.
     """
     unknown = set(scenarios) - set(REPLAY_SCENARIOS)
     if unknown:

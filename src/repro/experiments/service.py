@@ -300,9 +300,9 @@ def run_service(
 ) -> ServiceResult:
     """Run the tenant-mix × load-shape grid, twinned against the FIFO.
 
-    ``jobs`` fans whole scenarios over the persistent
-    warm-worker pool; rows come back in scenario-declaration order with
-    payloads identical to the sequential loop.
+    ``jobs`` > 1 fans whole scenarios over the persistent warm-worker
+    pool (:func:`~repro.experiments.traffic.fan_out`); rows come back in
+    scenario-declaration order with the same payloads at every ``jobs``.
     """
     unknown = set(scenarios) - set(SERVICE_SCENARIOS)
     if unknown:

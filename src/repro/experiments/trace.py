@@ -1,14 +1,15 @@
 """Instrumented suite sweep for ``repro-paper trace``.
 
-Runs the Polybench suite through an :class:`OffloadingRuntime` with a
-live :class:`~repro.obs.Tracer` and :class:`~repro.obs.MetricsRegistry`
-attached, then exports the recorded pipeline — ``compile`` → ``analyse``
+Runs each Polybench benchmark through its own :class:`OffloadingRuntime`
+with a live :class:`~repro.obs.Tracer` and
+:class:`~repro.obs.MetricsRegistry` attached, merges them in suite order,
+then exports the recorded pipeline — ``compile`` → ``analyse``
 (with ``ipda.analyze``) on the compile side, ``launch`` → ``predict`` →
 ``dispatch`` (with the inner ``sim.*`` and ``mca`` stages) per launch —
 as Chrome ``trace_event`` JSON or a terminal summary.  IPDA runs once
 per compiled region: the simulators price the compiled record.
 Everything is simulated and seeded, so two invocations produce
-byte-identical output.
+byte-identical output, at any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -72,13 +73,13 @@ class TraceResult:
 
 
 def _trace_benchmark(task: tuple) -> ObsTaskResult:
-    """Worker task: one benchmark's instrumented sweep, obs included.
+    """Sweep task: one benchmark's instrumented sweep, obs included.
 
-    Each worker runs its own :class:`OffloadingRuntime` with a fresh
-    tracer/registry pair and ships the snapshot + span payload back for
-    the declaration-ordered merge in :func:`run_trace`.  The parent fits
-    the model calibration once and ships it with every task, so no task
-    refits it.
+    Each task runs its own :class:`OffloadingRuntime` with a fresh
+    tracer/registry pair and returns the snapshot + span payload for the
+    declaration-ordered merge in :func:`run_trace`.  :func:`run_trace`
+    fits the model calibration once, outside the trace, and ships it
+    with every task, so no task refits it.
     """
     plat_name, mode, bench_name, num_threads, calibration = task
     plat = _resolve_platform(plat_name)
@@ -118,13 +119,15 @@ def run_trace(
 ) -> TraceResult:
     """Compile + launch every (selected) suite region with observability on.
 
-    With ``jobs > 1`` the benchmarks are chunked over the persistent
-    warm-worker pool, one chunk per worker; launch records come back in
-    suite-declaration order (bit-identical to sequential), worker
-    metrics merge into the same totals, and worker spans are spliced
-    into one trace with rebased timestamps (deterministic run-to-run,
-    but not byte-identical to the sequential trace, whose single clock
-    accumulates across benchmarks).
+    Each benchmark runs in its own runtime, one :class:`SweepEngine`
+    task per benchmark; ``jobs > 1`` chunks the benchmarks over the
+    persistent warm-worker pool, one chunk per worker, and ``jobs <= 1``
+    runs the same tasks in process.  The calibration is fitted here,
+    outside the trace, so the trace holds one ``compile`` span per
+    region.  Launch records come back in suite-declaration order, the
+    per-benchmark metrics merge into one registry, and the spans are
+    spliced into one trace with rebased timestamps: the output is the
+    same bytes at every ``jobs``.
     """
     plat = _resolve_platform(platform)
     specs = (
@@ -132,49 +135,20 @@ def run_trace(
         if benchmarks
         else list(SUITE)
     )
-    engine = SweepEngine(jobs)
-    if engine.parallel:
-        calibration = _calibration(plat, num_threads)
-        sweep = engine.map_obs(
-            _trace_benchmark,
-            [
-                (plat.name, mode, spec.name, num_threads, calibration)
-                for spec in specs
-            ],
-            labels=[spec.name for spec in specs],
-        )
-        names = [n for group_names, _ in sweep.values for n in group_names]
-        records = [r for _, group_records in sweep.values for r in group_records]
-        return TraceResult(
-            platform_name=plat.name,
-            mode=mode,
-            region_names=tuple(names),
-            records=tuple(records),
-            tracer=sweep.tracer,
-            metrics=sweep.metrics,
-        )
-    tracer = Tracer()
-    metrics = MetricsRegistry()
-    runtime = OffloadingRuntime(
-        plat,
-        policy=ModelGuided(),
-        num_threads=num_threads,
-        tracer=tracer,
-        metrics=metrics,
+    calibration = _calibration(plat, num_threads)
+    sweep = SweepEngine(jobs).map_obs(
+        _trace_benchmark,
+        [
+            (plat.name, mode, spec.name, num_threads, calibration)
+            for spec in specs
+        ],
+        labels=[spec.name for spec in specs],
     )
-    records = []
-    names = []
-    for spec in specs:
-        env = spec.env(mode)
-        for region in spec.build():
-            runtime.compile_region(region)
-            records.append(runtime.launch(region.name, env))
-            names.append(region.name)
     return TraceResult(
         platform_name=plat.name,
         mode=mode,
-        region_names=tuple(names),
-        records=tuple(records),
-        tracer=tracer,
-        metrics=metrics,
+        region_names=tuple(n for names, _ in sweep.values for n in names),
+        records=tuple(r for _, records in sweep.values for r in records),
+        tracer=sweep.tracer,
+        metrics=sweep.metrics,
     )

@@ -3,8 +3,9 @@
 :mod:`.replay`, :mod:`.service` and :mod:`.hedge` all replay one seeded
 trace whose arrival rate is calibrated from a chaos-free probe, with
 chaos confined to the middle tenth of the trace.  :func:`calibrate`
-builds that trace once; :func:`fan_out` runs a grid's scenarios over it,
-sequentially or across the warm-worker pool, with identical results.
+builds that trace once; :func:`fan_out` runs a grid's scenarios over it
+through the sweep engine, in process or across the warm-worker pool,
+with identical results.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from .common import _resolve_platform
 class CalibratedTrace:
     """One seeded trace shape and its chaos-free mean service time.
 
-    The four scalars define it completely, so a worker process rebuilds
-    an identical trace from them.  ``policy`` and ``memo`` cache
-    deterministic values only, so a fresh pair changes no result.
+    The four scalars define it completely, so it pickles as them, the
+    platform by name (:meth:`__reduce__`), and a worker process
+    unpickles an identical trace.  ``policy`` and ``memo`` cache deterministic values only, so
+    the worker's fresh pair changes no result.
     """
 
     platform: Platform
@@ -44,6 +46,12 @@ class CalibratedTrace:
     _requests: dict = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+
+    def __reduce__(self):
+        return (
+            _unpickle_trace,
+            (self.platform.name, self.launches, self.seed, self.mean_service_s),
+        )
 
     def workload(self, utilization: float, **extra) -> WorkloadConfig:
         """The trace at ``utilization`` of the probed service rate."""
@@ -97,6 +105,14 @@ class CalibratedTrace:
         )
 
 
+def _unpickle_trace(
+    platform_name: str, launches: int, seed: int, mean_service_s: float
+) -> CalibratedTrace:
+    return CalibratedTrace(
+        _resolve_platform(platform_name), launches, seed, mean_service_s
+    )
+
+
 def calibrate(platform: Platform, launches: int, seed: int) -> CalibratedTrace:
     """Probe the mix's chaos-free mean service time (deterministic)."""
     policy, memo = MemoizedPolicy(), ExecutionMemo()
@@ -119,26 +135,19 @@ def fan_out(
 ) -> list:
     """``task(trace, scenario, *params)`` per scenario, in grid order.
 
-    Sequentially every scenario shares ``trace``; with ``jobs`` > 1
-    whole scenarios fan over the persistent warm-worker pool, and each
-    worker rebuilds the trace from its scalars, so payloads match the
-    sequential loop byte for byte.
+    The scenarios run through :class:`SweepEngine`: in process every
+    scenario shares ``trace``; with ``jobs`` > 1 whole scenarios fan
+    over the persistent warm-worker pool, each chunk carrying the
+    pickled trace, so payloads match the in-process run byte for byte.
     """
-    engine = SweepEngine(jobs)
-    if not engine.parallel:
-        return [task(trace, name, *params) for name in scenarios]
-    shipped = (trace.platform.name, trace.launches, trace.seed, trace.mean_service_s)
-    return engine.map(
+    return SweepEngine(jobs).map(
         _scenario_task,
-        [(task, shipped, name, params) for name in scenarios],
+        [(task, trace, name, params) for name in scenarios],
         labels=list(scenarios),
     )
 
 
 def _scenario_task(item: tuple):
-    """Worker side of :func:`fan_out`: rebuild the trace, run one scenario."""
-    task, (platform_name, launches, seed, mean_service_s), name, params = item
-    trace = CalibratedTrace(
-        _resolve_platform(platform_name), launches, seed, mean_service_s
-    )
+    """Sweep task of :func:`fan_out`: run one scenario over the trace."""
+    task, trace, name, params = item
     return task(trace, name, *params)

@@ -7,7 +7,10 @@ pool of **persistent warm workers** and merges results back into
 sequential one (the differential harness in ``tests/test_parallel.py``
 asserts exactly that).  ``jobs <= 1`` degrades to an in-process
 sequential executor running the task functions unchanged, which keeps
-the default path free of multiprocessing machinery.
+the default path free of multiprocessing machinery.  Every experiment
+sweep runs through :meth:`SweepEngine.map` or :meth:`SweepEngine.map_obs`
+at every worker count, so the sequential and the parallel run share one
+task function and one merge.
 
 Three properties distinguish this engine from a naive
 one-future-per-case ``ProcessPoolExecutor`` (which `BENCH_parallel.json`
@@ -406,10 +409,6 @@ class SweepEngine:
     def __init__(self, jobs: int | None = None):
         self.jobs = resolve_jobs(jobs)
 
-    @property
-    def parallel(self) -> bool:
-        return self.jobs > 1
-
     def _effective_cache_dir(self) -> str | None:
         """The cache directory the worker pool should persist into.
 
@@ -433,7 +432,7 @@ class SweepEngine:
         labels: Sequence[str] | None = None,
     ) -> list:
         """Run ``fn`` over ``items``; results indexed by declaration order."""
-        if not self.parallel or len(items) <= 1:
+        if self.jobs <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
         return self._collect_parallel(fn, items, labels)
 

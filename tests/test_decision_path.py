@@ -35,7 +35,13 @@ from repro.analysis import (
     paper_trip_abstraction,
 )
 from repro.calibrate.kernels import build_dot_rows, build_triad
-from repro.experiments import run_crossgen
+from repro.experiments import (
+    run_ablations,
+    run_crossgen,
+    run_drift,
+    run_faults,
+    run_figure3,
+)
 from repro.experiments.common import (
     _database,
     clear_caches,
@@ -599,6 +605,42 @@ class TestPerCaseWork:
         for name, objects in seen.items():
             repeats = collections.Counter(map(id, objects))
             assert max(repeats.values()) == 1, name
+
+
+class TestCompileOnce:
+    """A cold experiment compiles each kernel it runs once.
+
+    The ablations and Figure 3 price the suite database's records, and
+    the fault and drift grids hand one compiled database to every
+    runtime; calibration fits count (each experiment fits once).
+    """
+
+    @pytest.mark.parametrize(
+        "run, kernels, fits",
+        [
+            (lambda: run_ablations("test"), 24, 1),
+            (run_figure3, 24, 0),
+            (run_faults, 3, 1),
+            (lambda: run_drift(launches=60, start=18), 10, 1),
+        ],
+        ids=["ablations", "figure3", "faults", "drift"],
+    )
+    def test_cold_run_compiles_each_kernel_once(self, monkeypatch, run, kernels, fits):
+        compiled = []
+        compile_region = ProgramAttributeDatabase.compile_region
+
+        def counting(db, region):
+            compiled.append(region.name)
+            return compile_region(db, region)
+
+        clear_caches()
+        monkeypatch.setattr(ProgramAttributeDatabase, "compile_region", counting)
+        try:
+            run()
+        finally:
+            clear_caches()
+        assert len(compiled) == kernels + fits * len(CALIBRATION_CASES)
+        assert max(collections.Counter(compiled).values()) == 1
 
 
 def _fresh_imports(code: str) -> set[str]:

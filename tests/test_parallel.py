@@ -255,6 +255,15 @@ class TestDifferentialTrace:
             assert got["count"] == want["count"]
             assert got["sum"] == pytest.approx(want["sum"], rel=1e-12)
 
+    def test_trace_bytes_equal_at_every_jobs(self):
+        # one task per benchmark at every worker count, the calibration
+        # fitted outside the trace: the in-process sweep prints the bytes
+        # the worker pool does
+        seq = run_trace(mode="test")
+        assert seq.chrome_json() == run_trace(mode="test", jobs=2).chrome_json()
+        compiled = [s.attrs["region"] for s in seq.tracer.spans if s.name == "compile"]
+        assert sorted(compiled) == sorted(seq.region_names)
+
     def test_parallel_trace_compiles_each_region_once(self):
         # the parent fits the calibration once, so no task compiles the
         # calibration kernels and each region has one compile span
