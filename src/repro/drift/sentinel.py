@@ -135,7 +135,10 @@ class StreamStats:
         """Feed one launch's prediction/measurement pair; return the verdict.
 
         Non-finite or non-positive pairs carry no ratio information (a
-        failed launch measures no useful time) and are ignored.
+        failed launch measures no useful time) and are ignored.  A finite,
+        positive pair whose quotient underflows to 0.0 or overflows to
+        inf takes its log-ratio as ``log(observed) - log(predicted)``, so
+        every field stays finite.
 
         One pass over the stream's state: the three EWMA steps, the CUSUM
         step and its statistic are each computed once, with the same
@@ -151,7 +154,11 @@ class StreamStats:
             and observed > 0.0
         ):
             return self.state
-        log_ratio = math.log(observed / predicted)
+        quotient = observed / predicted
+        if 0.0 < quotient < math.inf:
+            log_ratio = math.log(quotient)
+        else:
+            log_ratio = math.log(observed) - math.log(predicted)
         self.observations += 1
         ratio = self.ratio_ewma
         # the instability input reads the ratio EWMA before the ratio step
@@ -227,7 +234,11 @@ class StreamStats:
         if self.state is not DriftState.DRIFTED or self.ratio_ewma.count == 0:
             return 1.0
         shift = self.ratio_ewma.value - (self.baseline or 0.0)
-        return min(max(math.exp(shift), 1.0 / CORRECTION_CLAMP), CORRECTION_CLAMP)
+        # exp overflows past ~709.78; any shift past 700 clamps alike
+        return min(
+            max(math.exp(min(shift, 700.0)), 1.0 / CORRECTION_CLAMP),
+            CORRECTION_CLAMP,
+        )
 
     def measured_seconds(self) -> float | None:
         """Recent observed seconds (None before any valid observation)."""

@@ -13,7 +13,7 @@ import struct
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.drift import (
     Cusum,
@@ -203,7 +203,11 @@ class _ReferenceStream:
             and observed > 0.0
         ):
             return self.state
-        log_ratio = math.log(observed / predicted)
+        quotient = observed / predicted
+        if 0.0 < quotient < math.inf:
+            log_ratio = math.log(quotient)
+        else:
+            log_ratio = math.log(observed) - math.log(predicted)
         self.observations += 1
         self.instability.update(
             abs(log_ratio - self.ratio_ewma.value)
@@ -249,39 +253,33 @@ def _bits(value) -> object:
     return value
 
 
-def _verdict(stream, predicted: float, observed: float):
-    """The stream's verdict, or the type of the error observing raised."""
-    try:
-        return stream.observe(predicted, observed)
-    except ValueError as err:
-        return type(err)
-
-
 def _stream_fields(stream) -> tuple:
-    return tuple(
-        _bits(v)
-        for v in (
-            stream.state,
-            stream.observations,
-            stream.baseline,
-            stream._warmup_sum,
-            stream.ratio_ewma.value,
-            stream.ratio_ewma.count,
-            stream.instability.value,
-            stream.instability.count,
-            stream.measured.value,
-            stream.measured.count,
-            stream.cusum.pos,
-            stream.cusum.neg,
-            stream.drift_count,
-            stream._recover_streak,
-        )
+    return (
+        stream.state,
+        stream.observations,
+        stream.baseline,
+        stream._warmup_sum,
+        stream.ratio_ewma.value,
+        stream.ratio_ewma.count,
+        stream.instability.value,
+        stream.instability.count,
+        stream.measured.value,
+        stream.measured.count,
+        stream.cusum.pos,
+        stream.cusum.neg,
+        stream.drift_count,
+        stream._recover_streak,
     )
 
 
+#: finite, positive (predicted, observed) pairs whose quotient underflows
+#: to 0.0 and overflows to inf
+_UNDERFLOW = (4.05e23, 1e-300)
+_OVERFLOW = (1e-300, 1e300)
+
 #: observation pairs: mostly ratios that walk a stream through warmup,
 #: SUSPECT, DRIFTED and recovery, plus pairs the stream must ignore and
-#: extreme magnitudes whose log-ratio overflows
+#: extreme magnitudes whose quotient underflows or overflows
 _PAIRS = st.one_of(
     st.tuples(
         st.floats(1e-6, 1e3),
@@ -307,15 +305,24 @@ class TestOnePassObserve:
     @settings(max_examples=300, derandomize=True, deadline=None)
     # runs of one pair let the stream settle, drift and recover
     @given(st.lists(st.tuples(_PAIRS, st.integers(1, 6)), max_size=25))
+    # quotients that underflow to 0.0 and overflow to inf, in warmup and
+    # after it
+    @example([(_UNDERFLOW, 2), (_OVERFLOW, 2), ((1.0, 1.0), 3)])
+    @example([((1.0, 1.0), 3), (_UNDERFLOW, 3), ((1.0, 1.0), 5), (_OVERFLOW, 3)])
     def test_every_field_bit_equal_after_each_step(self, runs):
         stream, reference = StreamStats("gpu", "r"), _ReferenceStream()
         for (predicted, observed), repeat in runs:
             for _ in range(repeat):
-                # a ratio that underflows to 0.0 has no log: both raise alike
-                assert _verdict(stream, predicted, observed) is _verdict(
-                    reference, predicted, observed
+                assert stream.observe(predicted, observed) is reference.observe(
+                    predicted, observed
                 )
-                assert _stream_fields(stream) == _stream_fields(reference)
+                fields = _stream_fields(stream)
+                assert list(map(_bits, fields)) == list(
+                    map(_bits, _stream_fields(reference))
+                )
+                # no pair, ignored or taken in, leaves a field inf or NaN
+                assert all(math.isfinite(v) for v in fields if isinstance(v, float))
+                assert math.isfinite(stream.correction())
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(
