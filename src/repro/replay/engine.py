@@ -45,7 +45,13 @@ from ..runtime import (
 )
 from .chaos import ChaosSchedule
 from .service import AdmissionConfig, OffloadService, ReplayOutcome, ServiceStats
-from .workload import LaunchRequest, WorkloadConfig, build_catalog, generate_requests
+from .workload import (
+    CaseSpec,
+    LaunchRequest,
+    WorkloadConfig,
+    build_catalog,
+    generate_requests,
+)
 
 __all__ = [
     "MemoizedPolicy",
@@ -171,6 +177,9 @@ class ReplayEngine:
         self.memo = memo if memo is not None else ExecutionMemo()
         self.policy = policy if policy is not None else MemoizedPolicy()
         self._db = db
+        #: id(case) -> (case, env dict); the entry holds the case, so an
+        #: id can never be recycled under us
+        self._envs: dict[int, tuple[CaseSpec, dict[str, int]]] = {}
         self.runtime = self._build_runtime()
 
     def _build_runtime(self) -> OffloadingRuntime:
@@ -203,10 +212,17 @@ class ReplayEngine:
         if t > clock.now:
             clock.advance(t - clock.now)
 
+    def _env(self, case: CaseSpec) -> dict[str, int]:
+        """``case.env_dict()``, built once per case (looked up by identity)."""
+        hit = self._envs.get(id(case))
+        if hit is None:
+            hit = self._envs[id(case)] = (case, case.env_dict())
+        return hit[1]
+
     def _launch(self, request: LaunchRequest, *, force_target=None, budget=None):
         return self.runtime.launch(
             request.case.region_name,
-            request.case.env_dict(),
+            self._env(request.case),
             force_target=force_target,
             budget=budget,
             tenant=request.tenant,

@@ -276,6 +276,8 @@ class OffloadService:
         #: ``replay_requests_total`` by admission decision, each bound on
         #: its first emission
         self._request_counters: dict = {}
+        #: per-case lane and GPU phase split, keyed by id(case); each
+        #: entry holds its case, so an id can never be recycled under us
         self._route_cache: dict = {}
         self._phase_fractions: dict = {}
         self._outcomes: list[ReplayOutcome] = []
@@ -412,15 +414,16 @@ class OffloadService:
         """
         if not self.overlap:
             return self._lane_list[0]
-        lane = self._route_cache.get(request.case)
-        if lane is None:
+        case = request.case
+        hit = self._route_cache.get(id(case))
+        if hit is None:
             rt = self.runtime
-            attrs = rt.db.lookup(request.case.region_name)
-            env = request.case.env_dict()
+            attrs = rt.db.lookup(case.region_name)
+            env = self.engine._env(case)
             memo = rt.memo
             host, accel = rt._host, rt._accels[0]
             if memo is not None:
-                key = memo.key(request.case.region_name, env)
+                key = memo.key(case.region_name, env)
                 bound = memo.bound(attrs, env, key)
                 cpu_s = memo.execution(host, attrs, env, key).seconds
                 gpu_s = memo.execution(accel, attrs, env, key).seconds
@@ -436,8 +439,8 @@ class OffloadService:
                 sim_gpu_seconds=gpu_s,
             )
             lane = self.lanes["gpu" if target == "gpu" else "cpu"]
-            self._route_cache[request.case] = lane
-        return lane
+            hit = self._route_cache[id(case)] = (case, lane)
+        return hit[1]
 
     # -- dispatch -----------------------------------------------------------
     def _dispatch_batch(self, lane: DeviceLane) -> None:
@@ -613,14 +616,15 @@ class OffloadService:
         executed = max(record.executed_seconds, 0.0)
         if record.target != "gpu":
             return 0.0, executed, 0.0
-        fractions = self._phase_fractions.get(request.case)
-        if fractions is None:
+        case = request.case
+        hit = self._phase_fractions.get(id(case))
+        if hit is None:
             rt = self.runtime
-            attrs = rt.db.lookup(request.case.region_name)
-            env = request.case.env_dict()
+            attrs = rt.db.lookup(case.region_name)
+            env = self.engine._env(case)
             accel = rt._accels[0]
             if rt.memo is not None:
-                key = rt.memo.key(request.case.region_name, env)
+                key = rt.memo.key(case.region_name, env)
                 detail = rt.memo.execution(accel, attrs, env, key).detail
             else:
                 detail = accel.execute(attrs, env).detail
@@ -633,7 +637,8 @@ class OffloadService:
                 serial = h2d + comp + d2h
                 if serial > 0.0 and math.isfinite(serial):
                     fractions = (h2d / serial, comp / serial, d2h / serial)
-            self._phase_fractions[request.case] = fractions
+            hit = self._phase_fractions[id(case)] = (case, fractions)
+        fractions = hit[1]
         return (
             fractions[0] * executed,
             fractions[1] * executed,

@@ -40,7 +40,7 @@ from repro.replay import (
     generate_requests,
     score_run,
 )
-from repro.replay.workload import build_catalog
+from repro.replay.workload import CaseSpec, build_catalog
 from repro.runtime import ExecutionMemo, ModelGuided, OffloadingRuntime
 from repro.runtime.dispatch import case_key
 from repro.util import derive_seed, emit_json
@@ -311,6 +311,8 @@ class TestPerLaunchWork:
         )
         watched = {
             case_key.__code__: "case_key",
+            CaseSpec.env_dict.__code__: "env_dict",
+            CaseSpec.__hash__.__code__: "CaseSpec hash",
             DispatchResult.__init__.__code__: "DispatchResult",
             _NullSpan.__enter__.__code__: "null span entered",
             SelfHealingSelector.decide.__code__: "decide",
@@ -352,6 +354,10 @@ class TestPerLaunchWork:
         assert calls["stream read by decide"] == 0
         # the memo builds a case's key once; this one is warm already
         assert calls["case_key"] <= len(cases)
+        # the engine builds a case's env dict once, and the service's
+        # per-case caches look cases up by identity, never by value
+        assert calls["env_dict"] <= len(cases)
+        assert calls["CaseSpec hash"] == 0
         # fault-free dispatches share one result; the tracer is off
         assert calls["DispatchResult"] == 0
         assert calls["null span entered"] == 0
