@@ -68,27 +68,19 @@ class ModelGuided:
 
     On first use per (platform, team size) the policy fits the
     microbenchmark calibration constants (repro.calibrate) — the paper's
-    "parameters obtained from micro-benchmarks" step.  Pass
-    ``calibrate=False`` to run the raw uncalibrated models, or
-    ``use_runtime_tripcounts=False`` to degrade the predictor to the pure
-    compile-time 128-iteration abstraction (both exercised as ablations).
+    "parameters obtained from micro-benchmarks" step — and predicts with
+    the runtime trip counts.  The uncalibrated models and the pure
+    compile-time 128-iteration abstraction are ablations
+    (``repro.experiments.ablations``), which call ``predict_both``
+    directly.
     """
 
     name = "model-guided"
 
-    def __init__(
-        self,
-        *,
-        use_runtime_tripcounts: bool = True,
-        calibrate: bool = True,
-    ):
-        self.use_runtime_tripcounts = use_runtime_tripcounts
-        self.calibrate = calibrate
+    def __init__(self):
         self._calibrations: dict[tuple[str, int | None], object] = {}
 
     def _calibration(self, platform: Platform, num_threads: int | None):
-        if not self.calibrate:
-            return None
         key = (platform.name, num_threads)
         if key not in self._calibrations:
             from ..calibrate import fit_model_calibration
@@ -103,7 +95,6 @@ class ModelGuided:
             bound,
             platform,
             num_threads=num_threads,
-            use_runtime_tripcounts=self.use_runtime_tripcounts,
             calibration=self._calibration(platform, num_threads),
         )
         return prediction.winner, prediction
