@@ -31,8 +31,7 @@ from ..analysis import BoundAttributes, ProgramAttributeDatabase
 from ..ir import Region
 from ..lint import lint_region
 from ..machines import Platform
-from ..sim import simulate_cpu, simulate_gpu_kernel, simulate_transfers
-from ..sim.interconnect_sim import STAGING_EFFICIENCY
+from ..sim import simulate_cpu, simulate_dmas, simulate_gpu_kernel, simulate_transfers
 from ..util import render_table
 from .common import _calibration, _database, _resolve_platform
 
@@ -317,32 +316,6 @@ _SCENARIOS: tuple[tuple[str, Callable[[], Region], dict[str, int]], ...] = (
 )
 
 
-def _inferred_transfer_sim_seconds(
-    region: Region, bound: BoundAttributes, platform: Platform,
-    env: Mapping[str, int],
-) -> float:
-    """Simulate the DMAs an inference-aware runtime would actually issue.
-
-    Mirrors :func:`repro.sim.simulate_transfers` (per-array DMA latency,
-    staging efficiency, full-duplex overlap) but issues only the
-    directions the dataflow analysis kept.
-    """
-    dataflow = bound.attributes.dataflow
-    bus = platform.bus
-    rate = bus.bandwidth_gbs * 1e9 * STAGING_EFFICIENCY
-    to_dev_s = 0.0
-    to_host_s = 0.0
-    for name in sorted(region.arrays):
-        info = dataflow[name]
-        copy_in = int(info.copy_in.evaluate(env))
-        copy_out = int(info.copy_out.evaluate(env))
-        if copy_in:
-            to_dev_s += bus.latency_us * 1e-6 + copy_in / rate
-        if copy_out:
-            to_host_s += bus.latency_us * 1e-6 + copy_out / rate
-    return max(to_dev_s, to_host_s)
-
-
 def _decide(
     bound: BoundAttributes, platform: Platform, num_threads: int | None
 ) -> str:
@@ -371,8 +344,15 @@ def _run_scenario(
     cpu = simulate_cpu(attrs, platform.host, env, num_threads=num_threads)
     gpu = simulate_gpu_kernel(attrs, platform.gpu, env)
     declared_xfer = simulate_transfers(region, platform.bus, env)
-    inferred_xfer_s = _inferred_transfer_sim_seconds(
-        region, inferred, platform, env
+    # an inference-aware runtime issues only the copies dataflow kept
+    dataflow = inferred.attributes.dataflow
+    copies = [
+        (int(dataflow[name].copy_in.evaluate(env)),
+         int(dataflow[name].copy_out.evaluate(env)))
+        for name in region.arrays
+    ]
+    inferred_xfer = simulate_dmas(
+        [c for c, _ in copies if c], [c for _, c in copies if c], platform.bus
     )
     return ScenarioOutcome(
         scenario=label,
@@ -387,7 +367,7 @@ def _run_scenario(
         cpu_seconds=cpu.seconds,
         gpu_kernel_seconds=gpu.seconds,
         declared_transfer_seconds=declared_xfer.total_seconds,
-        inferred_transfer_seconds=inferred_xfer_s,
+        inferred_transfer_seconds=inferred_xfer.total_seconds,
         decision_declared=_decide(declared, platform, num_threads),
         decision_inferred=_decide(inferred, platform, num_threads),
     )

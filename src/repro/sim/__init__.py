@@ -21,7 +21,7 @@ from .locality import (
 )
 from .cpu_sim import CPUSimResult, cpu_memory_hierarchy, simulate_cpu
 from .gpu_sim import GPUSimResult, simulate_gpu_kernel
-from .interconnect_sim import TransferSimResult, simulate_transfers
+from .interconnect_sim import TransferSimResult, simulate_dmas, simulate_transfers
 from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
@@ -45,6 +45,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "GPUSimResult",
         "simulate_gpu_kernel",
         "TransferSimResult",
+        "simulate_dmas",
         "simulate_transfers",
     ),
 )

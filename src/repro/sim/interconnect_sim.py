@@ -10,12 +10,12 @@ predictor's error budget, as on real machines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from ..ir import Region
 from ..machines import InterconnectDescriptor
 
-__all__ = ["TransferSimResult", "simulate_transfers"]
+__all__ = ["TransferSimResult", "simulate_dmas", "simulate_transfers"]
 
 #: Fraction of nominal bus bandwidth achieved through staging buffers.
 STAGING_EFFICIENCY = 0.92
@@ -47,32 +47,50 @@ class TransferSimResult:
         return self.bytes_to_device + self.bytes_to_host
 
 
+def simulate_dmas(
+    to_device: Sequence[int],
+    to_host: Sequence[int],
+    bus: InterconnectDescriptor,
+) -> TransferSimResult:
+    """Price one DMA per byte count in each direction.
+
+    Each DMA pays the bus setup latency and moves its bytes through
+    pinned staging buffers at :data:`STAGING_EFFICIENCY` of the nominal
+    bandwidth; a direction's DMAs run back to back, in the given order.
+    """
+    latency_s = bus.latency_us * 1e-6
+    rate = bus.bandwidth_gbs * 1e9 * STAGING_EFFICIENCY
+
+    def seconds(dmas: Sequence[int]) -> float:
+        total = 0.0
+        for nbytes in dmas:
+            total += latency_s + nbytes / rate
+        return total
+
+    return TransferSimResult(
+        bytes_to_device=sum(to_device),
+        bytes_to_host=sum(to_host),
+        seconds_to_device=seconds(to_device),
+        seconds_to_host=seconds(to_host),
+        num_transfers=len(to_device) + len(to_host),
+    )
+
+
 def simulate_transfers(
     region: Region,
     bus: InterconnectDescriptor,
     env: Mapping[str, int],
 ) -> TransferSimResult:
-    """Simulate the per-array DMAs the OpenMP runtime issues for a region."""
-    to_dev_bytes = 0
-    to_host_bytes = 0
-    to_dev_s = 0.0
-    to_host_s = 0.0
-    transfers = 0
-    rate = bus.bandwidth_gbs * 1e9 * STAGING_EFFICIENCY
+    """Simulate the per-array DMAs the OpenMP runtime issues for a region.
+
+    One DMA per mapped array and direction, in declaration order.
+    """
+    to_device: list[int] = []
+    to_host: list[int] = []
     for arr in region.arrays.values():
         nbytes = int(arr.element_count().evaluate(env)) * arr.dtype.size
         if arr.is_input:
-            to_dev_bytes += nbytes
-            to_dev_s += bus.latency_us * 1e-6 + nbytes / rate
-            transfers += 1
+            to_device.append(nbytes)
         if arr.is_output:
-            to_host_bytes += nbytes
-            to_host_s += bus.latency_us * 1e-6 + nbytes / rate
-            transfers += 1
-    return TransferSimResult(
-        bytes_to_device=to_dev_bytes,
-        bytes_to_host=to_host_bytes,
-        seconds_to_device=to_dev_s,
-        seconds_to_host=to_host_s,
-        num_transfers=transfers,
-    )
+            to_host.append(nbytes)
+    return simulate_dmas(to_device, to_host, bus)

@@ -15,6 +15,8 @@ import pytest
 
 from repro.analysis import ProgramAttributeDatabase
 from repro.cli import build_parser, main
+from repro.experiments import run_transfers
+from repro.experiments.transfers import _SCENARIOS
 from repro.ir import Region, cmp
 from repro.ir.dataflow import Direction, analyze_transfers
 from repro.ir.region import evaluate_transfer_bytes
@@ -29,6 +31,8 @@ from repro.machines import platform_by_name
 from repro.models.transfer import estimate_transfer
 from repro.polybench import all_kernel_cases
 from repro.runtime import OffloadingRuntime
+from repro.sim import simulate_dmas
+from repro.sim.interconnect_sim import STAGING_EFFICIENCY
 
 from .kernels import (
     build_dead_map,
@@ -397,6 +401,55 @@ class TestInferredTransfersMode:
         assert b.transfers == "inferred"
         # vecadd's map is clean, so everything else is bit-identical
         assert a == dataclasses.replace(b, transfers=None)
+
+
+def _mirror_inferred_seconds(region, bound, platform, env) -> float:
+    """The transfer experiment's own inferred-DMA formula, before it
+    priced through :func:`simulate_dmas`: arrays in name order, per-DMA
+    latency and staging efficiency, the slower direction."""
+    dataflow = bound.attributes.dataflow
+    bus = platform.bus
+    rate = bus.bandwidth_gbs * 1e9 * STAGING_EFFICIENCY
+    to_dev_s = 0.0
+    to_host_s = 0.0
+    for name in sorted(region.arrays):
+        info = dataflow[name]
+        copy_in = int(info.copy_in.evaluate(env))
+        copy_out = int(info.copy_out.evaluate(env))
+        if copy_in:
+            to_dev_s += bus.latency_us * 1e-6 + copy_in / rate
+        if copy_out:
+            to_host_s += bus.latency_us * 1e-6 + copy_out / rate
+    return max(to_dev_s, to_host_s)
+
+
+class TestInferredDMAPricing:
+    """Inferred copies priced by the simulator's one DMA formula equal
+    the experiment's former mirror of it, bit for bit."""
+
+    @pytest.mark.parametrize("platform", ["p9-v100", "p8-k80"])
+    def test_scenarios_equal_the_mirror(self, platform):
+        plat = platform_by_name(platform)
+        result = run_transfers(plat, "test")
+        for (label, build, env), outcome in zip(_SCENARIOS, result.scenarios, strict=True):
+            region = build()
+            bound = (
+                ProgramAttributeDatabase(inferred_transfers=True)
+                .compile_region(region)
+                .bind(env)
+            )
+            assert outcome.scenario == label
+            assert outcome.inferred_transfer_seconds == _mirror_inferred_seconds(
+                region, bound, plat, env
+            )
+
+    def test_every_listed_dma_pays_its_latency(self):
+        bus = platform_by_name("p9-v100").bus
+        result = simulate_dmas([4096, 0], [4096], bus)
+        assert result.num_transfers == 3
+        assert (result.bytes_to_device, result.bytes_to_host) == (4096, 4096)
+        # the zero-byte DMA adds exactly one setup latency
+        assert result.seconds_to_device == result.seconds_to_host + bus.latency_us * 1e-6
 
 
 class TestTransfersCLI:
