@@ -351,10 +351,14 @@ class DriftSentinel:
                 ratios.setdefault(stream.device, []).append(
                     stream.ratio_ewma.value
                 )
-        return {
-            device: math.exp(sum(vals) / len(vals))
-            for device, vals in ratios.items()
-        }
+
+        def scale(logs: list[float]) -> float:
+            try:
+                return math.exp(sum(logs) / len(logs))
+            except OverflowError:  # a mean ratio past the float range
+                return math.inf
+
+        return {device: scale(vals) for device, vals in ratios.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         drifted = sum(

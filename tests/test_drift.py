@@ -404,6 +404,11 @@ class TestDriftSentinel:
         sentinel.observe("gpu", "b", 1.0, 8.0)
         assert sentinel.fitted_scales()["gpu"] == pytest.approx(4.0)
 
+    def test_fitted_scale_past_the_float_range_is_inf(self):
+        sentinel = DriftSentinel()
+        sentinel.observe("gpu", "a", *_OVERFLOW)
+        assert sentinel.fitted_scales() == {"gpu": math.inf}
+
 
 class TestWatchdog:
     def test_deadline_formula(self):
