@@ -33,8 +33,9 @@ class CalibratedTrace:
 
     The four scalars define it completely, so it pickles as them, the
     platform by name (:meth:`__reduce__`), and a worker process
-    unpickles an identical trace.  ``policy`` and ``memo`` cache deterministic values only, so
-    the worker's fresh pair changes no result.
+    unpickles an identical trace.  ``policy`` and ``memo`` cache
+    deterministic values only, so the worker's fresh pair changes no
+    result.
     """
 
     platform: Platform

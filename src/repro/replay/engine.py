@@ -45,13 +45,7 @@ from ..runtime import (
 )
 from .chaos import ChaosSchedule
 from .service import AdmissionConfig, OffloadService, ReplayOutcome, ServiceStats
-from .workload import (
-    CaseSpec,
-    LaunchRequest,
-    WorkloadConfig,
-    build_catalog,
-    generate_requests,
-)
+from .workload import CaseSpec, LaunchRequest, WorkloadConfig, build_catalog, generate_requests
 
 __all__ = [
     "MemoizedPolicy",
