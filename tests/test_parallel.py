@@ -243,17 +243,8 @@ class TestDifferentialTrace:
         par = run_trace(mode="test", jobs=2)
         assert par.region_names == seq.region_names
         assert par.records == seq.records
-        sm, pm = seq.metrics.snapshot(), par.metrics.snapshot()
-        assert pm["counters"] == sm["counters"]
-        assert pm["gauges"] == sm["gauges"]
-        assert set(pm["histograms"]) == set(sm["histograms"])
-        for key, want in sm["histograms"].items():
-            got = pm["histograms"][key]
-            # integer contents are exact; the float sum is a fold whose
-            # grouping moved, so it may differ in the last ulp
-            assert got["buckets"] == want["buckets"]
-            assert got["count"] == want["count"]
-            assert got["sum"] == pytest.approx(want["sum"], rel=1e-12)
+        # both merge the same per-benchmark snapshots in the same order
+        assert par.metrics.snapshot() == seq.metrics.snapshot()
 
     def test_trace_bytes_equal_at_every_jobs(self):
         # one task per benchmark at every worker count, the calibration
