@@ -15,7 +15,7 @@ Installed as ``repro-paper`` (see pyproject.toml), or run as
     repro-paper hedge --tiny           # hedged-dispatch budget x chaos grid
     repro-paper trace --format json -o trace.json   # Chrome trace of a sweep
     repro-paper trace --jobs 4                 # parallel sweep, same output
-    repro-paper table1 --jobs 4                # warm-worker sweep
+    repro-paper table1 --jobs 4                # same output over 4 workers
     repro-paper table1 --cache-dir .cache      # reuse sweep results across runs
     repro-paper cache stats                    # inspect the analysis cache
     repro-paper probe tlb|gpu|epcc

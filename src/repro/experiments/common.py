@@ -72,12 +72,13 @@ def clear_caches(*, persistent: bool = True) -> None:
 
     With ``persistent=True`` (the default) the active persistent
     :class:`~repro.parallel.AnalysisCache` — when one is enabled — is
-    cleared too, and every persistent worker pool is shut down (workers
-    hold their own warm in-memory caches), so a post-clear sweep
-    genuinely recomputes everything instead of replaying stored entries.
-    ``persistent=False`` drops only the in-process memos and leaves both
-    the disk entries and the warm worker pools in place — the warm-run
-    configuration the benchmarks time.
+    cleared too, and every persistent worker pool is shut down (a worker
+    over that cache's directory keeps the entries it read or wrote in
+    memory), so a post-clear sweep genuinely recomputes everything
+    instead of replaying stored entries.  ``persistent=False`` drops
+    only the in-process memos and leaves both the disk entries and the
+    warm worker pools in place — the warm-run configuration the
+    benchmarks time.
     """
     _MEASURE_CACHE.clear()
     _PREDICT_CACHE.clear()
@@ -151,9 +152,9 @@ def _calibration(plat: Platform, num_threads: int | None) -> ModelCalibration:
 # deterministic pure functions of (canonical region IR, env, platform,
 # knobs), so the persistent cache stores the sweep results themselves:
 # ``sim.measure`` stores the three measured seconds, ``model.predict``
-# stores an encoded :class:`SelectionPrediction` tree.  These entries
-# ship between warm workers, which is what lets a warm pool replay
-# entire sweeps instead of recomputing them.
+# stores an encoded :class:`SelectionPrediction` tree.  A warm cache
+# directory replays entire sweeps, in process or in workers; without an
+# active cache both take the uncached branch.
 
 
 def _codec_types() -> dict:

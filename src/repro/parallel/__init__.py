@@ -1,13 +1,13 @@
 """Parallel sweep engine + persistent analysis cache.
 
-Two cooperating subsystems that make suite sweeps scale:
+Two cooperating subsystems for suite sweeps:
 
 * :class:`SweepEngine` — fans chunked case batches over **persistent
-  warm workers** (pools survive across sweep calls; workers hold a
-  process-local analysis cache and ship the entries they compute back
-  to the parent store) and deterministically merges results, per-worker
-  metrics and trace spans back into case-declaration order
-  (``--jobs N`` / ``$REPRO_JOBS``, one chunk per worker);
+  warm workers** (pools survive across sweep calls; a worker runs its
+  tasks under the parent's persistent cache, or uncached when none is
+  active) and deterministically merges results, per-worker metrics and
+  trace spans back into case-declaration order (``--jobs N`` /
+  ``$REPRO_JOBS``, one chunk per worker);
 * :class:`AnalysisCache` — a persistent, content-addressed store (JSON
   records keyed by SHA-256 over canonical region IR + machine-model
   fingerprint + package version) that memoizes each suite case's

@@ -139,22 +139,17 @@ def compute_key(kind: str, payload: Any, machine: Any = None) -> str:
 class AnalysisCache:
     """Content-addressed JSON store shared across processes and runs.
 
-    With ``persist=False`` the store never touches disk: entries live in
-    the in-memory layer only.  That is the warm-worker configuration —
-    each pool worker of the sweep engine holds a memory-only cache for
-    its process lifetime and ships new entries back to the parent (see
-    :meth:`export_entries` / :meth:`merge_entries`), so a case measured
-    or predicted in one worker warms every other without any cache
-    directory being configured.
+    Entries live on disk under ``cache_dir``; an in-memory layer serves
+    repeated reads within one process.  Sweep workers activate their own
+    instance over the parent's directory and write what they compute
+    there.
     """
 
     enabled = True
 
-    def __init__(self, cache_dir: str | None = None, *, persist: bool = True):
+    def __init__(self, cache_dir: str | None = None):
         self.cache_dir = cache_dir or default_cache_dir()
-        self.persist = persist
         self._mem: dict[str, Any] = {}
-        self._journal: list[tuple[str, str, Any]] = []
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -168,8 +163,6 @@ class AnalysisCache:
         """The stored value, ``_MISS`` when absent, invalid or corrupt."""
         if key in self._mem:
             return self._mem[key]
-        if not self.persist:
-            return _MISS
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -194,10 +187,6 @@ class AnalysisCache:
 
     def _write(self, key: str, kind: str, value: Any) -> None:
         self._mem[key] = value
-        self._journal.append((key, kind, value))
-        if not self.persist:
-            self.writes += 1
-            return
         path = self._path(key)
         entry = {
             "key": key,
@@ -246,43 +235,8 @@ class AnalysisCache:
         self._write(key, kind, value)
         return value
 
-    # -- entry shipping (warm-worker transport) --------------------------
-    @property
-    def journal_size(self) -> int:
-        """Entries computed *by this process* since construction/clear."""
-        return len(self._journal)
-
-    def export_entries(self, since: int = 0) -> list[list]:
-        """Locally-computed entries past a previous :attr:`journal_size`.
-
-        The returned ``[key, kind, value]`` triples are the pool-worker →
-        parent shipping payload.  Only *computed* entries appear — values
-        delivered through :meth:`merge_entries` are never re-exported, so
-        parent↔worker shipping can never loop or amplify.
-        """
-        return [[key, kind, value] for key, kind, value in self._journal[since:]]
-
-    def merge_entries(self, entries) -> int:
-        """Absorb shipped ``[key, kind, value]`` triples into memory.
-
-        Idempotent under re-delivery: a key already present (computed
-        locally or merged earlier) is left untouched, so delivering the
-        same batch twice — or two batches that overlap — adds nothing
-        the second time.  Merged entries go to the in-memory layer only;
-        the process that *computed* an entry is the one that persists it.
-        Returns the number of keys that were actually new.
-        """
-        added = 0
-        for key, kind, value in entries:
-            if key not in self._mem:
-                self._mem[key] = value
-                added += 1
-        return added
-
     def entry_count(self) -> int:
         """Number of entry files currently on disk."""
-        if not self.persist:
-            return len(self._mem)
         count = 0
         try:
             shards = os.listdir(self.cache_dir)
@@ -297,10 +251,7 @@ class AnalysisCache:
     def clear(self) -> None:
         """Delete every entry and reset the in-memory layer and counters."""
         self._mem.clear()
-        self._journal.clear()
         self.hits = self.misses = self.invalidations = self.writes = 0
-        if not self.persist:
-            return
         try:
             shards = os.listdir(self.cache_dir)
         except OSError:
@@ -343,7 +294,6 @@ class NullCache:
 
     enabled = False
     cache_dir = None
-    persist = False
     hits = misses = invalidations = writes = 0
 
     def get_or_compute(self, kind, payload, machine, compute, *, validate=None):

@@ -155,27 +155,23 @@ class TestKeyStability:
     def test_tuple_and_list_payloads_canonicalize_together(self):
         assert compute_key("k", (1, 2, 3)) == compute_key("k", [1, 2, 3])
 
-    def test_sweep_result_keys_keep_their_bytes(self):
+    def test_sweep_result_keys_keep_their_bytes(self, tmp_path):
         """The first p9-v100/test case's two result keys, literally.
 
         A different key orphans every existing cache directory, so a
         change to the key computation must leave these bytes alone.
         """
-        cache = AnalysisCache(persist=False)
-        with cache.activate():
+        with AnalysisCache(str(tmp_path)).activate():
             measure_suite("p9-v100", "test", jobs=1)
             predict_suite("p9-v100", "test", jobs=1)
-        first: dict[str, str] = {}
-        for key, kind, _ in cache.export_entries():
-            first.setdefault(kind, key)
-        assert first == {
-            "sim.measure": (
-                "591e66ac74f374f87beae9016b20e8c993fa70dd6d7ec05779fcb3daa653a220"
-            ),
-            "model.predict": (
-                "0abfe013b01d982889f535670b3530c8751645e8dfdf2c80f788eac3006779a9"
-            ),
+        kinds = {
+            path.stem: json.loads(path.read_text())["kind"]
+            for path in tmp_path.glob("*/*.json")
         }
+        measure = "591e66ac74f374f87beae9016b20e8c993fa70dd6d7ec05779fcb3daa653a220"
+        predict = "0abfe013b01d982889f535670b3530c8751645e8dfdf2c80f788eac3006779a9"
+        assert kinds[measure] == "sim.measure"
+        assert kinds[predict] == "model.predict"
 
 
 class TestKeyInjectivity:

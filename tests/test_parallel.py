@@ -11,7 +11,6 @@ output divergence, not a float-repr artefact.
 
 import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -21,6 +20,7 @@ from repro.experiments.service import run_service
 from repro.experiments.trace import run_trace
 from repro.obs import MetricsRegistry, Tracer
 from repro.parallel import (
+    NULL_CACHE,
     AnalysisCache,
     ObsTaskResult,
     SweepEngine,
@@ -90,26 +90,8 @@ def _obs_task(index):
     )
 
 
-def _stamped_cached_task(task):
-    """Compute through the worker's analysis cache, stamping each compute.
-
-    Touches ``compute-<index>`` in ``stamp_dir`` every time the compute
-    callback actually runs — so the stamp files on disk are an exact
-    census of which values were *computed* rather than replayed from
-    shipped cache entries.
-    """
-    from repro.machines import platform_by_name
-
-    stamp_dir, index = task
-
-    def compute():
-        Path(stamp_dir, f"compute-{index}").touch()
-        return [index * index]
-
-    value = current_cache().get_or_compute(
-        "test.ship", {"index": index}, platform_by_name("p9-v100"), compute
-    )
-    return value[0]
+def _runs_uncached(_):
+    return current_cache() is NULL_CACHE
 
 
 def _selection_fragment(task):
@@ -300,8 +282,8 @@ class TestDifferentialChunked:
     def test_warm_cache_chunked_bitwise(self, sequential_canon, tmp_path):
         """Parallel + persistent cache: populate, then replay, stay equal.
 
-        The parent absorbs the workers' shipped entries into the
-        activated disk cache, so the follow-up sequential replay must be
+        The workers persist what they compute into the activated cache's
+        directory themselves, so the follow-up sequential replay must be
         pure cache service: zero misses, every value decoded from the
         store, byte-identical rows.
         """
@@ -313,8 +295,8 @@ class TestDifferentialChunked:
             par_ps = canon_predictions(predict_suite("p9-v100", "test", jobs=2))
         assert par_ms == seq_ms
         assert par_ps == seq_ps
-        # the parent cache absorbed the workers' entries: a sequential
-        # warm replay serves every value from the store, bit-identically
+        # the workers wrote their entries to disk: a sequential warm
+        # replay serves every value from the store, bit-identically
         clear_caches(persistent=False)
         replay = AnalysisCache(cache_dir)
         with replay.activate():
@@ -326,24 +308,10 @@ class TestDifferentialChunked:
         assert replay.misses == 0
 
 
-class TestCacheEntryShipping:
-    """Warm state propagates: entries computed once never recompute."""
-
-    def test_second_sweep_recomputes_nothing(self, tmp_path):
-        stamps = tmp_path / "stamps"
-        stamps.mkdir()
-        items = [(str(stamps), i) for i in range(6)]
-        engine = SweepEngine(3)
-        first = engine.map(_stamped_cached_task, items)
-        assert first == [i * i for i in range(6)]
-        after_first = sorted(p.name for p in stamps.iterdir())
-        assert after_first == sorted(f"compute-{i}" for i in range(6))
-        # a different worker count lands cases on *different* workers:
-        # values must arrive via the parent store broadcast, not
-        # worker-local memory
-        again = SweepEngine(2).map(_stamped_cached_task, items)
-        assert again == first
-        assert sorted(p.name for p in stamps.iterdir()) == after_first
+class TestWorkerCache:
+    def test_workers_run_uncached_without_a_persistent_cache(self):
+        # a worker takes the in-process sweep's uncached branch
+        assert SweepEngine(2).map(_runs_uncached, range(4)) == [True] * 4
 
 
 class TestDifferentialReplay:

@@ -1,4 +1,4 @@
-"""Property tests for the chunk partitioner and entry-merge idempotence.
+"""Property tests for the chunk partitioner.
 
 The partition is the load-bearing pure function of the warm-worker
 engine: the declaration-ordered merge, the slot-affinity mapping and the
@@ -13,7 +13,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.parallel import AnalysisCache, partition_chunks
+from repro.parallel import partition_chunks
 
 SETTINGS = settings(max_examples=200, derandomize=True, deadline=None)
 
@@ -57,48 +57,3 @@ class TestPartitionChunks:
     @given(n=n_items_st, jobs=jobs_st)
     def test_partition_is_deterministic(self, n, jobs):
         assert partition_chunks(n, jobs) == partition_chunks(n, jobs)
-
-
-# strategy for shipped [key, kind, value] triples with deliberate key
-# collisions (small key alphabet) so re-delivery overlap actually occurs
-entry_st = st.tuples(
-    st.sampled_from([f"k{i}" for i in range(8)]),
-    st.sampled_from(["kind.a", "kind.b"]),
-    st.one_of(st.integers(-5, 5), st.text(max_size=4), st.none()),
-)
-
-
-class TestMergeIdempotence:
-    """Re-delivering shipped cache entries must never change the store."""
-
-    @SETTINGS
-    @given(entries=st.lists(entry_st, max_size=16))
-    def test_merge_entries_idempotent_under_redelivery(self, entries):
-        cache = AnalysisCache(persist=False)
-        shipped = [[k, kind, v] for k, kind, v in entries]
-        first_added = cache.merge_entries(shipped)
-        assert first_added == len({k for k, _, _ in entries})
-        snapshot = dict(cache._mem)
-        assert cache.merge_entries(shipped) == 0
-        assert cache.merge_entries(list(reversed(shipped))) == 0
-        assert cache._mem == snapshot
-
-    @SETTINGS
-    @given(entries=st.lists(entry_st, max_size=16))
-    def test_first_write_wins_on_key_collision(self, entries):
-        cache = AnalysisCache(persist=False)
-        cache.merge_entries([[k, kind, v] for k, kind, v in entries])
-        firsts = {}
-        for k, _, v in entries:
-            firsts.setdefault(k, v)
-        assert dict(cache._mem) == firsts
-
-    @SETTINGS
-    @given(entries=st.lists(entry_st, max_size=16))
-    def test_merged_entries_are_never_reexported(self, entries):
-        # shipping must not loop: what a worker *merged* is excluded from
-        # what it ships back (only locally computed entries journal)
-        cache = AnalysisCache(persist=False)
-        cache.merge_entries([[k, kind, v] for k, kind, v in entries])
-        assert cache.journal_size == 0
-        assert cache.export_entries() == []
