@@ -14,17 +14,15 @@ cached.
 platform, test datasets) without enforcing the warm-cache floor — the
 CI smoke target; the full run enforces it and exits 1 on a regression.
 
-The parallel arms are now a **hard gate** on every run, tiny included:
-``parallel_speedup.jobs4`` below :data:`MIN_PARALLEL_SPEEDUP` (1.0x)
-fails the benchmark.  The jobs4 arm replays the jobs2 arm's results: it
-re-runs the same sweep after clearing the in-process memos, and its
-workers are served the ``sim.measure`` / ``model.predict`` entries the
-jobs2 arm's workers shipped back.
-Each run also carries forward the previous ``BENCH_parallel.json``'s
-``parallel_speedup`` figures (as ``previous_parallel_speedup``): on the
-full grid, a decline of more than :data:`MAX_SPEEDUP_DECLINE` (10%)
-against the carried figure is a failure too; smaller declines — and any
-decline on the load-sensitive tiny grid — stay warnings.
+The parallel arms must be bit-identical to the sequential sweep; their
+speedups are reported, not gated.  Each parallel arm computes its
+sweep: without an active cache its workers run uncached, as the
+sequential arm does.  Each run also carries forward the previous
+``BENCH_parallel.json``'s ``parallel_speedup`` figures (as
+``previous_parallel_speedup``): on the full grid, a decline of more
+than :data:`MAX_SPEEDUP_DECLINE` (10%) against the carried figure is a
+failure; smaller declines — and any decline on the load-sensitive tiny
+grid — stay warnings.
 
 The pytest entry points double as the differential harness under the
 benchmark runner: the parallel sweep must be bit-identical to the
@@ -41,7 +39,6 @@ from repro.experiments.common import clear_caches, measure_suite, predict_suite
 from repro.parallel import AnalysisCache
 
 MIN_WARM_SPEEDUP = 2.0
-MIN_PARALLEL_SPEEDUP = 1.0  # jobs4 must beat the sequential sweep outright
 MAX_SPEEDUP_DECLINE = 0.10  # tolerated drop vs the carried speedup (full grid)
 
 FULL_GRID = [("p8-k80", "test"), ("p8-k80", "benchmark"),
@@ -188,13 +185,6 @@ def main(argv: list[str] | None = None) -> int:
     if not tiny and warm_speedup < MIN_WARM_SPEEDUP:
         failures.append(
             f"warm cache speedup {warm_speedup:.2f}x < {MIN_WARM_SPEEDUP}x"
-        )
-    jobs4 = payload["parallel_speedup"]["jobs4"]
-    if jobs4 < MIN_PARALLEL_SPEEDUP:
-        failures.append(
-            f"jobs4 parallel speedup {jobs4:.2f}x < "
-            f"{MIN_PARALLEL_SPEEDUP:.1f}x: the warm persistent-worker "
-            "pool must beat the sequential sweep"
         )
     out = Path("BENCH_parallel.json")
     previous = previous_speedups(out)
