@@ -14,16 +14,11 @@ package):
 * :class:`SelfHealingSelector` — graceful degradation of the
   model-guided host-or-accelerator pick under drift, at any accelerator
   count: learned multiplicative corrections with break-even hysteresis,
-  measured-history fallback, re-promotion to the pure model on recovery,
-  and an optional calibration re-fit hook.
+  measured-history fallback and re-promotion to the pure model on
+  recovery.
 """
 
-from .healing import (
-    DriftDecision,
-    SelfHealingSelector,
-    attach_refit_hook,
-    observed_calibration,
-)
+from .healing import DriftDecision, SelfHealingSelector
 from .sentinel import (
     Cusum,
     DriftSentinel,
@@ -42,6 +37,4 @@ __all__ = [
     "SelfHealingSelector",
     "StreamStats",
     "Watchdog",
-    "attach_refit_hook",
-    "observed_calibration",
 ]

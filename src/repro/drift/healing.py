@@ -22,11 +22,6 @@ flip-flopping: while the corrected (or measured) costs are within
 is held.  Streams and picks are named by device label: the kind
 (``cpu``/``gpu``) on a one-accelerator platform, the device name on a
 multi-accelerator one.
-
-The optional re-fit hook (:func:`attach_refit_hook`) closes the loop all
-the way back to :mod:`repro.calibrate.model_fit`: on the first DRIFTED
-edge the accumulated observations are folded into the policy's cached
-:class:`~repro.calibrate.ModelCalibration`.
 """
 
 from __future__ import annotations
@@ -34,13 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .sentinel import DriftSentinel, DriftState, StreamStats
+from .sentinel import DriftSentinel, DriftState
 
 __all__ = [
     "DriftDecision",
     "SelfHealingSelector",
-    "observed_calibration",
-    "attach_refit_hook",
 ]
 
 #: relative dead-band around break-even inside which the previous pick holds
@@ -192,45 +185,3 @@ class SelfHealingSelector:
             return previous, True
         return (card if card_cost < host_cost else host), False
 
-
-def observed_calibration(sentinel: DriftSentinel, base):
-    """Fold the sentinel's accumulated observations into a calibration.
-
-    ``base`` is a :class:`~repro.calibrate.ModelCalibration`; the returned
-    copy scales each side by the geometric-mean observed/predicted ratio
-    of that side's streams (identity for sides with no observations), so
-    the re-fit model's residuals re-centre on zero.
-    """
-    import dataclasses
-
-    scales = sentinel.fitted_scales()
-    return dataclasses.replace(
-        base,
-        cpu_time_scale=base.cpu_time_scale * scales.get("cpu", 1.0),
-        gpu_time_scale=base.gpu_time_scale * scales.get("gpu", 1.0),
-    )
-
-
-def attach_refit_hook(
-    sentinel: DriftSentinel,
-    policy,
-    platform,
-    *,
-    num_threads: int | None = None,
-) -> None:
-    """Arm ``sentinel.on_drift`` to re-fit the policy's model calibration.
-
-    On the first DRIFTED edge the :mod:`repro.calibrate.model_fit`
-    constants are re-fitted and adjusted by the accumulated observations,
-    replacing the :class:`~repro.runtime.ModelGuided` policy's cached
-    calibration for ``(platform, num_threads)``.
-    """
-    from ..calibrate import fit_model_calibration
-
-    def hook(stream: StreamStats) -> None:
-        base = fit_model_calibration(platform, num_threads=num_threads)
-        policy._calibrations[(platform.name, num_threads)] = (
-            observed_calibration(sentinel, base)
-        )
-
-    sentinel.on_drift = hook

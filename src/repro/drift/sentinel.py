@@ -34,7 +34,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 __all__ = [
     "DriftState",
@@ -259,9 +258,7 @@ class DriftSentinel:
     The runtime feeds ``observe`` after every launch and reads the
     stream's verdict change off its (before, after) return; selection-time
     consumers (the self-healing selector, the accelerator ranking) read
-    ``state``/``correction``.  ``on_drift`` fires once per
-    CALIBRATED/SUSPECT→DRIFTED edge — the hook point for triggering a
-    :mod:`repro.calibrate.model_fit` re-fit (see healing.py).
+    ``state``/``correction``.
 
     When a ``clock`` is attached (the runtimes wire their own
     :class:`~repro.runtime.clock.SimulatedClock` in automatically),
@@ -270,13 +267,7 @@ class DriftSentinel:
     time-to-recover scoring in the traffic replay harness.
     """
 
-    def __init__(
-        self,
-        *,
-        on_drift: Callable[[StreamStats], None] | None = None,
-        clock=None,
-    ):
-        self.on_drift = on_drift
+    def __init__(self, *, clock=None):
         self.clock = clock  # anything with a .now attribute (seconds), or None
         self.streams: dict[tuple[str, str], StreamStats] = {}
         #: (sim time, device, region, old state, new state) per edge.
@@ -310,8 +301,6 @@ class DriftSentinel:
                 self.transitions.append(
                     (self.clock.now, device, region, before, state)
                 )
-            if state is DriftState.DRIFTED and self.on_drift is not None:
-                self.on_drift(stream)
         return before, state
 
     def state(self, device: str, region: str) -> DriftState:
@@ -337,28 +326,6 @@ class DriftSentinel:
         return any(
             s.state is DriftState.DRIFTED for s in self.streams.values()
         )
-
-    def fitted_scales(self) -> dict[str, float]:
-        """Per-device geometric-mean observed/predicted ratio.
-
-        The "accumulated observations" a re-fit can fold into the model
-        calibration: scaling a device's predictions by its fitted scale
-        centres that device's residuals back on zero.
-        """
-        ratios: dict[str, list[float]] = {}
-        for stream in self.streams.values():
-            if stream.ratio_ewma.count:
-                ratios.setdefault(stream.device, []).append(
-                    stream.ratio_ewma.value
-                )
-
-        def scale(logs: list[float]) -> float:
-            try:
-                return math.exp(sum(logs) / len(logs))
-            except OverflowError:  # a mean ratio past the float range
-                return math.inf
-
-        return {device: scale(vals) for device, vals in ratios.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         drifted = sum(

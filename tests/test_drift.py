@@ -2,7 +2,7 @@
 
 Covers the EWMA/CUSUM math against hand-computed sequences, the
 three-state stream verdicts (including streak-based recovery and the
-single-fire on_drift hook), watchdog deadlines end to end through the
+once-per-edge transition log), watchdog deadlines end to end through the
 runtime, the self-healing ladder (corrected / history / hysteresis), the
 bit-identity contract of sentinel-on zero-skew runs, and the experiment
 grid's detection-latency and recovery-accuracy promises.
@@ -23,7 +23,6 @@ from repro.drift import (
     SelfHealingSelector,
     StreamStats,
     Watchdog,
-    attach_refit_hook,
 )
 from repro.drift.sentinel import (
     CORRECTION_CLAMP,
@@ -50,10 +49,7 @@ from repro.machines import (
 )
 from repro.obs import MetricsRegistry
 from repro.polybench import benchmark_by_name
-from repro.runtime import (
-    ModelGuided,
-    OffloadingRuntime,
-)
+from repro.runtime import OffloadingRuntime
 from repro.runtime.dispatch import case_key
 
 from .kernels import build_gemm
@@ -350,14 +346,17 @@ class TestOnePassObserve:
 
 class TestDriftSentinel:
     def test_on_drift_fires_once_per_edge(self):
-        fired = []
-        sentinel = DriftSentinel(on_drift=fired.append)
+        clock = SimpleNamespace(now=0.0)
+        sentinel = DriftSentinel(clock=clock)
         for _ in range(3):
             sentinel.observe("gpu", "r", 1.0, 1.0)
+        clock.now = 1.0
         sentinel.observe("gpu", "r", 1.0, 6.0)
-        sentinel.observe("gpu", "r", 1.0, 6.0)  # still DRIFTED: no re-fire
-        assert len(fired) == 1
-        assert fired[0].device == "gpu" and fired[0].region == "r"
+        clock.now = 2.0
+        sentinel.observe("gpu", "r", 1.0, 6.0)  # still DRIFTED: no new edge
+        assert sentinel.transitions == [
+            (1.0, "gpu", "r", DriftState.CALIBRATED, DriftState.DRIFTED)
+        ]
         assert sentinel.any_drifted()
         assert [s.region for s in sentinel.drifted_streams()] == ["r"]
 
@@ -373,10 +372,9 @@ class TestDriftSentinel:
         )
     )
     def test_observe_returns_the_states_around_the_observation(self, observations):
-        fired = []
         clock = SimpleNamespace(now=0.0)
-        sentinel = DriftSentinel(on_drift=fired.append, clock=clock)
-        edges, drifted = [], []
+        sentinel = DriftSentinel(clock=clock)
+        edges = []
         for i, (device, region, observed) in enumerate(observations):
             clock.now = float(i)
             expected_before = sentinel.state(device, region)
@@ -385,11 +383,8 @@ class TestDriftSentinel:
             assert after is sentinel.state(device, region)
             if after is not before:
                 edges.append((float(i), device, region, before, after))
-                if after is DriftState.DRIFTED:
-                    drifted.append((device, region))
-        # the transition log and the on_drift hook see exactly those edges
+        # the transition log sees exactly those edges
         assert sentinel.transitions == edges
-        assert [(s.device, s.region) for s in fired] == drifted
 
     def test_unknown_stream_defaults(self):
         sentinel = DriftSentinel()
@@ -397,17 +392,6 @@ class TestDriftSentinel:
         assert sentinel.correction("gpu", "nope") == 1.0
         assert sentinel.measured("gpu", "nope") is None
         assert sentinel.instability("gpu", "nope") == 0.0
-
-    def test_fitted_scales_geometric_mean(self):
-        sentinel = DriftSentinel()
-        sentinel.observe("gpu", "a", 1.0, 2.0)
-        sentinel.observe("gpu", "b", 1.0, 8.0)
-        assert sentinel.fitted_scales()["gpu"] == pytest.approx(4.0)
-
-    def test_fitted_scale_past_the_float_range_is_inf(self):
-        sentinel = DriftSentinel()
-        sentinel.observe("gpu", "a", *_OVERFLOW)
-        assert sentinel.fitted_scales() == {"gpu": math.inf}
 
 
 class TestWatchdog:
@@ -510,28 +494,6 @@ class TestSelfHealing:
         assert decision.flags == (("K80", "drifted"),)
         # measured K80 ewma (~2.3s) beats the measured host (5.0s)
         assert decision.model_target == decision.target == "K80"
-
-
-class TestRefitHook:
-    def test_drift_edge_refits_policy_calibration(self):
-        policy = ModelGuided()
-        sentinel = DriftSentinel()
-        attach_refit_hook(sentinel, policy, PLATFORM_P9_V100)
-        for _ in range(3):
-            sentinel.observe("gpu", "r", 1.0, 1.0)
-        sentinel.observe("gpu", "r", 1.0, 6.0)
-        key = (PLATFORM_P9_V100.name, None)
-        assert key in policy._calibrations
-        from repro.calibrate import fit_model_calibration
-
-        base = fit_model_calibration(PLATFORM_P9_V100)
-        refit = policy._calibrations[key]
-        # the gpu side is scaled by the observed/predicted ratio (EWMA
-        # after the 6x shift), the untouched cpu side is preserved
-        assert refit.gpu_time_scale == pytest.approx(
-            base.gpu_time_scale * 6.0
-        )
-        assert refit.cpu_time_scale == base.cpu_time_scale
 
 
 class TestRuntimeIntegration:
