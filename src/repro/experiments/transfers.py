@@ -85,11 +85,6 @@ class ScenarioOutcome:
     decision_inferred: str
 
     @property
-    def gpu_declared_seconds(self) -> float:
-        """True GPU time when the runtime moves the declared clauses."""
-        return self.gpu_kernel_seconds + self.declared_transfer_seconds
-
-    @property
     def gpu_inferred_seconds(self) -> float:
         """True GPU time when the runtime elides the dead directions."""
         return self.gpu_kernel_seconds + self.inferred_transfer_seconds

@@ -157,10 +157,6 @@ class DeviceHealth:
         self._decay()
         return 1.0 + PENALTY_WEIGHT * self.failure_ewma
 
-    @property
-    def healthy(self) -> bool:
-        return self.breaker.state is BreakerState.CLOSED and self.failure_ewma < 0.5
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DeviceHealth({self.device_name!r}, {self.breaker.state.value}, "

@@ -92,7 +92,3 @@ def square_sizes(*params: str) -> dict[str, dict[str, int]]:
         "test": {p: TEST_SIZE for p in params},
         "benchmark": {p: BENCHMARK_SIZE for p in params},
     }
-
-
-def no_scalars(env: Mapping[str, int]) -> dict[str, float]:
-    return {}
