@@ -182,7 +182,7 @@ class LoadoutPlan:
 
 
 #: positions of the op classes in ``LoadoutPlan.terms``
-_FP, _INT, _SFU, _LOADS, _STORES, _BRANCHES = range(6)
+_FP, _INT, _SFU, _LOAD, _STORE, _BRANCH = range(6)
 
 
 class _Compiler:
@@ -219,7 +219,7 @@ class _Compiler:
         if isinstance(v, (ConstV, ScalarArg, LocalRef)):
             return
         if isinstance(v, Load):
-            self.add(_LOADS, slot)
+            self.add(_LOAD, slot)
             self.accesses.append((slot, v.array.name, False, v.array.dtype.size))
             # address computation
             self.add(_INT, slot)
@@ -253,18 +253,18 @@ class _Compiler:
                 self.loops.append(s)
                 # loop control: one increment + one compare+branch per trip
                 self.add(_INT, slot, loop, 2)
-                self.add(_BRANCHES, slot, loop, 1)
+                self.add(_BRANCH, slot, loop, 1)
                 self.stmts(s.body, self.slot(slot, _LOOP, loop))
             elif isinstance(s, If):
                 self.value(s.cond, slot)
-                self.add(_BRANCHES, slot)
+                self.add(_BRANCH, slot)
                 branch = len(self.branches)
                 self.branches.append(s)
                 self.stmts(s.then_body, self.slot(slot, _THEN, branch))
                 self.stmts(s.else_body, self.slot(slot, _ELSE, branch))
             elif isinstance(s, Store):
                 self.value(s.value, slot)
-                self.add(_STORES, slot)
+                self.add(_STORE, slot)
                 self.add(_INT, slot)  # address computation
                 if isinstance(s, ReduceStore):
                     self.add(_FP, slot)  # the per-contribution combine op
