@@ -16,12 +16,7 @@ from ..analysis import ProgramAttributeDatabase, RegionAttributes
 from ..calibrate import ModelCalibration, fit_model_calibration
 from ..machines import PLATFORM_P8_K80, PLATFORM_P9_V100, Platform, platform_by_name
 from ..models import SelectionPrediction, predict_both
-from ..parallel import (
-    SweepEngine,
-    current_cache,
-    register_prefork_warmup,
-    shutdown_pools,
-)
+from ..parallel import SweepEngine, current_cache, shutdown_pools
 from ..polybench import MODES, KernelCase, all_kernel_cases
 from ..sim import simulate_cpu, simulate_gpu_kernel, simulate_transfers
 
@@ -120,20 +115,6 @@ def _database(mode: str) -> tuple[ProgramAttributeDatabase, list[KernelCase]]:
         raise KeyError(f"mode must be one of {MODES}, got {mode!r}")
     db, cases = _DB_CACHE[mode]
     return db, list(cases)
-
-
-def _prefork_warmup() -> None:
-    """Build the suite database in the parent before workers fork.
-
-    Workers inherit the compiled attribute database copy-on-write, so
-    no worker process ever recompiles the suite — on a small machine the
-    per-worker rebuilds would otherwise serialize into the largest
-    fixed cost of a parallel sweep.
-    """
-    _database(MODES[0])
-
-
-register_prefork_warmup(_prefork_warmup)
 
 
 def _calibration(plat: Platform, num_threads: int | None) -> ModelCalibration:

@@ -2,7 +2,8 @@
 
 Runs each Polybench benchmark through its own :class:`OffloadingRuntime`
 with a live :class:`~repro.obs.Tracer` and
-:class:`~repro.obs.MetricsRegistry` attached, merges them in suite order,
+:class:`~repro.obs.MetricsRegistry` attached, merges them in suite order
+(:func:`~repro.obs.merge_tracers`, ``MetricsRegistry.merge_snapshot``),
 then exports the recorded pipeline — ``compile`` → ``analyse``
 (with ``ipda.analyze``) on the compile side, ``launch`` → ``predict`` →
 ``dispatch`` (with the inner ``sim.*`` and ``mca`` stages) per launch —
@@ -17,8 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..machines import Platform
-from ..obs import MetricsRegistry, Tracer, chrome_trace_json, render_trace_text
-from ..parallel import ObsTaskResult, SweepEngine, tracer_payload
+from ..obs import (
+    MetricsRegistry,
+    Tracer,
+    chrome_trace_json,
+    merge_tracers,
+    render_trace_text,
+)
+from ..parallel import SweepEngine
 from ..polybench import SUITE, benchmark_by_name
 from ..runtime import LaunchRecord, ModelGuided, OffloadingRuntime
 from .common import _calibration, _resolve_platform
@@ -72,14 +79,14 @@ class TraceResult:
         return header + "\n" + render_trace_text(self.tracer, self.metrics)
 
 
-def _trace_benchmark(task: tuple) -> ObsTaskResult:
+def _trace_benchmark(task: tuple) -> tuple:
     """Sweep task: one benchmark's instrumented sweep, obs included.
 
     Each task runs its own :class:`OffloadingRuntime` with a fresh
-    tracer/registry pair and returns the snapshot + span payload for the
-    declaration-ordered merge in :func:`run_trace`.  :func:`run_trace`
-    fits the model calibration once, outside the trace, and ships it
-    with every task, so no task refits it.
+    tracer/registry pair and returns ``(names, records, snapshot,
+    tracer)`` for the declaration-ordered merge in :func:`run_trace`.
+    :func:`run_trace` fits the model calibration once, outside the
+    trace, and ships it with every task, so no task refits it.
     """
     plat_name, mode, bench_name, num_threads, calibration = task
     plat = _resolve_platform(plat_name)
@@ -102,11 +109,7 @@ def _trace_benchmark(task: tuple) -> ObsTaskResult:
         runtime.compile_region(region)
         records.append(runtime.launch(region.name, env))
         names.append(region.name)
-    return ObsTaskResult(
-        value=(tuple(names), tuple(records)),
-        metrics=metrics.snapshot(),
-        trace=tracer_payload(tracer),
-    )
+    return tuple(names), tuple(records), metrics.snapshot(), tracer
 
 
 def run_trace(
@@ -136,19 +139,24 @@ def run_trace(
         else list(SUITE)
     )
     calibration = _calibration(plat, num_threads)
-    sweep = SweepEngine(jobs).map_obs(
-        _trace_benchmark,
-        [
-            (plat.name, mode, spec.name, num_threads, calibration)
-            for spec in specs
-        ],
-        labels=[spec.name for spec in specs],
+    names, records, snapshots, tracers = zip(
+        *SweepEngine(jobs).map(
+            _trace_benchmark,
+            [
+                (plat.name, mode, spec.name, num_threads, calibration)
+                for spec in specs
+            ],
+            labels=[spec.name for spec in specs],
+        )
     )
+    metrics = MetricsRegistry()
+    for snapshot in snapshots:
+        metrics.merge_snapshot(snapshot)
     return TraceResult(
         platform_name=plat.name,
         mode=mode,
-        region_names=tuple(n for names, _ in sweep.values for n in names),
-        records=tuple(r for _, records in sweep.values for r in records),
-        tracer=sweep.tracer,
-        metrics=sweep.metrics,
+        region_names=tuple(n for group in names for n in group),
+        records=tuple(r for group in records for r in group),
+        tracer=merge_tracers(tracers),
+        metrics=metrics,
     )

@@ -16,6 +16,7 @@ from .tracer import (
     SpanRecord,
     Tracer,
     current_tracer,
+    merge_tracers,
 )
 from .metrics import (
     DEFAULT_LOG_ERROR_BUCKETS,
@@ -43,6 +44,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "SpanRecord",
         "Tracer",
         "current_tracer",
+        "merge_tracers",
         "DEFAULT_LOG_ERROR_BUCKETS",
         "Counter",
         "Family",

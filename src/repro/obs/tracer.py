@@ -22,9 +22,15 @@ the tracer through :func:`current_tracer`; a runtime makes its tracer
 current for the duration of a ``compile_region``/``launch`` call via
 ``tracer.activate()``.  Activation is plain (not thread-local) state —
 the whole repository simulates time on a single thread.
+
+A :class:`Tracer` pickles as it is, so a sweep worker returns its
+tracer whole; :func:`merge_tracers` splices a sweep's tracers into one,
+in declaration order, with rebased timestamps.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 __all__ = [
     "InstantRecord",
@@ -34,6 +40,7 @@ __all__ = [
     "SpanRecord",
     "Tracer",
     "current_tracer",
+    "merge_tracers",
 ]
 
 
@@ -169,6 +176,40 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self.spans)
+
+
+def merge_tracers(tracers: Iterable[Tracer]) -> Tracer:
+    """Splice tracers into one new tracer, in sequence order.
+
+    Each tracer's timestamps are rebased past the previous one's maximum,
+    so the merged trace stays totally ordered and strictly increasing —
+    the invariant a single tracer guarantees.  The merge builds new
+    records and leaves its inputs untouched; it is a pure function of the
+    sequence, so the declaration-ordered tracers of a parallel sweep give
+    the same trace whichever worker finished first.
+    """
+    merged = Tracer()
+    offset = 0
+    for tracer in tracers:
+        top = 0
+        for s in tracer.spans:
+            rec = SpanRecord(
+                s.name, s.category, s.start_ts + offset, s.depth,
+                dict(s.attrs), s.index + offset,
+            )
+            rec.end_ts = None if s.end_ts is None else s.end_ts + offset
+            merged.spans.append(rec)
+            top = max(top, s.start_ts, s.end_ts or 0, s.index)
+        for i in tracer.instants:
+            merged.instants.append(
+                InstantRecord(
+                    i.name, i.ts + offset, i.depth, dict(i.attrs), i.index + offset
+                )
+            )
+            top = max(top, i.ts, i.index)
+        offset += top
+    merged._seq = offset
+    return merged
 
 
 class _NullSpan:

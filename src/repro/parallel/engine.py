@@ -8,9 +8,8 @@ sequential one (the differential harness in ``tests/test_parallel.py``
 asserts exactly that).  ``jobs <= 1`` degrades to an in-process
 sequential executor running the task functions unchanged, which keeps
 the default path free of multiprocessing machinery.  Every experiment
-sweep runs through :meth:`SweepEngine.map` or :meth:`SweepEngine.map_obs`
-at every worker count, so the sequential and the parallel run share one
-task function and one merge.
+sweep runs through :meth:`SweepEngine.map` at every worker count, so the
+sequential and the parallel run share one task function and one merge.
 
 Two properties distinguish this engine from a naive
 one-future-per-case ``ProcessPoolExecutor`` (which `BENCH_parallel.json`
@@ -20,7 +19,10 @@ showed *losing* to sequential at suite granularity):
   and survive across :meth:`SweepEngine.map` calls, so one sweep's
   worth of process spawning, module imports and attribute-database
   compilation warms every later sweep of the same run (the full
-  benchmark grid used to pay pool startup sixteen times);
+  benchmark grid used to pay pool startup sixteen times).  A suite
+  sweep builds the suite database in the parent before it maps, so a
+  pool it starts inherits the database; a worker forked by another
+  sweep compiles it on its first suite task;
 * **chunked case batches** — the case grid is partitioned into
   contiguous, declaration-ordered index chunks
   (:func:`repro.parallel.chunks.partition_chunks`; one chunk of
@@ -38,25 +40,14 @@ sweep with a :class:`ChunkFailure` naming the offending case; a worker
 resubmits every unfinished chunk, and a second death raises a
 :class:`ChunkFailure` naming every case that never completed.  Rows are
 never silently dropped.
-
-Observability-carrying sweeps go through :meth:`SweepEngine.map_obs`:
-each task returns its value plus a metrics snapshot and a tracer
-payload, and the engine merges worker metrics order-independently
-(counters and histograms add; see ``MetricsRegistry.merge_snapshot``)
-and splices worker trace spans into one tracer with rebased, strictly
-increasing timestamps — again in declaration order, so two runs of the
-same parallel sweep render byte-identical traces.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from ..obs import MetricsRegistry, Tracer
-from ..obs.tracer import InstantRecord, SpanRecord
 from .cache import NULL_CACHE, AnalysisCache, current_cache
 from .chunks import partition_chunks
 
@@ -66,14 +57,9 @@ if TYPE_CHECKING:
 __all__ = [
     "ChunkFailure",
     "JOBS_ENV",
-    "ObsTaskResult",
     "SweepEngine",
-    "SweepObsResult",
-    "merge_tracer_payloads",
-    "register_prefork_warmup",
     "resolve_jobs",
     "shutdown_pools",
-    "tracer_payload",
 ]
 
 #: Environment variable supplying the default worker count (``--jobs``).
@@ -102,88 +88,6 @@ class ChunkFailure(RuntimeError):
     def __init__(self, message: str, cases: Sequence[str]):
         super().__init__(message)
         self.cases = tuple(cases)
-
-
-# ---------------------------------------------------------------------------
-# Tracer payloads: JSON/pickle-safe span transport between processes
-# ---------------------------------------------------------------------------
-
-
-def tracer_payload(tracer: Tracer) -> dict:
-    """Serialize a tracer's spans/instants for transport to the parent."""
-    return {
-        "spans": [
-            {
-                "name": s.name,
-                "category": s.category,
-                "start": s.start_ts,
-                "end": s.end_ts,
-                "depth": s.depth,
-                "attrs": dict(s.attrs),
-                "index": s.index,
-            }
-            for s in tracer.spans
-        ],
-        "instants": [
-            {
-                "name": i.name,
-                "ts": i.ts,
-                "depth": i.depth,
-                "attrs": dict(i.attrs),
-                "index": i.index,
-            }
-            for i in tracer.instants
-        ],
-    }
-
-
-def merge_tracer_payloads(groups: Sequence[dict]) -> Tracer:
-    """Splice per-worker tracer payloads into one tracer, in group order.
-
-    Each group's timestamps are rebased past the previous group's maximum
-    so the merged trace stays totally ordered and strictly increasing —
-    the same invariant a single-process tracer guarantees.  The merge is
-    a pure function of the group sequence, so the declaration-ordered
-    groups of a parallel sweep always produce the same tracer no matter
-    which worker finished first.
-    """
-    merged = Tracer()
-    offset = 0
-    for group in groups:
-        group_max = 0
-        for s in group.get("spans", ()):
-            merged.spans.append(
-                _span_record(
-                    s["name"],
-                    s["category"],
-                    s["start"] + offset,
-                    None if s["end"] is None else s["end"] + offset,
-                    s["depth"],
-                    dict(s["attrs"]),
-                    s["index"] + offset,
-                )
-            )
-            group_max = max(group_max, s["start"], s["end"] or 0, s["index"])
-        for i in group.get("instants", ()):
-            merged.instants.append(
-                InstantRecord(
-                    i["name"],
-                    i["ts"] + offset,
-                    i["depth"],
-                    dict(i["attrs"]),
-                    i["index"] + offset,
-                )
-            )
-            group_max = max(group_max, i["ts"], i["index"])
-        offset += group_max
-    merged._seq = offset
-    return merged
-
-
-def _span_record(name, category, start, end, depth, attrs, index) -> SpanRecord:
-    rec = SpanRecord(name, category, start, depth, attrs, index)
-    rec.end_ts = end
-    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -227,21 +131,6 @@ def _run_chunk(fn: Callable[[Any], Any], items: list) -> list:
 # Parent side: persistent pools
 # ---------------------------------------------------------------------------
 
-_PREFORK_WARMUPS: list[Callable[[], None]] = []
-
-
-def register_prefork_warmup(fn: Callable[[], None]) -> None:
-    """Register a parent-side warm-up run just before a pool is created.
-
-    Worker processes are forked, so any state the callback builds in the
-    parent — compiled attribute databases, fitted calibrations — is
-    inherited copy-on-write by every worker for free, instead of being
-    rebuilt once per worker process (which serializes on small machines).
-    Callbacks run on every pool (re)creation; registration is idempotent.
-    """
-    if fn not in _PREFORK_WARMUPS:
-        _PREFORK_WARMUPS.append(fn)
-
 
 class _WorkerPool:
     """Persistent worker slots with deterministic chunk affinity.
@@ -269,8 +158,6 @@ class _WorkerPool:
             # imported here so a ``jobs <= 1`` run never loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            for warmup in _PREFORK_WARMUPS:
-                warmup()
             self._slots[slot] = ProcessPoolExecutor(
                 max_workers=1,
                 initializer=_worker_init,
@@ -316,37 +203,25 @@ def shutdown_pools() -> None:
 atexit.register(shutdown_pools)
 
 
-@dataclass(frozen=True)
-class ObsTaskResult:
-    """What an observability-carrying task returns to the engine."""
-
-    value: Any
-    metrics: dict  # a MetricsRegistry.snapshot()
-    trace: dict  # a tracer_payload()
-
-
-@dataclass(frozen=True)
-class SweepObsResult:
-    """A merged observability sweep: values + one registry + one tracer."""
-
-    values: list
-    metrics: MetricsRegistry
-    tracer: Tracer
-
-
 class SweepEngine:
     """Fan kernel-case chunks over warm workers; merge in declaration order."""
 
     def __init__(self, jobs: int | None = None):
         self.jobs = resolve_jobs(jobs)
 
-    def _collect(
+    def map(
         self,
         fn: Callable[[Any], Any],
-        items: list,
+        items: Iterable,
+        *,
         labels: Sequence[str] | None = None,
     ) -> list:
-        """Run ``fn`` over ``items``; results indexed by declaration order."""
+        """Apply ``fn`` to every item; return values in declaration order.
+
+        ``labels`` (parallel to ``items``) names cases in
+        :class:`ChunkFailure` diagnostics; it defaults to item reprs.
+        """
+        items = list(items)
         if self.jobs <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
         return self._collect_parallel(fn, items, labels)
@@ -426,43 +301,3 @@ class SweepEngine:
                         cases,
                     )
         return results
-
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        items: Iterable,
-        *,
-        labels: Sequence[str] | None = None,
-    ) -> list:
-        """Apply ``fn`` to every item; return values in declaration order.
-
-        ``labels`` (parallel to ``items``) names cases in
-        :class:`ChunkFailure` diagnostics; it defaults to item reprs.
-        """
-        return self._collect(fn, list(items), labels)
-
-    def map_obs(
-        self,
-        fn: Callable[[Any], ObsTaskResult],
-        items: Iterable,
-        *,
-        labels: Sequence[str] | None = None,
-    ) -> SweepObsResult:
-        """Like :meth:`map` for tasks that also carry metrics and spans.
-
-        ``fn`` must return an :class:`ObsTaskResult`.  Worker metrics are
-        merged order-independently (counters/histograms add across
-        workers; gauges take the last declaration-ordered write) and
-        worker trace spans are spliced into one tracer in declaration
-        order with rebased timestamps.
-        """
-        outcomes = self._collect(fn, list(items), labels)
-        metrics = MetricsRegistry()
-        for outcome in outcomes:
-            metrics.merge_snapshot(outcome.metrics)
-        tracer = merge_tracer_payloads([o.trace for o in outcomes])
-        return SweepObsResult(
-            values=[o.value for o in outcomes],
-            metrics=metrics,
-            tracer=tracer,
-        )

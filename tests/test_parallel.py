@@ -10,24 +10,23 @@ output divergence, not a float-repr artefact.
 """
 
 import json
+import os
 import time
 
 import pytest
 
+from repro.analysis import ProgramAttributeDatabase
 from repro.experiments.common import clear_caches, measure_suite, predict_suite
 from repro.experiments.replay import run_replay
 from repro.experiments.service import run_service
 from repro.experiments.trace import run_trace
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer, merge_tracers
 from repro.parallel import (
     NULL_CACHE,
     AnalysisCache,
-    ObsTaskResult,
     SweepEngine,
     current_cache,
-    merge_tracer_payloads,
     resolve_jobs,
-    tracer_payload,
 )
 from repro.polybench import SUITE, benchmark_by_name
 from repro.runtime import ModelGuided, OffloadingRuntime
@@ -76,18 +75,15 @@ def _reverse_sleep(task):
 
 
 def _obs_task(index):
+    """A traced task: its value, a metrics snapshot and its tracer."""
     tracer = Tracer()
     metrics = MetricsRegistry()
     metrics.counter("tasks_total").inc()
     metrics.counter("by_index", index=index).inc(index)
     metrics.histogram("values", buckets=(1.0, 10.0)).observe(float(index))
-    with tracer.span("work", index=index):
-        pass
-    return ObsTaskResult(
-        value=index,
-        metrics=metrics.snapshot(),
-        trace=tracer_payload(tracer),
-    )
+    with tracer.span("work", index=index) as sp:
+        sp.event("mark", index=index)
+    return index, metrics.snapshot(), tracer
 
 
 def _runs_uncached(_):
@@ -162,30 +158,44 @@ class TestEngineOrdering:
 
 
 class TestEngineObs:
+    """Traced tasks return snapshots and tracers whole; the caller merges."""
+
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_merged_metrics_equal_single_process(self, jobs):
         indexes = list(range(5))
         single = MetricsRegistry()
         for i in indexes:
-            single.merge_snapshot(_obs_task(i).metrics)
-        sweep = SweepEngine(jobs).map_obs(_obs_task, indexes)
-        assert sweep.values == indexes
-        assert sweep.metrics.snapshot() == single.snapshot()
+            single.merge_snapshot(_obs_task(i)[1])
+        outcomes = SweepEngine(jobs).map(_obs_task, indexes)
+        assert [value for value, _, _ in outcomes] == indexes
+        merged = MetricsRegistry()
+        for _, snapshot, _ in outcomes:
+            merged.merge_snapshot(snapshot)
+        assert merged.snapshot() == single.snapshot()
 
     def test_merged_spans_declaration_ordered_and_increasing(self):
-        sweep = SweepEngine(3).map_obs(_obs_task, range(5))
-        names = [s.attrs["index"] for s in sweep.tracer.spans]
+        outcomes = SweepEngine(3).map(_obs_task, range(5))
+        tracer = merge_tracers(t for _, _, t in outcomes)
+        names = [s.attrs["index"] for s in tracer.spans]
         assert names == list(range(5))
-        stamps = [s.start_ts for s in sweep.tracer.spans]
-        assert stamps == sorted(stamps)
+        assert [i.attrs["index"] for i in tracer.instants] == list(range(5))
+        stamps = [s.start_ts for s in tracer.spans]
+        assert all(a < b for a, b in zip(stamps, stamps[1:]))
 
-    def test_merge_tracer_payloads_is_pure(self):
-        payloads = [_obs_task(i).trace for i in range(3)]
-        a = merge_tracer_payloads(payloads)
-        b = merge_tracer_payloads(payloads)
-        assert [
-            (s.name, s.start_ts, s.end_ts, s.index) for s in a.spans
-        ] == [(s.name, s.start_ts, s.end_ts, s.index) for s in b.spans]
+    def test_merge_tracers_is_pure(self):
+        tracers = [_obs_task(i)[2] for i in range(3)]
+
+        def stamps(tracer):
+            return [
+                (s.name, s.start_ts, s.end_ts, s.index) for s in tracer.spans
+            ] + [(i.name, i.ts, None, i.index) for i in tracer.instants]
+
+        before = [stamps(t) for t in tracers]
+        a = merge_tracers(tracers)
+        b = merge_tracers(tracers)
+        assert stamps(a) == stamps(b)
+        # new records: the inputs keep their own timestamps
+        assert [stamps(t) for t in tracers] == before
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +255,24 @@ class TestDifferentialTrace:
             s.attrs["region"] for s in par.tracer.spans if s.name == "compile"
         ]
         assert sorted(compiled) == sorted(par.region_names)
+
+    def test_parallel_trace_compiles_no_suite_region_in_parent(self, monkeypatch):
+        # cold (the autouse fixture cleared every memo and pool): the
+        # parent compiles only the calibration kernels; each suite region
+        # compiles in the worker whose runtime launches it
+        parent = os.getpid()
+        compiled = []
+        compile_region = ProgramAttributeDatabase.compile_region
+
+        def counting(db, region):
+            if os.getpid() == parent:
+                compiled.append(region.name)
+            return compile_region(db, region)
+
+        monkeypatch.setattr(ProgramAttributeDatabase, "compile_region", counting)
+        result = run_trace(mode="test", jobs=2)
+        assert compiled
+        assert not set(compiled) & set(result.region_names), compiled
 
     def test_parallel_trace_is_deterministic(self):
         a = run_trace(mode="test", benchmarks=["gemm", "atax"], jobs=2)
