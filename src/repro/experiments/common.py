@@ -24,9 +24,24 @@ __all__ = ["KernelMeasurement", "measure_suite", "predict_suite", "clear_caches"
 
 
 def _resolve_platform(platform: "Platform | str") -> Platform:
-    """Accept a Platform, a registry key ('p9-v100') or a display name."""
+    """Accept a registered Platform, a registry key ('p9-v100') or a display name.
+
+    Sweep tasks and the sweep memos carry a platform by name (a
+    :class:`Platform` does not pickle), so a Platform that is not the
+    registered platform of its name would be swept as that one: it is
+    refused with :class:`ValueError`.
+    """
     if isinstance(platform, Platform):
-        return platform
+        try:
+            known = _resolve_platform(platform.name)
+        except KeyError:
+            known = None
+        if known != platform:
+            raise ValueError(
+                f"platform {platform.name!r} is not the registered platform "
+                "of that name; sweeps carry platforms by name"
+            )
+        return known
     for known in (PLATFORM_P8_K80, PLATFORM_P9_V100):
         if platform == known.name:
             return known

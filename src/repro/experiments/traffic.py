@@ -115,7 +115,13 @@ def _unpickle_trace(
 
 
 def calibrate(platform: Platform, launches: int, seed: int) -> CalibratedTrace:
-    """Probe the mix's chaos-free mean service time (deterministic)."""
+    """Probe the mix's chaos-free mean service time (deterministic).
+
+    The trace pickles with its platform's name, so ``platform`` must be
+    the registered platform of its name (``ValueError`` otherwise): a
+    worker process replays the platform it unpickles.
+    """
+    platform = _resolve_platform(platform)
     policy, memo = MemoizedPolicy(), ExecutionMemo()
     probe = WorkloadConfig(launches=max(min(launches, 2_000), 200), seed=seed)
     run = ReplayEngine(

@@ -9,6 +9,7 @@ JSON serializations of both sides, so an equality failure is a real
 output divergence, not a float-repr artefact.
 """
 
+import dataclasses
 import json
 import os
 import time
@@ -20,6 +21,8 @@ from repro.experiments.common import clear_caches, measure_suite, predict_suite
 from repro.experiments.replay import run_replay
 from repro.experiments.service import run_service
 from repro.experiments.trace import run_trace
+from repro.experiments.traffic import calibrate
+from repro.machines import PLATFORM_P9_V100
 from repro.obs import MetricsRegistry, Tracer, merge_tracers
 from repro.parallel import (
     NULL_CACHE,
@@ -340,6 +343,33 @@ class TestWorkerCache:
     def test_workers_run_uncached_without_a_persistent_cache(self):
         # a worker takes the in-process sweep's uncached branch
         assert SweepEngine(2).map(_runs_uncached, range(4)) == [True] * 4
+
+
+HALF_FREQUENCY = dataclasses.replace(
+    PLATFORM_P9_V100,
+    host=dataclasses.replace(
+        PLATFORM_P9_V100.host,
+        frequency_ghz=PLATFORM_P9_V100.host.frequency_ghz / 2,
+    ),
+)
+
+
+class TestSweepPlatforms:
+    """A sweep carries its platform by name, so it refuses a variant."""
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            pytest.param(lambda p: measure_suite(p, "test"), id="measure_suite"),
+            pytest.param(lambda p: predict_suite(p, "test"), id="predict_suite"),
+            pytest.param(lambda p: run_trace(p, "test"), id="run_trace"),
+            pytest.param(lambda p: calibrate(p, 200, 0), id="calibrate"),
+        ],
+    )
+    def test_variant_of_a_registered_name_is_refused(self, sweep):
+        # same name as the registered POWER9+V100, another host
+        with pytest.raises(ValueError, match="registered platform"):
+            sweep(HALF_FREQUENCY)
 
 
 class TestDifferentialReplay:
