@@ -82,13 +82,16 @@ def clear_caches(*, persistent: bool = True) -> None:
 
     With ``persistent=True`` (the default) the active persistent
     :class:`~repro.parallel.AnalysisCache` — when one is enabled — is
-    cleared too, and every persistent worker pool is shut down (a worker
-    over that cache's directory keeps the entries it read or wrote in
-    memory), so a post-clear sweep genuinely recomputes everything
-    instead of replaying stored entries.  ``persistent=False`` drops
-    only the in-process memos and leaves both the disk entries and the
-    warm worker pools in place — the warm-run configuration the
-    benchmarks time.
+    cleared too, and every persistent worker pool is shut down, so a
+    post-clear sweep genuinely recomputes everything in fresh workers.
+    A warm worker keeps the parent's code and module state from the
+    moment its pool started, and one over a cache directory keeps the
+    entries it read or wrote in memory.  So code that changes module
+    state (a monkeypatch, a constant) calls ``clear_caches()`` before
+    its next ``jobs > 1`` sweep.  ``persistent=False`` drops only the
+    in-process memos and leaves both the disk entries and the warm
+    worker pools in place — the warm-run configuration the benchmarks
+    time.
     """
     _MEASURE_CACHE.clear()
     _PREDICT_CACHE.clear()

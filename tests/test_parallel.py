@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.analysis import ProgramAttributeDatabase
+from repro.experiments import common
 from repro.experiments.common import clear_caches, measure_suite, predict_suite
 from repro.experiments.replay import run_replay
 from repro.experiments.service import run_service
@@ -343,6 +344,20 @@ class TestWorkerCache:
     def test_workers_run_uncached_without_a_persistent_cache(self):
         # a worker takes the in-process sweep's uncached branch
         assert SweepEngine(2).map(_runs_uncached, range(4)) == [True] * 4
+
+    def test_clear_caches_restarts_warm_workers(self, monkeypatch):
+        # a warm worker keeps the code it forked with; clear_caches()
+        # shuts the pools, so the next sweep runs the patched code
+        first = measure_suite("p9-v100", "test", jobs=2)
+        simulate = common._simulate_case
+        monkeypatch.setattr(
+            common, "_simulate_case", lambda *a: [2 * v for v in simulate(*a)]
+        )
+        clear_caches()
+        second = measure_suite("p9-v100", "test", jobs=2)
+        assert [2 * m.cpu_seconds for m in first] == [
+            m.cpu_seconds for m in second
+        ]
 
 
 HALF_FREQUENCY = dataclasses.replace(
