@@ -1,10 +1,12 @@
 """GPU launch planning: grid geometry and the ``#OMP_Rep`` factor.
 
 Mirrors what the XL OpenMP runtime does when it encounters a target region:
-pick a thread-block size, cap the grid at what the device can co-schedule,
-and — when the capped grid leaves fewer threads than parallel loop
-iterations — assign each thread ``#OMP_Rep`` distinct iterations (the
-paper's OpenMP-specific extension to the Hong model, Figure 4).
+launch its default 128-thread blocks, cap the grid at what the device can
+co-schedule, and — when the capped grid leaves fewer threads than parallel
+loop iterations — assign each thread ``#OMP_Rep`` distinct iterations (the
+paper's OpenMP-specific extension to the Hong model, Figure 4).  This is
+the one place the block size is decided; the models and the simulator read
+it from the plan.
 """
 
 from __future__ import annotations
@@ -52,24 +54,22 @@ class GPULaunchPlan:
         )
 
 
-def plan_gpu_launch(
-    parallel_iterations: int,
-    gpu: GPUDescriptor,
-    *,
-    threads_per_block: int = DEFAULT_THREADS_PER_BLOCK,
-) -> GPULaunchPlan:
+def plan_gpu_launch(parallel_iterations: int, gpu: GPUDescriptor) -> GPULaunchPlan:
     """Select grid geometry the way the OpenMP runtime would.
 
-    The grid is capped at the device's co-residency limit
-    (``num_sms × max_blocks_per_sm``, further limited by threads/SM); a
-    larger iteration space is covered by giving every thread ``omp_rep``
+    Blocks hold :data:`DEFAULT_THREADS_PER_BLOCK` threads.  The grid is
+    capped at the device's co-residency limit (``num_sms ×
+    max_blocks_per_sm``, further limited by threads/SM); a larger
+    iteration space is covered by giving every thread ``omp_rep``
     iterations (static schedule: thread ``t`` takes ``t``, ``t+T``, ...).
     """
     if parallel_iterations <= 0:
         raise ValueError("parallel_iterations must be positive")
-    if not 1 <= threads_per_block <= gpu.max_threads_per_block:
+    threads_per_block = DEFAULT_THREADS_PER_BLOCK
+    if gpu.max_threads_per_block < threads_per_block:
         raise ValueError(
-            f"threads_per_block must be in [1, {gpu.max_threads_per_block}]"
+            f"{gpu.name} caps blocks at {gpu.max_threads_per_block} threads, "
+            f"below the runtime's {threads_per_block}"
         )
 
     blocks_needed = -(-parallel_iterations // threads_per_block)

@@ -19,10 +19,9 @@ from .lowering import (
 )
 from .._lazy import lazy_exports
 
-#: loaded on first use: the models and simulators need neither
+#: loaded on first use: the models and simulators do not need it
 _LAZY = {
     "report": ("MCAReport", "analyze_region"),
-    "timeline": ("render_timeline",),
 }
 
 __all__, __getattr__, __dir__ = lazy_exports(

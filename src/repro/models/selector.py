@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from ..analysis import BoundAttributes
-from ..codegen import DEFAULT_THREADS_PER_BLOCK, plan_gpu_launch
+from ..codegen import plan_gpu_launch
 from ..machines import Platform
 from .cpu_model import CPUPrediction, predict_cpu_time
 from .gpu_model import GPUPrediction, predict_gpu_time
@@ -76,7 +76,6 @@ def predict_both(
     platform: Platform,
     *,
     num_threads: int | None = None,
-    threads_per_block: int = DEFAULT_THREADS_PER_BLOCK,
     use_runtime_tripcounts: bool = True,
     calibration: CalibrationLike | None = None,
 ) -> SelectionPrediction:
@@ -103,11 +102,7 @@ def predict_both(
         num_threads=num_threads,
         env=env,
     )
-    plan = plan_gpu_launch(
-        bound.parallel_iterations,
-        platform.gpu,
-        threads_per_block=threads_per_block,
-    )
+    plan = plan_gpu_launch(bound.parallel_iterations, platform.gpu)
     gpu_pred = predict_gpu_time(
         bound.region.name,
         loadout,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis import BoundAttributes
-from ..codegen import DEFAULT_THREADS_PER_BLOCK, plan_gpu_launch
+from ..codegen import plan_gpu_launch
 from ..ipda import CoalescingClass
 from ..machines import Platform
 from .cpu_model import predict_cpu_time
@@ -55,7 +55,6 @@ def predict_split(
     platform: Platform,
     *,
     num_threads: int | None = None,
-    threads_per_block: int = DEFAULT_THREADS_PER_BLOCK,
     calibration: CalibrationLike | None = None,
     samples: int = 32,
 ) -> SplitPrediction:
@@ -86,9 +85,7 @@ def predict_split(
     def gpu_seconds(share: int) -> float:
         if share <= 0:
             return 0.0
-        plan = plan_gpu_launch(
-            share, platform.gpu, threads_per_block=threads_per_block
-        )
+        plan = plan_gpu_launch(share, platform.gpu)
         frac = share / iters
         to_dev, to_host = _scaled_transfers(bound, frac)
         pred = predict_gpu_time(

@@ -71,24 +71,15 @@ class AcceleratorDevice(Device):
 
     kind = "gpu"
 
-    def __init__(
-        self,
-        gpu: GPUDescriptor,
-        bus: InterconnectDescriptor,
-        *,
-        threads_per_block: int = 128,
-    ):
+    def __init__(self, gpu: GPUDescriptor, bus: InterconnectDescriptor):
         self.gpu = gpu
         self.bus = bus
-        self.threads_per_block = threads_per_block
         self.name = f"{gpu.name} via {bus.name}"
 
     def execute(
         self, attrs: RegionAttributes, env: Mapping[str, int]
     ) -> ExecutionRecord:
-        kernel = simulate_gpu_kernel(
-            attrs, self.gpu, env, threads_per_block=self.threads_per_block
-        )
+        kernel = simulate_gpu_kernel(attrs, self.gpu, env)
         xfer = simulate_transfers(attrs.region, self.bus, env)
         total = kernel.seconds + xfer.total_seconds
         return ExecutionRecord(self.name, self.kind, total, (kernel, xfer))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..analysis import RegionAttributes
-from ..codegen import DEFAULT_THREADS_PER_BLOCK, GPULaunchPlan, plan_gpu_launch
+from ..codegen import GPULaunchPlan, plan_gpu_launch
 from ..ipda import analyze_region
 from ..ir import Region
 from ..machines import GPUDescriptor
@@ -107,8 +107,6 @@ def simulate_gpu_kernel(
     region: Region | RegionAttributes,
     gpu: GPUDescriptor,
     env: Mapping[str, int],
-    *,
-    threads_per_block: int = DEFAULT_THREADS_PER_BLOCK,
 ) -> GPUSimResult:
     """Simulate one kernel launch with actual sizes and real coalescing.
 
@@ -124,13 +122,9 @@ def simulate_gpu_kernel(
     )
     tracer = current_tracer()
     if not tracer.enabled:
-        return _simulate_gpu_kernel(
-            attrs, gpu, env, threads_per_block=threads_per_block
-        )
+        return _simulate_gpu_kernel(attrs, gpu, env)
     with tracer.span("sim.gpu", region=attrs.region.name, gpu=gpu.name) as sp:
-        result = _simulate_gpu_kernel(
-            attrs, gpu, env, threads_per_block=threads_per_block
-        )
+        result = _simulate_gpu_kernel(attrs, gpu, env)
         sp.set("seconds", result.seconds)
         return result
 
@@ -139,13 +133,9 @@ def _simulate_gpu_kernel(
     attrs: RegionAttributes,
     gpu: GPUDescriptor,
     env: Mapping[str, int],
-    *,
-    threads_per_block: int,
 ) -> GPUSimResult:
     parallel_iters = int(attrs.parallel_iterations.evaluate(env))
-    plan = plan_gpu_launch(
-        parallel_iters, gpu, threads_per_block=threads_per_block
-    )
+    plan = plan_gpu_launch(parallel_iters, gpu)
     trip_of = attrs.trip_plan.trips(env)
     loadout = attrs.loadout_plan.evaluate(trip_of)
     bound_ipda = attrs.ipda.bind(

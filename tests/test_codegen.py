@@ -21,7 +21,7 @@ class TestGPULaunchPlan:
         tiny = dataclasses.replace(
             TESLA_V100, num_sms=1, max_blocks_per_sm=1, max_threads_per_sm=128
         )
-        plan = plan_gpu_launch(1024, tiny, threads_per_block=128)
+        plan = plan_gpu_launch(1024, tiny)
         assert plan.num_blocks == 1
         assert plan.omp_rep == 8
 
@@ -50,15 +50,18 @@ class TestGPULaunchPlan:
         assert big.active_sms == TESLA_V100.num_sms
 
     def test_warps_within_limits(self):
-        plan = plan_gpu_launch(10**7, TESLA_V100, threads_per_block=1024)
+        plan = plan_gpu_launch(10**7, TESLA_V100)
         assert plan.active_warps_per_sm <= TESLA_V100.max_warps_per_sm
-        assert plan.warps_per_block == 32
+        assert plan.warps_per_block == 4
 
     def test_invalid_inputs(self):
+        import dataclasses
+
         with pytest.raises(ValueError):
             plan_gpu_launch(0, TESLA_V100)
-        with pytest.raises(ValueError):
-            plan_gpu_launch(100, TESLA_V100, threads_per_block=2048)
+        small_blocks = dataclasses.replace(TESLA_V100, max_threads_per_block=64)
+        with pytest.raises(ValueError, match="caps blocks at 64 threads"):
+            plan_gpu_launch(100, small_blocks)
 
     def test_describe(self):
         text = plan_gpu_launch(1024, TESLA_V100).describe()
@@ -72,14 +75,15 @@ class TestGPULaunchPlan:
         # not over-provisioned by more than one rep
         assert plan.total_threads * (plan.omp_rep - 1) < iters
 
-    @given(iters=st.integers(1, 10**8), tpb=st.sampled_from([32, 128, 256, 1024]))
-    def test_geometry_limits(self, iters, tpb):
-        plan = plan_gpu_launch(iters, TESLA_V100, threads_per_block=tpb)
+    @given(iters=st.integers(1, 10**8))
+    def test_geometry_limits(self, iters):
+        plan = plan_gpu_launch(iters, TESLA_V100)
         assert 1 <= plan.active_sms <= TESLA_V100.num_sms
         assert 1 <= plan.active_warps_per_sm <= TESLA_V100.max_warps_per_sm
         assert plan.rep >= 1
         assert (
-            plan.resident_blocks_per_sm * tpb <= TESLA_V100.max_threads_per_sm
+            plan.resident_blocks_per_sm * DEFAULT_THREADS_PER_BLOCK
+            <= TESLA_V100.max_threads_per_sm
             or plan.resident_blocks_per_sm == 1
         )
 

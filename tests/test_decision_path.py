@@ -112,8 +112,8 @@ OTHER_EXPERIMENTS = tuple(
 #: what neither a cold sweep nor a decision runs: numpy costs ~14 MB of
 #: RSS and only the functional executor needs it; the rest are the other
 #: experiments, the replay stack, the process pool, the analyses only
-#: a report or a probe command renders, and the IR parser, block-size
-#: tuning and sign lattice that only tests and the lint passes use
+#: a report or a probe command renders, and the IR parser and sign
+#: lattice that only tests and the lint passes use
 UNUSED_BY_SWEEPS = (
     "numpy",
     "multiprocessing",
@@ -126,10 +126,8 @@ UNUSED_BY_SWEEPS = (
     "repro.calibrate.tlb",
     "repro.calibrate.gpu_microbench",
     "repro.mca.report",
-    "repro.mca.timeline",
     "repro.models.split",
     "repro.ir.parser",
-    "repro.codegen.tuning",
     "repro.symbolic.signs",
 )
 #: a decision reads no persistent cache, so it loads no sweep engine

@@ -12,7 +12,6 @@ import pytest
 
 LAZY_PACKAGES = (
     "repro.calibrate",
-    "repro.codegen",
     "repro.experiments",
     "repro.ir",
     "repro.lint",
