@@ -368,20 +368,6 @@ def _run_scenario(
     )
 
 
-_INFERRED_DB_CACHE: dict[str, ProgramAttributeDatabase] = {}
-
-
-def _inferred_database(mode: str) -> ProgramAttributeDatabase:
-    """Suite database compiled with ``inferred_transfers=True``."""
-    if mode not in _INFERRED_DB_CACHE:
-        _, cases = _database(mode)
-        db = ProgramAttributeDatabase(inferred_transfers=True)
-        for case in cases:
-            db.compile_region(case.region)
-        _INFERRED_DB_CACHE[mode] = db
-    return _INFERRED_DB_CACHE[mode]
-
-
 def run_transfers(
     platform: "Platform | str" = "p9-v100",
     mode: str = "test",
@@ -391,7 +377,11 @@ def run_transfers(
     """Compare declared vs inferred transfer sizing suite-wide."""
     plat = _resolve_platform(platform)
     declared_db, cases = _database(mode)
-    inferred_db = _inferred_database(mode)
+    # compiled per call over the regions _database holds now, so it never
+    # outlives clear_caches()
+    inferred_db = ProgramAttributeDatabase(inferred_transfers=True)
+    for case in cases:
+        inferred_db.compile_region(case.region)
     suite = []
     for case in cases:
         declared = declared_db.lookup(case.name).bind(case.env)

@@ -16,6 +16,7 @@ import pytest
 from repro.analysis import ProgramAttributeDatabase
 from repro.cli import build_parser, main
 from repro.experiments import run_transfers
+from repro.experiments.common import _database, clear_caches
 from repro.experiments.transfers import _SCENARIOS
 from repro.ir import Region, cmp
 from repro.ir.dataflow import Direction, analyze_transfers
@@ -450,6 +451,27 @@ class TestInferredDMAPricing:
         assert (result.bytes_to_device, result.bytes_to_host) == (4096, 4096)
         # the zero-byte DMA adds exactly one setup latency
         assert result.seconds_to_device == result.seconds_to_host + bus.latency_us * 1e-6
+
+
+class TestInferredSuiteDatabase:
+    def test_recompiled_after_clear_caches(self, monkeypatch):
+        """The inferred suite database binds the regions ``_database``
+        holds now, not those of a run before ``clear_caches()``."""
+        compiled = []
+        original = ProgramAttributeDatabase.compile_region
+
+        def recording(db, region):
+            if db.inferred_transfers:
+                compiled.append(region)
+            return original(db, region)
+
+        monkeypatch.setattr(ProgramAttributeDatabase, "compile_region", recording)
+        run_transfers()
+        clear_caches()
+        compiled.clear()
+        run_transfers()
+        _, cases = _database("test")
+        assert {id(case.region) for case in cases} <= {id(r) for r in compiled}
 
 
 class TestTransfersCLI:
