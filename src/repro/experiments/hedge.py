@@ -21,8 +21,9 @@ causal:
 
 Per cell the grid reports the hedge-rate, win-rate, duplicated-work
 fraction, the chaos-affected p99 completion latency of both arms, and
-both arms' expiry counts.  Gates (:attr:`HedgeCell.failures`): every
-cell arms at least one backup and stays under
+both arms' expiry counts.  Gates (:attr:`HedgeCell.failures`, through
+the replay grid's :func:`~.replay.hedged_twin_failures`): every cell
+arms at least one backup and stays under
 :data:`~.replay.MAX_HEDGE_EXTRA_FRACTION` duplicated work; the
 unbudgeted cells must win at least once and strictly cut the
 chaos-affected p99 vs their unhedged twin.  Budgeted cells gate only on
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from ..machines import PLATFORM_P9_V100, Platform
 from ..replay import ReplayConfig, ReplayScore, score_run
 from ..util import render_table
-from .replay import MAX_HEDGE_EXTRA_FRACTION, MIN_HEDGE_WINS
+from .replay import MAX_HEDGE_EXTRA_FRACTION, hedged_twin_failures
 from .traffic import calibrate
 
 __all__ = [
@@ -92,24 +93,13 @@ class HedgeCell:
             )
         if not math.isfinite(h.overhead_p99_s):
             out.append(f"{name}: dispatch-overhead p99 not finite")
-        # a hedge that never arms measures nothing; one that duplicates
-        # more than the ceiling is a cost bug in any cell
-        if h.hedged == 0:
-            out.append(f"{name}: no backups armed")
-        if h.hedge_extra_fraction > MAX_HEDGE_EXTRA_FRACTION:
-            out.append(
-                f"{name}: duplicated-work fraction "
-                f"{h.hedge_extra_fraction:.4f} > {MAX_HEDGE_EXTRA_FRACTION}"
+        # expiry reshapes a budgeted cell's tail on both arms, so only
+        # the unbudgeted cells gate the wins and the p99
+        out.extend(
+            hedged_twin_failures(
+                name, h, self.unhedged, tail=self.budget_s is None
             )
-        if self.budget_s is None:
-            # unbudgeted: the causal comparison must show a strict win
-            if h.hedge_wins < MIN_HEDGE_WINS:
-                out.append(f"{name}: {h.hedge_wins} hedge wins < {MIN_HEDGE_WINS}")
-            if not self.p99_improvement_s > 0.0:
-                out.append(
-                    f"{name}: chaos p99 {h.chaos_completion_p99_s:.6f}s not "
-                    f"below unhedged {self.unhedged.chaos_completion_p99_s:.6f}s"
-                )
+        )
         return tuple(out)
 
     @property

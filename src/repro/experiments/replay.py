@@ -68,6 +68,37 @@ MAX_TTR_S = 2.0  # simulated seconds from window close to clean recovery
 MAX_HEDGE_EXTRA_FRACTION = 0.15  # duplicated work hedging may burn
 MIN_HEDGE_WINS = 1  # races a hedged backup must win
 
+
+def hedged_twin_failures(
+    name: str, hedged: ReplayScore, unhedged: ReplayScore, *, tail: bool = True
+) -> list[str]:
+    """The checks on a hedged arm against its unhedged twin.
+
+    A hedge that never arms measures nothing, and one that duplicates
+    more than :data:`MAX_HEDGE_EXTRA_FRACTION` is a cost bug.  With
+    ``tail`` it must also win at least :data:`MIN_HEDGE_WINS` races and
+    cut the chaos-affected p99 completion latency below the twin's (the
+    trace-wide p99 is pinned by steady-state burst peaks no backup can
+    touch).  The float comparisons take the failing form, so a NaN fails.
+    """
+    out = []
+    if hedged.hedged == 0:
+        out.append(f"{name}: no backups armed")
+    if not hedged.hedge_extra_fraction <= MAX_HEDGE_EXTRA_FRACTION:
+        out.append(
+            f"{name}: duplicated-work fraction "
+            f"{hedged.hedge_extra_fraction:.4f} > {MAX_HEDGE_EXTRA_FRACTION}"
+        )
+    if tail:
+        if hedged.hedge_wins < MIN_HEDGE_WINS:
+            out.append(f"{name}: {hedged.hedge_wins} hedge wins < {MIN_HEDGE_WINS}")
+        if not hedged.chaos_completion_p99_s < unhedged.chaos_completion_p99_s:
+            out.append(
+                f"{name}: chaos p99 {hedged.chaos_completion_p99_s:.6f}s "
+                f"not below unhedged {unhedged.chaos_completion_p99_s:.6f}s"
+            )
+    return out
+
 REPLAY_SCENARIOS = (
     "steady",
     "fault-storm",
@@ -142,26 +173,7 @@ class ReplayRow:
                 elif w.ttr_s > MAX_TTR_S:
                     out.append(f"{name}: ttr {w.ttr_s:.3f}s > {MAX_TTR_S}s")
         elif self.flavour == "hedged":
-            # hedging must actually fire, win, cut the chaos-affected p99
-            # completion latency vs the unhedged twin (the trace-wide p99
-            # is pinned by steady-state burst peaks no backup can touch),
-            # and stay under the duplicated-work ceiling — a hedge that
-            # only burns is a bug
-            u = self.unhedged
-            if u is None or s.hedged == 0:
-                out.append(f"{name}: no backups armed")
-            elif s.hedge_wins < MIN_HEDGE_WINS:
-                out.append(f"{name}: {s.hedge_wins} hedge wins < {MIN_HEDGE_WINS}")
-            elif not s.chaos_completion_p99_s < u.chaos_completion_p99_s:
-                out.append(
-                    f"{name}: chaos p99 {s.chaos_completion_p99_s:.6f}s "
-                    f"not below unhedged {u.chaos_completion_p99_s:.6f}s"
-                )
-            if not s.hedge_extra_fraction <= MAX_HEDGE_EXTRA_FRACTION:
-                out.append(
-                    f"{name}: duplicated-work fraction "
-                    f"{s.hedge_extra_fraction:.4f} > {MAX_HEDGE_EXTRA_FRACTION}"
-                )
+            out.extend(hedged_twin_failures(name, s, self.unhedged))
         else:  # overload: the bound must hold and the policy must visibly shed
             if self.capacity is not None and s.max_queue_depth > self.capacity:
                 out.append(

@@ -8,6 +8,7 @@ experiment-level scenario grid.
 """
 
 import collections
+import dataclasses
 import json
 import sys
 
@@ -36,6 +37,7 @@ from repro.replay import (
     MemoizedPolicy,
     ReplayConfig,
     ReplayEngine,
+    ReplayScore,
     WorkloadConfig,
     generate_requests,
     score_run,
@@ -603,3 +605,54 @@ class TestExperiment:
             run_replay(launches=100, scenarios=("steady", "meteor-strike"))
         with pytest.raises(ValueError):
             run_replay(launches=100, scenarios=("fault-storm",))
+
+
+def _score(**fields) -> ReplayScore:
+    """A score with every required field zero, then ``fields``."""
+    required = {
+        f.name: 0
+        for f in dataclasses.fields(ReplayScore)
+        if f.default is dataclasses.MISSING
+    }
+    return ReplayScore(**{**required, "windows": (), **fields})
+
+
+class TestHedgedTwinChecks:
+    @pytest.mark.parametrize(
+        "hedged",
+        [
+            pytest.param(_score(chaos_completion_p99_s=0.02), id="no-backup-armed"),
+            pytest.param(
+                _score(
+                    hedged=5,
+                    hedge_wins=2,
+                    hedge_extra_fraction=float("nan"),
+                    chaos_completion_p99_s=0.01,
+                ),
+                id="nan-duplicated-work",
+            ),
+        ],
+    )
+    def test_replay_and_hedge_grids_fail_a_twin_alike(self, hedged):
+        from repro.experiments.hedge import HedgeCell
+        from repro.experiments.replay import ReplayRow
+
+        unhedged = _score(chaos_completion_p99_s=0.02)
+        row = ReplayRow(
+            scenario="fault-storm/none",
+            flavour="hedged",
+            score=hedged,
+            baseline_steady_accuracy=0.0,
+            capacity=None,
+            outcome_counts={},
+            unhedged=unhedged,
+        )
+        cell = HedgeCell(
+            flavour="fault-storm",
+            budget_label="none",
+            budget_s=None,
+            hedged=hedged,
+            unhedged=unhedged,
+        )
+        assert row.failures
+        assert row.failures == cell.failures
