@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Iterator
 
 from ..symbolic import Expr, NonAffineError, Sym, as_expr, decompose_affine
 from .types import DType, f32
@@ -528,7 +528,3 @@ class If(Stmt):
 
     def __repr__(self) -> str:
         return f"if {self.cond!r}"
-
-
-#: Anything accepted where a statement list is walked.
-StmtLike = Union[Store, LocalDef, LocalAssign, Loop, If]

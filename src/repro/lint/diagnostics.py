@@ -28,7 +28,7 @@ __all__ = [
 
 
 class Severity(enum.IntEnum):
-    """Finding severity; ordered so ``max()`` picks the worst."""
+    """Finding severity; ordered so a report lists the worst first."""
 
     INFO = 10
     WARNING = 20
@@ -118,12 +118,6 @@ class LintReport:
     @property
     def has_errors(self) -> bool:
         return bool(self.errors)
-
-    @property
-    def max_severity(self) -> Severity | None:
-        if not self.diagnostics:
-            return None
-        return max(d.severity for d in self.diagnostics)
 
     def codes(self) -> tuple[str, ...]:
         return tuple(sorted({d.code for d in self.diagnostics}))

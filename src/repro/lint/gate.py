@@ -14,15 +14,15 @@ Modes
 ``host``  (default)
     force the launch onto the host and mark ``fallback="lint"``;
 ``warn``
-    dispatch as requested but record the findings;
-``off``
-    skip linting entirely.
+    dispatch as requested but record the findings.
 
-Only error-severity findings whose code starts with a blocking prefix
-(``RACE``, ``RED``, ``MAP`` by default) block: performance lints never
-stop an offload, and structural errors already raise at
-``compile_region`` time.  The only error-severity MAP finding is MAP001
-(under-mapped array) — a silent-corruption bug on a real accelerator.
+A runtime without a gate (``lint_gate=None``) lints nothing.  The gate
+always runs the default pass catalog, and only error-severity findings
+whose code starts with a blocking prefix (``RACE``, ``RED``, ``MAP``)
+block: performance lints never stop an offload, and structural errors
+already raise at ``compile_region`` time.  The only error-severity MAP
+finding is MAP001 (under-mapped array) — a silent-corruption bug on a
+real accelerator.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .diagnostics import LintReport, Severity
-from .passes import PassManager, default_pass_manager
+from .passes import lint_region
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..ir.region import Region
@@ -47,7 +47,7 @@ __all__ = [
 #: ``LaunchRecord.fallback`` value for a lint-forced host launch.
 FALLBACK_LINT = "lint"
 
-GATE_MODES = ("off", "warn", "host", "raise")
+GATE_MODES = ("warn", "host", "raise")
 
 #: Diagnostic-code prefixes whose error-severity findings block an offload.
 BLOCKING_PREFIXES = ("RACE", "RED", "MAP")
@@ -82,16 +82,15 @@ class GateDecision:
 
 @dataclass
 class LintGate:
-    """Configurable pre-dispatch gate over the default pass catalog.
+    """Pre-dispatch gate over the default pass catalog.
 
-    Reports are cached per region name: races and reductions are static
-    properties of the IR, so re-linting on every launch of a hot region
-    would only burn time.
+    ``mode`` (one of :data:`GATE_MODES`) picks what a blocking finding
+    does.  Reports are cached per region name: races and reductions are
+    static properties of the IR, so re-linting on every launch of a hot
+    region would only burn time.
     """
 
     mode: str = "host"
-    manager: PassManager = field(default_factory=default_pass_manager)
-    block_prefixes: tuple[str, ...] = BLOCKING_PREFIXES
 
     def __post_init__(self):
         if self.mode not in GATE_MODES:
@@ -104,7 +103,7 @@ class LintGate:
         """Lint a region (cached by name)."""
         report = self._reports.get(region.name)
         if report is None:
-            report = self.manager.run(region)
+            report = lint_region(region)
             self._reports[region.name] = report
         return report
 
@@ -115,7 +114,7 @@ class LintGate:
                     d.code
                     for d in report.diagnostics
                     if d.severity is Severity.ERROR
-                    and d.code.startswith(self.block_prefixes)
+                    and d.code.startswith(BLOCKING_PREFIXES)
                 }
             )
         )
@@ -127,8 +126,6 @@ class LintGate:
         lint-clean launches keep provenance — and records — identical to a
         gate-less runtime).
         """
-        if self.mode == "off":
-            return None
         report = self.inspect(region)
         codes = self.blocking_codes(report)
         if not codes:

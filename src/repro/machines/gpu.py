@@ -63,16 +63,8 @@ class GPUDescriptor:
     def total_cores(self) -> int:
         return self.num_sms * self.cores_per_sm
 
-    @property
-    def peak_gflops_fp32(self) -> float:
-        """Peak single-precision GFLOP/s (2 flops/FMA per core per cycle)."""
-        return self.total_cores * self.clock_ghz * 2.0
-
     def cycles_to_seconds(self, cycles: float) -> float:
         return cycles / (self.clock_ghz * 1e9)
-
-    def warps_per_block(self, threads_per_block: int) -> int:
-        return -(-threads_per_block // self.warp_size)
 
 
 #: NVIDIA Tesla K80 (Kepler GK210 pair; the paper quotes 480 GB/s peak).

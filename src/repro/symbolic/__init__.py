@@ -27,7 +27,7 @@ from .._lazy import lazy_exports
 
 #: loaded on first use: only the lint passes reason about signs
 _LAZY = {
-    "signs": ("Sign", "definitely_negative", "definitely_nonnegative", "sign_of"),
+    "signs": ("Sign", "definitely_negative", "sign_of"),
 }
 
 __all__, __getattr__, __dir__ = lazy_exports(

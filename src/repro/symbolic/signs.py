@@ -17,7 +17,7 @@ from enum import Enum
 
 from .expr import Add, Const, Expr, FloorDiv, Max, Min, Mod, Mul, Sym
 
-__all__ = ["Sign", "sign_of", "definitely_negative", "definitely_nonnegative"]
+__all__ = ["Sign", "sign_of", "definitely_negative"]
 
 
 class Sign(Enum):
@@ -138,8 +138,3 @@ def sign_of(expr: Expr) -> Sign:
 def definitely_negative(expr: Expr) -> bool:
     """True only when ``expr`` < 0 for every positive symbol binding."""
     return sign_of(expr) is Sign.NEGATIVE
-
-
-def definitely_nonnegative(expr: Expr) -> bool:
-    """True only when ``expr`` >= 0 for every positive symbol binding."""
-    return sign_of(expr).is_nonnegative

@@ -131,14 +131,6 @@ class TestGPUDescriptor:
         assert TESLA_V100.fp_latency < TESLA_K80.fp_latency
         assert TESLA_V100.launch_overhead_us < TESLA_K80.launch_overhead_us
 
-    def test_peak_gflops(self):
-        assert TESLA_V100.peak_gflops_fp32 == pytest.approx(15667.2, rel=0.01)
-
-    def test_warps_per_block(self):
-        assert TESLA_V100.warps_per_block(128) == 4
-        assert TESLA_V100.warps_per_block(100) == 4
-        assert TESLA_V100.warps_per_block(32) == 1
-
 
 class TestInterconnect:
     def test_nvlink_faster_than_pcie(self):
