@@ -19,10 +19,10 @@ speedups are reported, not gated.  Each parallel arm computes its
 sweep: without an active cache its workers run uncached, as the
 sequential arm does.  Each run also carries forward the previous
 ``BENCH_parallel.json``'s ``parallel_speedup`` figures (as
-``previous_parallel_speedup``): on the full grid, a decline of more
-than :data:`MAX_SPEEDUP_DECLINE` (10%) against the carried figure is a
-failure; smaller declines — and any decline on the load-sensitive tiny
-grid — stay warnings.
+``previous_parallel_speedup``) when that run swept the same grid: on
+the full grid, a decline of more than :data:`MAX_SPEEDUP_DECLINE` (10%)
+against the carried figure is a failure; smaller declines — and any
+decline on the load-sensitive tiny grid — stay warnings.
 
 The pytest entry points double as the differential harness under the
 benchmark runner: the parallel sweep must be bit-identical to the
@@ -145,15 +145,33 @@ def test_warm_cache_differential(benchmark):
         assert warm.hits > 0 and warm.misses == 0
 
 
-def previous_speedups(path: Path) -> dict | None:
-    """The prior run's ``parallel_speedup`` map, if one is on disk."""
+def previous_speedups(path: Path, grid) -> dict | None:
+    """The prior run's ``parallel_speedup`` map, if one is on disk.
+
+    Only a prior run over the same ``grid`` counts: a tiny-grid figure
+    says nothing about a full-grid run, and the reverse.
+    """
     if not path.exists():
         return None
     try:
-        prior = json.loads(path.read_text()).get("parallel_speedup")
+        prior = json.loads(path.read_text())
     except (json.JSONDecodeError, OSError):
         return None
-    return prior if isinstance(prior, dict) else None
+    if not isinstance(prior, dict) or prior.get("grid") != [list(g) for g in grid]:
+        return None
+    speedups = prior.get("parallel_speedup")
+    return speedups if isinstance(speedups, dict) else None
+
+
+def test_previous_speedups_need_the_same_grid(tmp_path):
+    """A tiny-grid run's figures are carried into a tiny run only."""
+    path = tmp_path / "BENCH_parallel.json"
+    speedups = {"jobs2": 0.6, "jobs4": 1.3}
+    path.write_text(json.dumps({
+        "grid": [list(g) for g in TINY_GRID], "parallel_speedup": speedups,
+    }))
+    assert previous_speedups(path, FULL_GRID) is None
+    assert previous_speedups(path, TINY_GRID) == speedups
 
 
 def speedup_regressions(
@@ -187,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
             f"warm cache speedup {warm_speedup:.2f}x < {MIN_WARM_SPEEDUP}x"
         )
     out = Path("BENCH_parallel.json")
-    previous = previous_speedups(out)
+    previous = previous_speedups(out, grid)
     payload["previous_parallel_speedup"] = previous
     declined = speedup_regressions(payload["parallel_speedup"], previous)
     hard = (
