@@ -99,6 +99,7 @@ def hedged_twin_failures(
             )
     return out
 
+
 REPLAY_SCENARIOS = (
     "steady",
     "fault-storm",
