@@ -319,9 +319,6 @@ class DriftSentinel:
         stream = self.streams.get((device, region))
         return stream.instability.value if stream else 0.0
 
-    def drifted_streams(self) -> list[StreamStats]:
-        return [s for s in self.streams.values() if s.state is DriftState.DRIFTED]
-
     def any_drifted(self) -> bool:
         return any(
             s.state is DriftState.DRIFTED for s in self.streams.values()

@@ -17,7 +17,6 @@ from .errors import (
     DeadlineExceeded,
     DeviceError,
     DeviceMemoryError,
-    KernelTimeout,
     TransferError,
     TransientDeviceError,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "DeadlineExceeded",
     "DeviceError",
     "DeviceMemoryError",
-    "KernelTimeout",
     "TransferError",
     "TransientDeviceError",
     "BreakerState",

@@ -2,10 +2,10 @@
 
 The host fallback is assumed always safe — only accelerator dispatches can
 raise a :class:`DeviceError`.  Each subclass carries a ``retryable`` class
-flag: transient faults (a flaky DMA, a hung kernel, an ECC hiccup) are
-worth retrying with backoff, while a device-memory exhaustion is
-deterministic for a given region footprint and re-attempting it would only
-waste the retry budget.
+flag: transient faults (a flaky DMA, an ECC hiccup) are worth retrying
+with backoff, while a device-memory exhaustion is deterministic for a
+given region footprint and re-attempting it would only waste the retry
+budget.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ __all__ = [
     "DeviceError",
     "DeviceMemoryError",
     "TransferError",
-    "KernelTimeout",
     "TransientDeviceError",
     "DeadlineExceeded",
     "BudgetExhausted",
@@ -59,12 +58,6 @@ class TransferError(DeviceError):
     retryable = True
 
 
-class KernelTimeout(DeviceError):
-    """The kernel hung past the watchdog limit and was killed."""
-
-    retryable = True
-
-
 class TransientDeviceError(DeviceError):
     """A generic recoverable device hiccup (ECC retry, driver reset...)."""
 
@@ -74,12 +67,12 @@ class TransientDeviceError(DeviceError):
 class DeadlineExceeded(DeviceError):
     """The dispatch overran its watchdog deadline and was killed.
 
-    Unlike :class:`KernelTimeout` (an *injected* hang), this is raised by
-    the runtime itself when the observed device time exceeds the deadline
-    derived from the selector's own prediction (``predicted * factor +
-    slack`` — see :class:`repro.drift.Watchdog`).  Not retryable: the
-    simulated duration is deterministic for a given binding, so a retry
-    would only burn another deadline before the same overrun.
+    The runtime itself raises it when the observed device time exceeds
+    the deadline derived from the selector's own prediction
+    (``predicted * factor + slack`` — see :class:`repro.drift.Watchdog`).
+    Not retryable: the simulated duration is deterministic for a given
+    binding, so a retry would only burn another deadline before the same
+    overrun.
     """
 
     retryable = False

@@ -197,21 +197,6 @@ class BoundIPDA:
         coal = sum(1 for a in self.accesses if a.is_coalesced)
         return coal, len(self.accesses) - coal
 
-    def coalesced_fraction(self) -> float:
-        """Fraction of static accesses that coalesce (1.0 when no accesses)."""
-        if not self.accesses:
-            return 1.0
-        coal, _ = self.counts()
-        return coal / len(self.accesses)
-
-    def mean_transactions(self) -> float:
-        """Average transactions per warp-level memory access."""
-        if not self.accesses:
-            return 1.0
-        return sum(a.transactions_per_access for a in self.accesses) / len(
-            self.accesses
-        )
-
 
 def group_accesses(keys: Sequence[Hashable]) -> list[list[int]]:
     """Group access indices whose keys match, in first-seen order."""

@@ -50,7 +50,6 @@ from .validate import ValidationError, validate_region
 from .visit import (
     MemoryAccess,
     count_reductions,
-    iter_loops,
     memory_accesses,
     walk_statements,
 )
@@ -105,7 +104,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "validate_region",
         "MemoryAccess",
         "count_reductions",
-        "iter_loops",
         "memory_accesses",
         "walk_statements",
     ),

@@ -15,7 +15,6 @@ from .region import Region
 
 __all__ = [
     "walk_statements",
-    "iter_loops",
     "memory_accesses",
     "MemoryAccess",
 ]
@@ -30,13 +29,6 @@ def walk_statements(stmts: list[Stmt]) -> Iterator[Stmt]:
         elif isinstance(s, If):
             yield from walk_statements(s.then_body)
             yield from walk_statements(s.else_body)
-
-
-def iter_loops(region: Region) -> Iterator[Loop]:
-    """All loops of a region, outermost first."""
-    for s in walk_statements(region.body):
-        if isinstance(s, Loop):
-            yield s
 
 
 def count_reductions(region: Region) -> int:

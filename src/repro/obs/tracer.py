@@ -159,10 +159,6 @@ class Tracer:
             InstantRecord(name, self._now(), self._depth, attrs, self._seq)
         )
 
-    def instant(self, name: str, **attrs) -> None:
-        """Stamp a free-standing instant event (outside any span)."""
-        self._instant(name, attrs)
-
     def activate(self) -> "_Activation":
         """Make this tracer the :func:`current_tracer` for a ``with`` block."""
         return _Activation(self)
@@ -243,9 +239,6 @@ class NullTracer:
 
     def span(self, name: str, category: str = "repro", **attrs) -> _NullSpan:
         return _NULL_SPAN
-
-    def instant(self, name: str, **attrs) -> None:
-        pass
 
     def activate(self) -> _NullSpan:
         # never touches the active-tracer state: the default *is* null

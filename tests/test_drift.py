@@ -358,7 +358,6 @@ class TestDriftSentinel:
             (1.0, "gpu", "r", DriftState.CALIBRATED, DriftState.DRIFTED)
         ]
         assert sentinel.any_drifted()
-        assert [s.region for s in sentinel.drifted_streams()] == ["r"]
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(
@@ -635,7 +634,7 @@ class TestDriftExperiment:
         assert skewed.detection_latency <= 8
         assert skewed.skewed_accuracy < skewed.baseline_accuracy
         assert skewed.recovery_gap <= 0.05
-        assert result.passed
+        assert not result.failures
 
     def test_skew_inside_warmup_rejected(self):
         with pytest.raises(ValueError, match="warmup"):

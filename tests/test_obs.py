@@ -100,8 +100,8 @@ class TestTracer:
 
     def test_clear_resets_everything(self):
         tr = Tracer()
-        with tr.span("s"):
-            tr.instant("i")
+        with tr.span("s") as sp:
+            sp.event("i")
         tr.clear()
         assert len(tr) == 0 and not tr.instants
         with tr.span("again"):
