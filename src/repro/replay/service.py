@@ -421,22 +421,13 @@ class OffloadService:
             attrs = rt.db.lookup(case.region_name)
             env = self.engine._env(case)
             memo = rt.memo
-            host, accel = rt._host, rt._accels[0]
-            if memo is not None:
-                key = memo.key(case.region_name, env)
-                bound = memo.bound(attrs, env, key)
-                cpu_s = memo.execution(host, attrs, env, key).seconds
-                gpu_s = memo.execution(accel, attrs, env, key).seconds
-            else:
-                bound = attrs.bind(env)
-                cpu_s = host.execute(attrs, env).seconds
-                gpu_s = accel.execute(attrs, env).seconds
+            key = memo.key(case.region_name, env)
             target, _ = self.engine.policy.choose(
-                bound,
+                memo.bound(attrs, env, key),
                 rt.platform,
                 num_threads=rt.num_threads,
-                sim_cpu_seconds=cpu_s,
-                sim_gpu_seconds=gpu_s,
+                sim_cpu_seconds=memo.execution(rt._host, attrs, env, key).seconds,
+                sim_gpu_seconds=memo.execution(rt._accels[0], attrs, env, key).seconds,
             )
             lane = self.lanes["gpu" if target == "gpu" else "cpu"]
             hit = self._route_cache[id(case)] = (case, lane)
@@ -622,12 +613,8 @@ class OffloadService:
             rt = self.runtime
             attrs = rt.db.lookup(case.region_name)
             env = self.engine._env(case)
-            accel = rt._accels[0]
-            if rt.memo is not None:
-                key = rt.memo.key(case.region_name, env)
-                detail = rt.memo.execution(accel, attrs, env, key).detail
-            else:
-                detail = accel.execute(attrs, env).detail
+            key = rt.memo.key(case.region_name, env)
+            detail = rt.memo.execution(rt._accels[0], attrs, env, key).detail
             fractions = (0.0, 1.0, 0.0)
             if isinstance(detail, tuple) and len(detail) == 2:
                 kernel, xfer = detail
