@@ -19,10 +19,12 @@ speedups are reported, not gated.  Each parallel arm computes its
 sweep: without an active cache its workers run uncached, as the
 sequential arm does.  Each run also carries forward the previous
 ``BENCH_parallel.json``'s ``parallel_speedup`` figures (as
-``previous_parallel_speedup``) when that run swept the same grid: on
-the full grid, a decline of more than :data:`MAX_SPEEDUP_DECLINE` (10%)
-against the carried figure is a failure; smaller declines — and any
-decline on the load-sensitive tiny grid — stay warnings.
+``previous_parallel_speedup``) when that run swept the same grid on the
+same host (the payload's ``host``: node name, CPU count and Python
+version): on the full grid, a decline of more than
+:data:`MAX_SPEEDUP_DECLINE` (10%) against the carried figure is a
+failure; smaller declines — and any decline on the load-sensitive tiny
+grid — stay warnings.
 
 The pytest entry points double as the differential harness under the
 benchmark runner: the parallel sweep must be bit-identical to the
@@ -30,6 +32,8 @@ sequential one.
 """
 
 import json
+import os
+import platform
 import sys
 import tempfile
 import time
@@ -58,6 +62,15 @@ def run_sweep(grid, jobs=None):
         for p in predict_suite(plat, mode, jobs=jobs):
             rows.append([plat, mode, p.cpu.seconds, p.gpu.seconds, p.winner])
     return rows
+
+
+def this_host() -> dict:
+    """The machine a run times: speedups from another one do not compare."""
+    return {
+        "node": platform.node(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+    }
 
 
 def timed_sweep(grid, jobs=None, cache_dir=None):
@@ -102,6 +115,7 @@ def score(grid):
     warm_speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     payload = {
         "grid": [list(g) for g in grid],
+        "host": this_host(),
         "seconds": {k: round(v, 4) for k, v in sorted(arms.items())},
         "warm_speedup": round(warm_speedup, 2),
         "parallel_speedup": {
@@ -145,11 +159,12 @@ def test_warm_cache_differential(benchmark):
         assert warm.hits > 0 and warm.misses == 0
 
 
-def previous_speedups(path: Path, grid) -> dict | None:
+def previous_speedups(path: Path, grid, host: dict) -> dict | None:
     """The prior run's ``parallel_speedup`` map, if one is on disk.
 
-    Only a prior run over the same ``grid`` counts: a tiny-grid figure
-    says nothing about a full-grid run, and the reverse.
+    Only a prior run over the same ``grid`` on the same ``host`` counts:
+    a tiny-grid figure says nothing about a full-grid run, nor one
+    machine's about another's.  A file that names no host is not carried.
     """
     if not path.exists():
         return None
@@ -157,7 +172,11 @@ def previous_speedups(path: Path, grid) -> dict | None:
         prior = json.loads(path.read_text())
     except (json.JSONDecodeError, OSError):
         return None
-    if not isinstance(prior, dict) or prior.get("grid") != [list(g) for g in grid]:
+    if (
+        not isinstance(prior, dict)
+        or prior.get("grid") != [list(g) for g in grid]
+        or prior.get("host") != host
+    ):
         return None
     speedups = prior.get("parallel_speedup")
     return speedups if isinstance(speedups, dict) else None
@@ -168,10 +187,22 @@ def test_previous_speedups_need_the_same_grid(tmp_path):
     path = tmp_path / "BENCH_parallel.json"
     speedups = {"jobs2": 0.6, "jobs4": 1.3}
     path.write_text(json.dumps({
-        "grid": [list(g) for g in TINY_GRID], "parallel_speedup": speedups,
+        "grid": [list(g) for g in TINY_GRID], "host": this_host(),
+        "parallel_speedup": speedups,
     }))
-    assert previous_speedups(path, FULL_GRID) is None
-    assert previous_speedups(path, TINY_GRID) == speedups
+    assert previous_speedups(path, FULL_GRID, this_host()) is None
+    assert previous_speedups(path, TINY_GRID, this_host()) == speedups
+
+
+def test_previous_speedups_need_the_same_host(tmp_path):
+    """Another host's figures, or a file naming no host, are not carried."""
+    path = tmp_path / "BENCH_parallel.json"
+    prior = {"grid": [list(g) for g in TINY_GRID], "parallel_speedup": {"jobs2": 0.6}}
+    path.write_text(json.dumps(prior))
+    assert previous_speedups(path, TINY_GRID, this_host()) is None
+    other = {**this_host(), "node": this_host()["node"] + "-other"}
+    path.write_text(json.dumps({**prior, "host": other}))
+    assert previous_speedups(path, TINY_GRID, this_host()) is None
 
 
 def speedup_regressions(
@@ -205,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
             f"warm cache speedup {warm_speedup:.2f}x < {MIN_WARM_SPEEDUP}x"
         )
     out = Path("BENCH_parallel.json")
-    previous = previous_speedups(out, grid)
+    previous = previous_speedups(out, grid, payload["host"])
     payload["previous_parallel_speedup"] = previous
     declined = speedup_regressions(payload["parallel_speedup"], previous)
     hard = (
