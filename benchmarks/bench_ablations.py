@@ -4,21 +4,12 @@ import pytest
 
 from repro.experiments import run_ablations
 
-_printed = set()
-
-
-def _run(mode):
-    result = run_ablations(mode)
-    if mode not in _printed:
-        print()
-        print(result.render())
-        _printed.add(mode)
-    return result
-
 
 @pytest.mark.parametrize("mode", ["test", "benchmark"])
 def test_ablations(benchmark, mode):
-    result = benchmark.pedantic(_run, args=(mode,), rounds=1, iterations=1)
+    result = benchmark.pedantic(run_ablations, args=(mode,), rounds=1, iterations=1)
+    print()
+    print(result.render())
     full = result.score("full")
     # the full framework must be a usable selector
     assert full.decision_accuracy >= 0.6

@@ -3,21 +3,11 @@
 from repro.experiments import run_figure3
 from repro.machines import POWER9
 
-_printed = False
-
-
-def _run():
-    global _printed
-    result = run_figure3(POWER9, "test")
-    if not _printed:
-        print()
-        print(result.render())
-        _printed = True
-    return result
-
 
 def test_figure3_regeneration(benchmark):
-    result = benchmark.pedantic(_run, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_figure3, args=(POWER9, "test"), rounds=1, iterations=1)
+    print()
+    print(result.render())
     assert len(result.rows) == 24
     # at full thread count GEMM is dominated by a work-proportional term
     # (the memory-system Cache_c at 160 threads), never by fork/join

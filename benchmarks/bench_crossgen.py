@@ -4,21 +4,12 @@ import pytest
 
 from repro.experiments.crossgen import run_crossgen
 
-_printed = set()
-
-
-def _run(mode):
-    result = run_crossgen(mode)
-    if mode not in _printed:
-        print()
-        print(result.render())
-        _printed.add(mode)
-    return result
-
 
 @pytest.mark.parametrize("mode", ["test", "benchmark"])
 def test_crossgen_sweep(benchmark, mode):
-    result = benchmark.pedantic(_run, args=(mode,), rounds=1, iterations=1)
+    result = benchmark.pedantic(run_crossgen, args=(mode,), rounds=1, iterations=1)
+    print()
+    print(result.render())
     gms = result.geomeans()
     # each accelerator generation lifts the suite geomean on the same host
     assert gms[0] < gms[1] < gms[2]

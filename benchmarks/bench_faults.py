@@ -11,41 +11,15 @@ beside them in ``repro/experiments/faults.py``, docs/ROBUSTNESS.md):
   the degraded-oracle optimum while blind always-gpu pays for retries;
 * the OOM-prone scenario's footprint trigger forces fallbacks.
 
-``python benchmarks/bench_faults.py --tiny`` runs a reduced grid without
-pytest — the CI smoke target.
+``repro-paper faults`` prints the same grid and exits 1 on a failed
+check — the CI smoke target.
 """
-
-import sys
 
 from repro.experiments import run_faults
 
-_printed = False
-
-
-def _run():
-    global _printed
-    result = run_faults()
-    if not _printed:
-        print()
-        print(result.render())
-        _printed = True
-    return result
-
 
 def test_faults_regeneration(benchmark):
-    result = benchmark.pedantic(_run, rounds=1, iterations=1)
-    assert not result.failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Smoke entry point: tiny grid, no pytest-benchmark needed."""
-    args = sys.argv[1:] if argv is None else argv
-    result = run_faults(launches=4 if "--tiny" in args else 12)
+    result = benchmark.pedantic(run_faults, rounds=1, iterations=1)
+    print()
     print(result.render())
-    for failure in result.failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if result.failures else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    assert not result.failures

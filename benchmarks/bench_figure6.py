@@ -2,21 +2,11 @@
 
 from repro.experiments import run_figure6
 
-_printed = False
-
-
-def _run():
-    global _printed
-    result = run_figure6()
-    if not _printed:
-        print()
-        print(result.render())
-        _printed = True
-    return result
-
 
 def test_figure6_regeneration(benchmark):
-    result = benchmark.pedantic(_run, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_figure6, rounds=1, iterations=1)
+    print()
+    print(result.render())
     assert len(result.rows) == 24
     # the predictor must order kernels correctly (shape fidelity)
     assert result.rank_correlation_proxy > 0.8

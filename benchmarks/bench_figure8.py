@@ -12,21 +12,12 @@ import pytest
 
 from repro.experiments import run_figure8
 
-_printed = set()
-
-
-def _run(mode):
-    result = run_figure8(mode)
-    if mode not in _printed:
-        print()
-        print(result.render())
-        _printed.add(mode)
-    return result
-
 
 @pytest.mark.parametrize("mode", ["test", "benchmark"])
 def test_figure8_regeneration(benchmark, mode):
-    result = benchmark.pedantic(_run, args=(mode,), rounds=1, iterations=1)
+    result = benchmark.pedantic(run_figure8, args=(mode,), rounds=1, iterations=1)
+    print()
+    print(result.render())
     gms = result.geomeans()
     # the paper's headline: model-guided selection beats always-offload
     assert gms["model-guided"] >= gms["always-gpu"] * 0.999

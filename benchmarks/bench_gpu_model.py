@@ -2,21 +2,11 @@
 
 from repro.experiments import run_figure45
 
-_printed = False
-
-
-def _run():
-    global _printed
-    result = run_figure45()
-    if not _printed:
-        print()
-        print(result.render())
-        _printed = True
-    return result
-
 
 def test_figure45_regeneration(benchmark):
-    result = benchmark.pedantic(_run, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_figure45, rounds=1, iterations=1)
+    print()
+    print(result.render())
     # both major regimes appear across the sweeps
     cases = result.cases_seen()
     assert "memory-bound" in cases

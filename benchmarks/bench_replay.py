@@ -3,10 +3,10 @@
 The checks are the grid's own, ``ReplayResult.failures`` (thresholds
 beside them in ``repro/experiments/replay.py``, docs/ROBUSTNESS.md):
 chaos scenarios keep steady-state accuracy, detect and recover each
-window in time; dispatch overhead stays finite; overload scenarios keep
-the queue bounded while visibly shedding; the hedged-chaos arm wins and
-cuts the chaos p99 under bounded duplicated work.  On top, a seeded
-rerun of the whole grid must be byte-identical.
+window in time; dispatch-overhead and completion tails stay finite;
+overload scenarios keep the queue bounded while visibly shedding; the
+hedged-chaos arm wins and cuts the chaos p99 under bounded duplicated
+work.  On top, a seeded rerun of the whole grid must be byte-identical.
 
 ``python benchmarks/bench_replay.py`` runs the full grid at
 :data:`MIN_LAUNCHES` requests per scenario and writes
@@ -31,21 +31,11 @@ from repro.experiments.replay import (
 #: requests per scenario of the full (not --tiny) run
 MIN_LAUNCHES = 100_000
 
-_printed = False
-
-
-def _run():
-    global _printed
-    result = run_replay()
-    if not _printed:
-        print()
-        print(result.render())
-        _printed = True
-    return result
-
 
 def test_replay_regeneration(benchmark):
-    result = benchmark.pedantic(_run, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_replay, rounds=1, iterations=1)
+    print()
+    print(result.render())
     assert not result.failures
 
 

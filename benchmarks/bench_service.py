@@ -27,21 +27,11 @@ from repro.experiments.service import (
 #: requests per scenario of the full (not --tiny) run
 MIN_SERVICE_LAUNCHES = 20_000
 
-_printed = False
-
-
-def _run():
-    global _printed
-    result = run_service()
-    if not _printed:
-        print()
-        print(result.render())
-        _printed = True
-    return result
-
 
 def test_service_regeneration(benchmark):
-    result = benchmark.pedantic(_run, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_service, rounds=1, iterations=1)
+    print()
+    print(result.render())
     assert not result.failures
 
 

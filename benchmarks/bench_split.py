@@ -13,41 +13,39 @@ from repro.models import predict_split
 from repro.polybench import all_kernel_cases
 from repro.util import render_table
 
-_printed = False
 
-
-def _run():
-    global _printed
+def _predict_splits():
     cal = fit_model_calibration(PLATFORM_P9_V100)
     db = ProgramAttributeDatabase()
-    results = []
-    for case in all_kernel_cases("benchmark"):
-        bound = db.compile_region(case.region).bind(case.env)
-        results.append(predict_split(bound, PLATFORM_P9_V100, calibration=cal))
-    if not _printed:
-        rows = [
-            [
-                s.region_name,
-                f"{s.gpu_fraction:.0%}",
-                f"{s.speedup_over_best_single:.2f}x",
-                "yes" if s.worthwhile else "no",
-            ]
-            for s in results
-        ]
-        print()
-        print(
-            render_table(
-                ["kernel", "best GPU share", "vs best single device", "worth it"],
-                rows,
-                title="Cooperative split predictions (POWER9+V100, benchmark)",
-            )
+    return [
+        predict_split(
+            db.compile_region(case.region).bind(case.env),
+            PLATFORM_P9_V100,
+            calibration=cal,
         )
-        _printed = True
-    return results
+        for case in all_kernel_cases("benchmark")
+    ]
 
 
 def test_split_extension(benchmark):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
+    results = benchmark.pedantic(_predict_splits, rounds=1, iterations=1)
+    rows = [
+        [
+            s.region_name,
+            f"{s.gpu_fraction:.0%}",
+            f"{s.speedup_over_best_single:.2f}x",
+            "yes" if s.worthwhile else "no",
+        ]
+        for s in results
+    ]
+    print()
+    print(
+        render_table(
+            ["kernel", "best GPU share", "vs best single device", "worth it"],
+            rows,
+            title="Cooperative split predictions (POWER9+V100, benchmark)",
+        )
+    )
     assert len(results) == 24
     for s in results:
         # splitting can never be predicted worse than the best single device

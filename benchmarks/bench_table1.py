@@ -13,22 +13,12 @@ from repro.experiments import clear_caches, run_table1
 PLAT_K80 = "POWER8+K80"
 PLAT_V100 = "POWER9+V100"
 
-_printed = False
-
-
-def _run():
-    global _printed
-    result = run_table1()
-    if not _printed:
-        print()
-        print(result.render())
-        _printed = True
-    return result
-
 
 def test_table1_regeneration(benchmark):
     clear_caches()
-    result = benchmark.pedantic(_run, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_table1, rounds=1, iterations=1)
+    print()
+    print(result.render())
 
     by_name = {r.kernel: r for r in result.rows}
     # 3DCONV: the paper's flagship generational flip (0.48x -> 4.41x)

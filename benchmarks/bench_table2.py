@@ -3,21 +3,11 @@
 from repro.experiments import run_table2
 from repro.machines import POWER9
 
-_printed = False
-
-
-def _run():
-    global _printed
-    result = run_table2(POWER9)
-    if not _printed:
-        print()
-        print(result.render())
-        _printed = True
-    return result
-
 
 def test_table2_regeneration(benchmark):
-    result = benchmark.pedantic(_run, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_table2, args=(POWER9,), rounds=1, iterations=1)
+    print()
+    print(result.render())
     # the probes must recover the paper's Table II values
     assert result.measured_tlb_entries == 1024
     assert result.measured_tlb_penalty == 14.0

@@ -34,58 +34,33 @@ from .util import add_format_argument, emit_json, emit_rows
 
 __all__ = ["main", "build_parser"]
 
-_ARTEFACTS = (
-    "table1",
-    "table2",
-    "table3",
-    "figure3",
-    "figure45",
-    "figure6",
-    "figure7",
-    "figure8",
-    "ablations",
-    "summary",
-    "crossgen",
-    "faults",
-)
+_BOTH_MODES = ("test", "benchmark")
+
+#: every artefact, in ``all``'s order: the ``repro.experiments`` function
+#: that builds it and the dataset modes it prints (none: one default run)
+_ARTEFACTS = {
+    "table1": ("run_table1", ()),
+    "table2": ("run_table2", ()),
+    "table3": ("run_table3", ()),
+    "figure3": ("run_figure3", ()),
+    "figure45": ("run_figure45", ()),
+    "figure6": ("run_figure6", ()),
+    "figure7": ("run_figure7", ()),
+    "figure8": ("run_figure8", _BOTH_MODES),
+    "ablations": ("run_ablations", _BOTH_MODES),
+    "summary": ("run_summary", ()),
+    "crossgen": ("run_crossgen", _BOTH_MODES),
+    "faults": ("run_faults", ()),
+}
 
 
-def _render_artefact(name: str) -> tuple[str, tuple[str, ...]]:
-    """Render one artefact, with the self-checks it fails (if any)."""
+def _artefact_results(name: str) -> list:
+    """The results artefact ``name`` prints, one per mode."""
     from . import experiments as ex
 
-    if name == "table1":
-        return ex.run_table1().render(), ()
-    if name == "table2":
-        return ex.run_table2().render(), ()
-    if name == "table3":
-        return ex.run_table3().render(), ()
-    if name == "figure3":
-        return ex.run_figure3().render(), ()
-    if name == "figure45":
-        return ex.run_figure45().render(), ()
-    if name == "figure6":
-        return ex.run_figure6().render(), ()
-    if name == "figure7":
-        return ex.run_figure7().render(), ()
-    if name == "figure8":
-        return "\n\n".join(
-            ex.run_figure8(mode).render() for mode in ("test", "benchmark")
-        ), ()
-    if name == "ablations":
-        return "\n\n".join(
-            ex.run_ablations(mode).render() for mode in ("test", "benchmark")
-        ), ()
-    if name == "summary":
-        return ex.run_summary().render(), ()
-    if name == "crossgen":
-        return "\n\n".join(
-            ex.run_crossgen(mode).render() for mode in ("test", "benchmark")
-        ), ()
-    if name == "faults":
-        result = ex.run_faults()
-        return result.render(), result.failures
-    raise KeyError(name)  # pragma: no cover - argparse restricts choices
+    runner, modes = _ARTEFACTS[name]
+    run = getattr(ex, runner)
+    return [run(mode) for mode in modes] if modes else [run()]
 
 
 def _verdict(failures) -> int:
@@ -120,9 +95,9 @@ def _cmd_artefact(args) -> int:
     for i, name in enumerate(names):
         if i:
             print()
-        text, failures = _render_artefact(name)
-        print(text)
-        if _verdict(failures):
+        results = _artefact_results(name)
+        print("\n\n".join(r.render() for r in results))
+        if _verdict([f for r in results for f in getattr(r, "failures", ())]):
             failed.append(name)
     if failed:
         print(f"self-check FAILED: {', '.join(failed)}", file=sys.stderr)
@@ -391,11 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     art = sub.add_parser("artefact", help="regenerate a paper table/figure")
-    art.add_argument("artefact", choices=_ARTEFACTS + ("all",))
+    art.add_argument("artefact", choices=(*_ARTEFACTS, "all"))
     _add_parallel_arguments(art)
     art.set_defaults(func=_cmd_artefact)
     # artefact names also work as top-level commands
-    for name in _ARTEFACTS + ("all",):
+    for name in (*_ARTEFACTS, "all"):
         p = sub.add_parser(name, help=f"regenerate {name}")
         _add_parallel_arguments(p)
         p.set_defaults(func=_cmd_artefact, artefact=name)

@@ -175,9 +175,3 @@ def _variant_offload(variant, bound, platform, num_threads, calibration) -> bool
         calibration=None if variant == "no-calibration" else calibration,
         use_runtime_tripcounts=variant != "static-tripcounts",
     ).offload
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for mode in ("test", "benchmark"):
-        print(run_ablations(mode).render())
-        print()

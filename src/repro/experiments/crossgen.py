@@ -106,9 +106,3 @@ def run_crossgen(mode: str = "benchmark") -> CrossGenResult:
         generations=tuple(p.name for p in GENERATIONS),
         rows=tuple(rows),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for mode in ("test", "benchmark"):
-        print(run_crossgen(mode).render())
-        print()

@@ -183,10 +183,6 @@ class DriftScore:
             )
         return tuple(out)
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 @dataclass(frozen=True)
 class DriftResult:
@@ -210,10 +206,6 @@ class DriftResult:
             out.append("transient: never re-promoted to CALIBRATED")
         return tuple(out)
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
     def render(self) -> str:
         def fmt(launch: int | None) -> str:
             return "-" if launch is None else str(launch)
@@ -229,7 +221,7 @@ class DriftResult:
                 f"{row.healed_accuracy:.3f}",
                 f"{row.recovery_gap:+.3f}",
                 "-" if row.bit_identical is None else str(row.bit_identical),
-                "ok" if row.ok else "FAIL",
+                "FAIL" if row.failures else "ok",
             ]
             for row in self.rows
         ]
@@ -254,13 +246,13 @@ class DriftResult:
         )
 
     def to_payload(self) -> dict:
-        """JSON-ready summary (the shape BENCH_drift.json stores)."""
+        """JSON-ready summary (what ``repro-paper drift --format json`` prints)."""
         return {
             "launches": self.launches,
             "skew_start": self.start,
             "max_detection_latency": MAX_DETECTION_LATENCY,
             "max_recovery_gap": MAX_RECOVERY_GAP,
-            "passed": self.passed,
+            "passed": not self.failures,
             "scenarios": [dataclasses.asdict(row) for row in self.rows],
         }
 
@@ -404,7 +396,3 @@ def run_drift(
             )
         )
     return DriftResult(rows=tuple(rows), launches=launches, start=start)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_drift().render())

@@ -32,6 +32,8 @@ __all__ = [
 DEFAULT_FAULT_POLICIES = ("always-gpu", "always-cpu", "model-guided", "oracle")
 #: Seed of every scenario's fault injector.
 FAULT_SEED = 4
+#: Launches each (scenario, policy) run replays.
+FAULT_LAUNCHES = 12
 
 #: Self-check thresholds (see FaultsResult.failures).
 MAX_DEAD_GPU_OVERHEAD = 1.01  # dead-gpu always-gpu total / always-cpu total
@@ -76,19 +78,9 @@ class FaultsResult:
                 return row
         raise KeyError((scenario, policy))
 
-    def _maybe(self, scenario: str, policy: str) -> FaultScore | None:
-        try:
-            return self.get(scenario, policy)
-        except KeyError:
-            return None
-
     @property
     def failures(self) -> tuple[str, ...]:
-        """The robustness invariants the grid breaks, as readable strings.
-
-        Checks apply to whichever (scenario, policy) cells the grid
-        actually contains, so reduced grids still self-check.
-        """
+        """The robustness invariants the grid breaks, as readable strings."""
         out = []
         for row in self.rows:
             if row.scenario != "fault-free":
@@ -100,42 +92,33 @@ class FaultsResult:
                 out.append(f"{name}: breaker ended {row.breaker_state}")
             if not row.vs_oracle >= 1.0:
                 out.append(f"{name}: {row.vs_oracle:.4f}x beats the oracle")
-        dead = self._maybe("dead-gpu", "always-gpu")
-        if dead is not None:
-            if dead.fallbacks != dead.launches:
-                out.append("dead-gpu/always-gpu: dead-GPU launch failed to fall back")
-            if dead.breaker_state == "closed":
-                out.append("dead-gpu/always-gpu: breaker never left closed")
-            # the host fallbacks cost within a retry-overhead hair of
-            # always-cpu
-            dead_cpu = self._maybe("dead-gpu", "always-cpu")
-            if dead_cpu is not None and not (
-                dead.total_seconds <= dead_cpu.total_seconds * MAX_DEAD_GPU_OVERHEAD
-            ):
-                out.append(
-                    f"dead-gpu/always-gpu: {dead.total_seconds:.6f}s > "
-                    f"{MAX_DEAD_GPU_OVERHEAD} x always-cpu {dead_cpu.total_seconds:.6f}s"
-                )
-        flaky_gpu = self._maybe("flaky-transfer", "always-gpu")
-        if flaky_gpu is not None and (flaky_gpu.faults == 0 or flaky_gpu.retries == 0):
+        dead = self.get("dead-gpu", "always-gpu")
+        if dead.fallbacks != dead.launches:
+            out.append("dead-gpu/always-gpu: dead-GPU launch failed to fall back")
+        if dead.breaker_state == "closed":
+            out.append("dead-gpu/always-gpu: breaker never left closed")
+        # the host fallbacks cost within a retry-overhead hair of always-cpu
+        dead_cpu = self.get("dead-gpu", "always-cpu")
+        if not dead.total_seconds <= dead_cpu.total_seconds * MAX_DEAD_GPU_OVERHEAD:
+            out.append(
+                f"dead-gpu/always-gpu: {dead.total_seconds:.6f}s > "
+                f"{MAX_DEAD_GPU_OVERHEAD} x always-cpu {dead_cpu.total_seconds:.6f}s"
+            )
+        flaky_gpu = self.get("flaky-transfer", "always-gpu")
+        if flaky_gpu.faults == 0 or flaky_gpu.retries == 0:
             out.append("flaky-transfer/always-gpu: no transfer faults retried")
         # no ordering vs always-gpu: each policy's dispatch sequence draws
         # its own fault pattern, so a blind policy can land under 1.0 by
         # luck — the invariant is that model-guided stays at the optimum
-        flaky_mg = self._maybe("flaky-transfer", "model-guided")
-        if flaky_mg is not None and not flaky_mg.vs_oracle <= MAX_FLAKY_VS_ORACLE:
+        flaky_mg = self.get("flaky-transfer", "model-guided")
+        if not flaky_mg.vs_oracle <= MAX_FLAKY_VS_ORACLE:
             out.append(
                 f"flaky-transfer/model-guided: {flaky_mg.vs_oracle:.4f}x "
                 f"> {MAX_FLAKY_VS_ORACLE}x the degraded oracle"
             )
-        oom = self._maybe("oom-prone", "always-gpu")
-        if oom is not None and oom.fallbacks == 0:
+        if self.get("oom-prone", "always-gpu").fallbacks == 0:
             out.append("oom-prone/always-gpu: the footprint trigger never fell back")
         return tuple(out)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
 
     def render(self) -> str:
         body = [
@@ -170,7 +153,7 @@ class FaultsResult:
         )
 
 
-def _build_workload(launches: int) -> list[tuple[str, dict]]:
+def _build_workload() -> list[tuple[str, dict]]:
     """(region_name, env) launch sequence cycling sizes and kernels."""
     specs = {name: benchmark_by_name(name) for name, _ in _WORKLOAD_CYCLE}
     regions: dict[str, list] = {
@@ -178,11 +161,11 @@ def _build_workload(launches: int) -> list[tuple[str, dict]]:
     }
     sequence: list[tuple[str, dict]] = []
     i = 0
-    while len(sequence) < launches:
+    while len(sequence) < FAULT_LAUNCHES:
         name, mode = _WORKLOAD_CYCLE[i % len(_WORKLOAD_CYCLE)]
         env = specs[name].env(mode)
         for region in regions[name]:
-            if len(sequence) >= launches:
+            if len(sequence) >= FAULT_LAUNCHES:
                 break
             sequence.append((region.name, env))
         i += 1
@@ -205,9 +188,9 @@ def _run_one(
     return sum(r.executed_seconds for r in records), records, runtime
 
 
-def run_faults(*, launches: int = 12) -> FaultsResult:
+def run_faults() -> FaultsResult:
     """Score every policy under every fault scenario on p9-v100."""
-    workload = _build_workload(launches)
+    workload = _build_workload()
     # compiled once; every runtime of the grid launches from it
     db = ProgramAttributeDatabase()
     for name in dict(_WORKLOAD_CYCLE):
@@ -241,8 +224,4 @@ def run_faults(*, launches: int = 12) -> FaultsResult:
                     vs_oracle=total / oracle_total if oracle_total > 0 else float("nan"),
                 )
             )
-    return FaultsResult(rows=tuple(rows), launches=launches)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_faults().render())
+    return FaultsResult(rows=tuple(rows), launches=FAULT_LAUNCHES)

@@ -87,7 +87,3 @@ def run_figure3(
         num_threads=num_threads,
         rows=tuple(rows),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_figure3().render())

@@ -117,7 +117,3 @@ def run_figure45(gpu: GPUDescriptor = TESLA_V100) -> Figure45Result:
         memory_heavy=memory_heavy,
         compute_heavy=compute_heavy,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_figure45().render())

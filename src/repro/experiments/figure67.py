@@ -110,9 +110,3 @@ def run_figure6(platform: Platform = PLATFORM_P9_V100) -> Figure67Result:
 def run_figure7(platform: Platform = PLATFORM_P9_V100) -> Figure67Result:
     """Figure 7: benchmark execution mode."""
     return _run("Figure 7", "benchmark", platform)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_figure6().render())
-    print()
-    print(run_figure7().render())

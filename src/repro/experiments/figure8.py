@@ -123,9 +123,3 @@ def run_figure8(
         num_threads=num_threads,
         rows=tuple(rows),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for mode in ("test", "benchmark"):
-        print(run_figure8(mode).render())
-        print()

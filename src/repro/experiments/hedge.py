@@ -22,8 +22,9 @@ causal:
 Per cell the grid reports the hedge-rate, win-rate, duplicated-work
 fraction, the chaos-affected p99 completion latency of both arms, and
 both arms' expiry counts.  Gates (:attr:`HedgeCell.failures`, through
-the replay grid's :func:`~.replay.hedged_twin_failures`): every cell
-arms at least one backup and stays under
+the traffic grids' :func:`~.traffic.score_failures` and the replay
+grid's :func:`~.replay.hedged_twin_failures`): every cell's hedged arm
+has finite tails, arms at least one backup and stays under
 :data:`~.replay.MAX_HEDGE_EXTRA_FRACTION` duplicated work; the
 unbudgeted cells must win at least once and strictly cut the
 chaos-affected p99 vs their unhedged twin.  Budgeted cells gate only on
@@ -33,14 +34,13 @@ delta is reported, not enforced.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..machines import PLATFORM_P9_V100, Platform
 from ..replay import ReplayConfig, ReplayScore, score_run
 from ..util import render_table
 from .replay import MAX_HEDGE_EXTRA_FRACTION, hedged_twin_failures
-from .traffic import calibrate
+from .traffic import calibrate, score_failures
 
 __all__ = [
     "BUDGET_FACTORS",
@@ -85,14 +85,7 @@ class HedgeCell:
     def failures(self) -> tuple[str, ...]:
         """Every check this cell fails, as human-readable strings."""
         h, name = self.hedged, f"{self.flavour}/{self.budget_label}"
-        out = []
-        if h.overhead_nonfinite:
-            out.append(
-                f"{name}: {h.overhead_nonfinite} nonfinite "
-                "dispatch-overhead observations"
-            )
-        if not math.isfinite(h.overhead_p99_s):
-            out.append(f"{name}: dispatch-overhead p99 not finite")
+        out = score_failures(name, h)
         # expiry reshapes a budgeted cell's tail on both arms, so only
         # the unbudgeted cells gate the wins and the p99
         out.extend(
@@ -101,10 +94,6 @@ class HedgeCell:
             )
         )
         return tuple(out)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 @dataclass(frozen=True)
@@ -128,10 +117,6 @@ class HedgeResult:
     def failures(self) -> tuple[str, ...]:
         return tuple(f for cell in self.cells for f in cell.failures)
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
     def render(self) -> str:
         def ms(x: float) -> str:
             return f"{x * 1e3:.3f}"
@@ -148,7 +133,7 @@ class HedgeResult:
                 ms(c.unhedged.chaos_completion_p99_s),
                 ms(c.p99_improvement_s),
                 f"{c.hedged.expired}/{c.unhedged.expired}",
-                "ok" if c.ok else "FAIL",
+                "FAIL" if c.failures else "ok",
             ]
             for c in self.cells
         ]
@@ -183,13 +168,13 @@ class HedgeResult:
             "mean_service_s": self.mean_service_s,
             "utilization": self.utilization,
             "max_hedge_extra_fraction": MAX_HEDGE_EXTRA_FRACTION,
-            "passed": self.passed,
+            "passed": not self.failures,
             "cells": [
                 {
                     "flavour": c.flavour,
                     "budget": c.budget_label,
                     "budget_s": c.budget_s,
-                    "ok": c.ok,
+                    "ok": not c.failures,
                     "p99_improvement_s": c.p99_improvement_s,
                     "hedged": c.hedged.to_payload(),
                     "unhedged": c.unhedged.to_payload(),

@@ -28,15 +28,15 @@ a scenario grid:
   completion latency vs its unhedged twin, and duplicate at most
   :data:`MAX_HEDGE_EXTRA_FRACTION` of the served seconds.
 
-Gates (``ReplayRow.failures``; ``ReplayResult.passed`` when the grid has
-none): chaos scenarios keep steady-state selection accuracy within
+Gates (``ReplayRow.failures``, collected by ``ReplayResult.failures``):
+chaos scenarios keep steady-state selection accuracy within
 :data:`MAX_ACCURACY_DROP` of the baseline, detect every window within
 :data:`MAX_TTD_FRACTION` of its duration and recover within
-:data:`MAX_TTR_S`; every scenario's dispatch-overhead p99 is finite;
-overload scenarios keep the queue depth bounded by its capacity while
-shedding/degrading/deferring a nonzero fraction.  The CLI and
-``benchmarks/bench_replay.py`` (at the 10⁵-launch scale) both judge by
-these checks.
+:data:`MAX_TTR_S`; every scenario passes the traffic grids' shared
+:func:`~.traffic.score_failures`; overload scenarios keep the queue
+depth bounded by its capacity while shedding/degrading/deferring a
+nonzero fraction.  The CLI and ``benchmarks/bench_replay.py`` (at the
+10⁵-launch scale) both judge by these checks.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from ..machines import PLATFORM_P9_V100, Platform
 from ..replay import AdmissionConfig, ReplayConfig, ReplayScore, score_run
 from ..util import render_table
-from .traffic import CalibratedTrace, calibrate, fan_out
+from .traffic import CalibratedTrace, calibrate, fan_out, score_failures
 
 __all__ = [
     "MAX_ACCURACY_DROP",
@@ -141,14 +141,7 @@ class ReplayRow:
     def failures(self) -> tuple[str, ...]:
         """Every check this scenario fails, as human-readable strings."""
         s, name = self.score, self.scenario
-        out = []
-        if s.overhead_nonfinite:
-            out.append(
-                f"{name}: {s.overhead_nonfinite} nonfinite "
-                "dispatch-overhead observations"
-            )
-        if not math.isfinite(s.overhead_p99_s):
-            out.append(f"{name}: dispatch-overhead p99 not finite")
+        out = score_failures(name, s)
         if self.flavour == "baseline":
             if s.fault_events or s.fallbacks:
                 out.append(f"{name}: chaos-free baseline faulted")
@@ -195,10 +188,6 @@ class ReplayRow:
                 out.append("overload-defer: nothing deferred and resumed")
         return tuple(out)
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 @dataclass(frozen=True)
 class ReplayResult:
@@ -223,10 +212,6 @@ class ReplayResult:
     def failures(self) -> tuple[str, ...]:
         return tuple(f for row in self.rows for f in row.failures)
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
     def render(self) -> str:
         def pct(x: float) -> str:
             return "-" if not math.isfinite(x) else f"{x * 100:.2f}%"
@@ -249,7 +234,7 @@ class ReplayResult:
                 pct(row.score.shed_fraction),
                 pct(row.score.degraded_fraction),
                 row.score.max_queue_depth,
-                "ok" if row.ok else "FAIL",
+                "FAIL" if row.failures else "ok",
             ]
             for row in self.rows
         ]
@@ -286,12 +271,12 @@ class ReplayResult:
             "mean_interarrival_s": self.mean_interarrival_s,
             "utilization": self.utilization,
             "overload_utilization": self.overload_utilization,
-            "passed": self.passed,
+            "passed": not self.failures,
             "rows": [
                 {
                     "scenario": row.scenario,
                     "flavour": row.flavour,
-                    "ok": row.ok,
+                    "ok": not row.failures,
                     "capacity": row.capacity,
                     "baseline_steady_accuracy": row.baseline_steady_accuracy,
                     "outcome_counts": row.outcome_counts,

@@ -24,8 +24,9 @@ The grid crosses tenant mix with load shape:
   the service's per-device server pools must keep the completion p99
   below the serial twin's.
 
-Gates (``ServiceRow.failures``; ``ServiceResult.passed`` when the grid
-has none): per row, steady-state selection accuracy stays within
+Gates (``ServiceRow.failures``, collected by ``ServiceResult.failures``):
+per row, the traffic grids' shared :func:`~.traffic.score_failures`
+holds, steady-state selection accuracy stays within
 :data:`MAX_SERVICE_ACCURACY_DELTA` of the serial twin, per-tenant
 percentiles are recorded and their p99 fairness stays under
 :data:`MAX_FAIRNESS_P99`; across the grid, at least
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from ..machines import PLATFORM_P9_V100, Platform
 from ..replay import ChaosSchedule, ReplayConfig, ReplayScore, score_run
 from ..util import render_table
-from .traffic import CalibratedTrace, calibrate, fan_out
+from .traffic import CalibratedTrace, calibrate, fan_out, score_failures
 
 __all__ = [
     "MAX_SERVICE_ACCURACY_DELTA",
@@ -106,14 +107,7 @@ class ServiceRow:
     def failures(self) -> tuple[str, ...]:
         """Every check this scenario fails, as human-readable strings."""
         s, name = self.score, self.scenario
-        out = []
-        if not math.isfinite(s.completion_p99_s):
-            out.append(f"{name}: completion p99 not finite")
-        if s.overhead_nonfinite:
-            out.append(
-                f"{name}: {s.overhead_nonfinite} nonfinite "
-                "dispatch-overhead observations"
-            )
+        out = score_failures(name, s)
         # both twins served the whole trace (conservation across lanes)
         if s.requests != self.legacy.requests or s.launches != self.legacy.launches:
             out.append(
@@ -133,10 +127,6 @@ class ServiceRow:
         if not s.tenants:
             out.append(f"{name}: no per-tenant percentiles recorded")
         return tuple(out)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 @dataclass(frozen=True)
@@ -172,10 +162,6 @@ class ServiceResult:
             )
         return tuple(out)
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
     def render(self) -> str:
         def pct(x: float) -> str:
             return "-" if not math.isfinite(x) else f"{x * 100:.2f}%"
@@ -195,7 +181,7 @@ class ServiceResult:
                 ms(row.score.chaos_completion_p99_s),
                 f"{row.score.fairness_p99:.3f}",
                 "win" if row.overlap_win else "-",
-                "ok" if row.ok else "FAIL",
+                "FAIL" if row.failures else "ok",
             ]
             for row in self.rows
         ]
@@ -233,7 +219,7 @@ class ServiceResult:
             "utilization": self.utilization,
             "burst_utilization": self.burst_utilization,
             "overlap_wins": self.overlap_wins,
-            "passed": self.passed,
+            "passed": not self.failures,
             "rows": [
                 {
                     "scenario": row.scenario,
@@ -241,7 +227,7 @@ class ServiceResult:
                     "tenant_weights": (
                         list(row.tenant_weights) if row.tenant_weights else None
                     ),
-                    "ok": row.ok,
+                    "ok": not row.failures,
                     "overlap_win": row.overlap_win,
                     "accuracy_delta": row.accuracy_delta,
                     "outcome_counts": row.outcome_counts,

@@ -35,8 +35,13 @@ class SummaryResult:
     claims: tuple[Claim, ...]
 
     @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.claims)
+    def failures(self) -> tuple[str, ...]:
+        """One line per claim that does not hold."""
+        return tuple(
+            f"{c.claim}: reproduced {c.reproduced}, paper {c.paper}"
+            for c in self.claims
+            if not c.holds
+        )
 
     def render(self) -> str:
         rows = [
@@ -133,7 +138,3 @@ def run_summary() -> SummaryResult:
         ),
     ]
     return SummaryResult(tuple(claims))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_summary().render())

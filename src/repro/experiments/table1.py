@@ -114,7 +114,3 @@ def run_table1() -> Table1Result:
         for name, sp in per_kernel.items()
     )
     return Table1Result(rows=rows, platforms=tuple(p.name for p in platforms))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_table1().render())

@@ -74,7 +74,3 @@ def run_table2(cpu: CPUDescriptor = POWER9) -> Table2Result:
         measured_tlb_penalty=tlb.measured_miss_penalty_cycles,
         epcc_curve=curve,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_table2().render())

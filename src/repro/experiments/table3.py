@@ -68,7 +68,3 @@ def run_table3(
         measured_l2=probe.l2_latency,
         measured_dram=probe.dram_latency,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_table3().render())

@@ -62,10 +62,6 @@ class TraceResult:
             out.append("no spans recorded")
         return tuple(out)
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
     def chrome_json(self) -> str:
         """The sweep as Chrome trace-event JSON (open in Perfetto)."""
         return chrome_trace_json(self.tracer, self.metrics)

@@ -1,15 +1,18 @@
-"""The calibrated trace and scenario fan-out the traffic grids share.
+"""The calibrated trace, scenario fan-out and score check the traffic
+grids share.
 
 :mod:`.replay`, :mod:`.service` and :mod:`.hedge` all replay one seeded
 trace whose arrival rate is calibrated from a chaos-free probe, with
 chaos confined to the middle tenth of the trace.  :func:`calibrate`
 builds that trace once; :func:`fan_out` runs a grid's scenarios over it
 through the sweep engine, in process or across the warm-worker pool,
-with identical results.
+with identical results; :func:`score_failures` is the check every
+scored arm of the three grids must pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..machines import Platform
@@ -20,6 +23,7 @@ from ..replay import (
     MemoizedPolicy,
     ReplayConfig,
     ReplayEngine,
+    ReplayScore,
     WorkloadConfig,
     generate_requests,
 )
@@ -152,6 +156,25 @@ def fan_out(
         [(task, trace, name, params) for name in scenarios],
         labels=list(scenarios),
     )
+
+
+def score_failures(name: str, score: ReplayScore) -> list[str]:
+    """The checks every traffic-grid score must pass, whatever its arm.
+
+    No dispatch-overhead observation is nonfinite, and the overhead and
+    completion p99s are finite.
+    """
+    out = []
+    if score.overhead_nonfinite:
+        out.append(
+            f"{name}: {score.overhead_nonfinite} nonfinite "
+            "dispatch-overhead observations"
+        )
+    if not math.isfinite(score.overhead_p99_s):
+        out.append(f"{name}: dispatch-overhead p99 not finite")
+    if not math.isfinite(score.completion_p99_s):
+        out.append(f"{name}: completion p99 not finite")
+    return out
 
 
 def _scenario_task(item: tuple):

@@ -170,16 +170,12 @@ class TransfersResult:
             out.append("dead-debug-buffer: MAP004 not reported")
         return tuple(out)
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
     def to_payload(self) -> dict:
         """JSON-ready summary of both sections."""
         return {
             "platform": self.platform,
             "mode": self.mode,
-            "passed": self.passed,
+            "passed": not self.failures,
             "suite": [dataclasses.asdict(row) for row in self.suite],
             "scenarios": [
                 {

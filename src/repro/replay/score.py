@@ -30,6 +30,7 @@ bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -124,60 +125,13 @@ class ReplayScore:
         raise KeyError(name)
 
     def to_payload(self) -> dict:
-        """JSON-safe dump (NaN-free: absent latencies become None)."""
-        return {
-            "launches": self.launches,
-            "requests": self.requests,
-            "horizon_s": self.horizon_s,
-            "overall_accuracy": self.overall_accuracy,
-            "steady_accuracy": self.steady_accuracy,
-            "steady_launches": self.steady_launches,
-            "overhead_p50_s": self.overhead_p50_s,
-            "overhead_p99_s": self.overhead_p99_s,
-            "overhead_zero": self.overhead_zero,
-            "overhead_nonfinite": self.overhead_nonfinite,
-            "completion_p50_s": self.completion_p50_s,
-            "completion_p99_s": self.completion_p99_s,
-            "chaos_completion_p50_s": self.chaos_completion_p50_s,
-            "chaos_completion_p99_s": self.chaos_completion_p99_s,
-            "shed_fraction": self.shed_fraction,
-            "degraded_fraction": self.degraded_fraction,
-            "expired": self.expired,
-            "deferred": self.deferred,
-            "resumed": self.resumed,
-            "max_queue_depth": self.max_queue_depth,
-            "max_wait_s": self.max_wait_s,
-            "fallbacks": self.fallbacks,
-            "fault_events": self.fault_events,
-            "hedged": self.hedged,
-            "hedge_wins": self.hedge_wins,
-            "hedge_extra_fraction": self.hedge_extra_fraction,
-            "windows": [
-                {
-                    "window": w.window,
-                    "kind": w.kind,
-                    "start_s": w.start_s,
-                    "stop_s": w.stop_s,
-                    "ttd_s": w.ttd_s,
-                    "ttr_s": w.ttr_s,
-                }
-                for w in self.windows
-            ],
-            "tenants": [
-                {
-                    "tenant": t.tenant,
-                    "launches": t.launches,
-                    "latency_p50_s": t.latency_p50_s,
-                    "latency_p95_s": t.latency_p95_s,
-                    "latency_p99_s": t.latency_p99_s,
-                }
-                for t in self.tenants
-            ],
-            "fairness_p99": (
-                self.fairness_p99 if math.isfinite(self.fairness_p99) else None
-            ),
-            "service": self.service,
-        }
+        """JSON-safe dump (an infinite ``fairness_p99`` becomes None)."""
+        payload = dataclasses.asdict(self)
+        payload["windows"] = list(payload["windows"])
+        payload["tenants"] = list(payload["tenants"])
+        if not math.isfinite(self.fairness_p99):
+            payload["fairness_p99"] = None
+        return payload
 
 
 def _is_clean_gpu(record) -> bool:

@@ -262,7 +262,6 @@ class TestSelfCheckExitCodes:
     and name each failed check on stderr."""
 
     class _Fake:
-        passed = False
         failures = ("fake: check failed",)
 
         def render(self):
@@ -281,6 +280,15 @@ class TestSelfCheckExitCodes:
         assert main(["faults"]) == 1
         err = capsys.readouterr().err
         assert "self-check FAILED: faults" in err
+        assert "fake: check failed" in err
+
+    def test_summary_fails_loud(self, monkeypatch, capsys):
+        import repro.experiments as ex
+
+        monkeypatch.setattr(ex, "run_summary", lambda: self._Fake())
+        assert main(["summary"]) == 1
+        err = capsys.readouterr().err
+        assert "self-check FAILED: summary" in err
         assert "fake: check failed" in err
 
     def test_trace_fails_loud(self, monkeypatch, capsys):

@@ -590,7 +590,7 @@ class TestExperiment:
             launches=1000,
             scenarios=("steady", "fault-storm", "overload-degrade"),
         )
-        assert result.passed
+        assert not result.failures
         assert result.get("fault-storm").score.fault_events > 0
         assert result.get("overload-degrade").score.degraded_fraction > 0.0
         payload = result.to_payload()
@@ -656,3 +656,39 @@ class TestHedgedTwinChecks:
         )
         assert row.failures
         assert row.failures == cell.failures
+
+    def test_every_traffic_grid_fails_a_nan_completion_p99(self):
+        from repro.experiments.hedge import HedgeCell
+        from repro.experiments.replay import ReplayRow
+        from repro.experiments.service import ServiceRow
+
+        score = _score(completion_p99_s=float("nan"))
+        rows = [
+            ReplayRow(
+                scenario="fault-storm",
+                flavour="chaos",
+                score=score,
+                baseline_steady_accuracy=0.0,
+                capacity=None,
+                outcome_counts={},
+            ),
+            HedgeCell(
+                flavour="fault-storm",
+                budget_label="none",
+                budget_s=None,
+                hedged=score,
+                unhedged=score,
+            ),
+            ServiceRow(
+                scenario="uniform-storm",
+                shape="storm",
+                tenant_weights=None,
+                score=score,
+                legacy=score,
+                outcome_counts={},
+            ),
+        ]
+        for row in rows:
+            assert any(
+                f.endswith(": completion p99 not finite") for f in row.failures
+            ), row
