@@ -26,7 +26,10 @@ Verdicts are three-state:
 Everything is deterministic and observation-driven: with no drift the
 residuals of a deterministic workload are ~0 and every stream stays
 CALIBRATED forever, which is what keeps sentinel-on runs bit-identical to
-sentinel-off runs (see docs/ROBUSTNESS.md).
+sentinel-off runs (see docs/ROBUSTNESS.md).  A settled stream, one whose
+last full step past warmup changed nothing but its counts, skips its
+repeat step on the same pair and only counts it; this changes no verdict
+and no statistic.
 """
 
 from __future__ import annotations
@@ -129,6 +132,8 @@ class StreamStats:
         self._warmup_sum = 0.0
         self._recover_streak = 0
         self.drift_count = 0  # CALIBRATED/SUSPECT -> DRIFTED transitions
+        #: the pair whose last full step changed nothing but the counts
+        self._settled: tuple[float, float] | None = None
 
     def observe(self, predicted: float, observed: float) -> DriftState:
         """Feed one launch's prediction/measurement pair; return the verdict.
@@ -145,7 +150,37 @@ class StreamStats:
         :meth:`Cusum.update` and :attr:`Cusum.statistic` (``max(0.0, v)``
         is ``v if v > 0.0 else 0.0``, which keeps NaN and ``-0.0`` the
         same), so the states are bit-identical to stepping those objects.
+
+        A settled stream skips its repeat step.  A full step past warmup
+        that starts outside DRIFTED and leaves the state, the three EWMA
+        values and both CUSUM sides as they were settles the stream on
+        its pair; while the pairs that follow equal it, ``observe`` adds
+        one to the four counts and returns the state.  Any other pair,
+        an ignored one included, and any other step clear the settled
+        pair.  The skip is exact:
+
+        * the settled pair passed the validity check, so both values are
+          finite and above 0, and ``==`` on them is bit equality: no NaN
+          and no ``±0`` can match;
+        * past warmup, with every count above 0, a full step's result
+          depends only on the state, the baseline, the three EWMA
+          values, the two CUSUM sides and the pair (the recovery streak
+          matters only in DRIFTED, which never settles), so a step that
+          left these unchanged leaves them unchanged again on the same
+          pair;
+        * on a valid pair no EWMA value or CUSUM side becomes ``-0.0``
+          or NaN (the CUSUM clamps to ``+0.0``, and ``abs`` and ``log``
+          of a valid quotient give no ``-0.0``), so the before/after
+          ``==`` compares bits.
         """
+        settled = self._settled
+        if settled is not None and predicted == settled[0] and observed == settled[1]:
+            self.observations += 1
+            self.instability.count += 1
+            self.ratio_ewma.count += 1
+            self.measured.count += 1
+            return self.state
+        self._settled = None
         if not (
             math.isfinite(predicted)
             and math.isfinite(observed)
@@ -159,13 +194,15 @@ class StreamStats:
         else:
             log_ratio = math.log(observed) - math.log(predicted)
         self.observations += 1
-        ratio = self.ratio_ewma
+        ratio, instability, measured = self.ratio_ewma, self.instability, self.measured
+        cusum = self.cusum
+        before = (instability.value, ratio.value, measured.value, cusum.pos, cusum.neg)
         # the instability input reads the ratio EWMA before the ratio step
         spread = abs(log_ratio - ratio.value) if ratio.count else 0.0
         for ewma, x in (
-            (self.instability, spread),
+            (instability, spread),
             (ratio, log_ratio),
-            (self.measured, observed),
+            (measured, observed),
         ):
             if ewma.count == 0:
                 ewma.value = x
@@ -178,7 +215,6 @@ class StreamStats:
                 self.baseline = self._warmup_sum / WARMUP
             return self.state
         residual = log_ratio - (self.baseline or 0.0)
-        cusum = self.cusum
         pos = cusum.pos + residual - cusum.k
         cusum.pos = pos = pos if pos > 0.0 else 0.0
         neg = cusum.neg - residual - cusum.k
@@ -212,11 +248,17 @@ class StreamStats:
             # error — only *post-drift* scatter escalates to history mode).
             ratio.value = log_ratio
             self.instability = Ewma(EWMA_ALPHA)
-        elif statistic > CUSUM_H * SUSPECT_FRACTION:
-            self.state = DriftState.SUSPECT
-        else:
-            self.state = DriftState.CALIBRATED
-        return self.state
+            return self.state
+        state = (
+            DriftState.SUSPECT
+            if statistic > CUSUM_H * SUSPECT_FRACTION
+            else DriftState.CALIBRATED
+        )
+        after = (instability.value, ratio.value, measured.value, pos, neg)
+        if state is self.state and after == before:
+            self._settled = (predicted, observed)
+        self.state = state
+        return state
 
     def correction(self) -> float:
         """Multiplicative fix for the stream's prediction (1.0 unless DRIFTED).

@@ -188,13 +188,6 @@ class QuantileSketch:
     def p99(self) -> float:
         return self.quantile(0.99)
 
-    def merge(self, other: "QuantileSketch") -> None:
-        """Fold another sketch in (order-independent, exact counts)."""
-        for value, count in other.counts.items():
-            self.counts[value] = self.counts.get(value, 0) + count
-        self.count += other.count
-        self.nonfinite += other.nonfinite
-
 
 def _key(name: str, labels: dict) -> str:
     if not labels:

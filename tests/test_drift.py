@@ -299,12 +299,34 @@ class TestOnePassObserve:
     """The one-pass ``observe`` equals the method-based detector steps."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
-    # runs of one pair let the stream settle, drift and recover
-    @given(st.lists(st.tuples(_PAIRS, st.integers(1, 6)), max_size=25))
+    # runs of one pair let the stream settle, stay settled, drift and
+    # recover
+    @given(st.lists(st.tuples(_PAIRS, st.integers(1, 12)), max_size=25))
     # quotients that underflow to 0.0 and overflow to inf, in warmup and
     # after it
     @example([(_UNDERFLOW, 2), (_OVERFLOW, 2), ((1.0, 1.0), 3)])
     @example([((1.0, 1.0), 3), (_UNDERFLOW, 3), ((1.0, 1.0), 5), (_OVERFLOW, 3)])
+    # settles in CALIBRATED on its 4th observation and stays settled
+    @example([((1.0, 1.5), 12)])
+    # leaves the settled pair through an ignored pair and through a pair
+    # one ulp away, returning to it after each
+    @example(
+        [
+            ((1.0, 1.5), 6),
+            ((math.nan, 1.0), 1),
+            ((1.0, 1.5), 3),
+            ((1.0, math.nextafter(1.5, 2.0)), 2),
+            ((1.0, 1.5), 4),
+        ]
+    )
+    # settles, drifts on a 6x ratio and recovers
+    @example([((1.0, 1.0), 6), ((1.0, 6.0), 2), ((1.0, 1.0), 8)])
+    # a SUSPECT stream whose CUSUM side creeps up two ulps per step
+    # (0.39999999999999997, 0.4000000000000001, ...) never settles: the
+    # no-op test is exact, not approximate
+    @example(
+        [((1.0, 1.0), 3), ((1.0, math.exp(0.15)), 4), ((1.0, math.exp(0.05)), 12)]
+    )
     def test_every_field_bit_equal_after_each_step(self, runs):
         stream, reference = StreamStats("gpu", "r"), _ReferenceStream()
         for (predicted, observed), repeat in runs:

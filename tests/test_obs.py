@@ -260,16 +260,6 @@ class TestQuantileSketch:
         assert a.sum == b.sum  # exact, not approx: fsum over sorted counts
         assert a.p99 == b.p99
 
-    def test_merge_is_exact(self):
-        whole, left, right = (QuantileSketch() for _ in range(3))
-        for i in range(100):
-            whole.observe(float(i))
-            (left if i % 2 else right).observe(float(i))
-        left.merge(right)
-        assert left.counts == whole.counts
-        assert left.count == whole.count
-        assert left.p95 == whole.p95
-
 
 def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
@@ -442,6 +432,20 @@ class TestMergeSnapshot:
         other.histogram("h", buckets=(5.0, 6.0)).observe(0.5)
         with pytest.raises(ValueError):
             reg.merge_snapshot(other.snapshot())
+
+    def test_shared_quantile_values_add_their_counts(self):
+        # both workers observe the same values, so every quantized value
+        # is in both snapshots and the merge must add its counts
+        values = (0.5, 0.25, 0.125)
+        worker_a, worker_b, single = (MetricsRegistry() for _ in range(3))
+        for worker in (worker_a, worker_b):
+            for v in values:
+                worker.quantiles("lat").observe(v)
+                single.quantiles("lat").observe(v)
+        merged = MetricsRegistry()
+        merged.merge_snapshot(worker_a.snapshot())
+        merged.merge_snapshot(worker_b.snapshot())
+        assert merged.snapshot() == single.snapshot()
 
     def test_merge_recovers_bucket_bounds_from_snapshot(self):
         worker = MetricsRegistry()

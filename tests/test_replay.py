@@ -10,12 +10,14 @@ experiment-level scenario grid.
 import collections
 import dataclasses
 import json
+import math
 import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.drift import DriftSentinel, SelfHealingSelector, Watchdog
+from repro.drift import DriftSentinel, SelfHealingSelector, StreamStats, Watchdog
+from repro.drift.sentinel import WARMUP
 from repro.faults.resilient import DispatchResult
 from repro.machines import (
     NVLINK2,
@@ -298,10 +300,9 @@ class TestPerLaunchWork:
 
     LAUNCHES = 2_000
 
-    @pytest.mark.parametrize("service", [False, True], ids=["serial", "lanes"])
-    def test_memoized_replay_skips_idle_machinery(self, warm_state, service):
-        memo, policy, db, cases = warm_state
-        engine = ReplayEngine(
+    def _memoized_engine(self, warm_state, service: bool) -> ReplayEngine:
+        memo, policy, db, _ = warm_state
+        return ReplayEngine(
             ReplayConfig(
                 PLATFORM_P9_V100,
                 workload=WorkloadConfig(launches=self.LAUNCHES, seed=0),
@@ -311,6 +312,11 @@ class TestPerLaunchWork:
             memo=memo,
             db=db,
         )
+
+    @pytest.mark.parametrize("service", [False, True], ids=["serial", "lanes"])
+    def test_memoized_replay_skips_idle_machinery(self, warm_state, service):
+        cases = warm_state[3]
+        engine = self._memoized_engine(warm_state, service)
         watched = {
             case_key.__code__: "case_key",
             CaseSpec.env_dict.__code__: "env_dict",
@@ -363,6 +369,32 @@ class TestPerLaunchWork:
         # fault-free dispatches share one result; the tracer is off
         assert calls["DispatchResult"] == 0
         assert calls["null span entered"] == 0
+
+    @pytest.mark.parametrize("service", [False, True], ids=["serial", "lanes"])
+    def test_settled_streams_take_no_full_step(self, warm_state, service):
+        """Each stream sees one pair per launch of its case: after warmup
+        and one no-op step it only counts, so it takes no log."""
+        engine = self._memoized_engine(warm_state, service)
+        observe = StreamStats.observe.__code__
+        logs = 0
+
+        def watch(frame, event, arg):
+            nonlocal logs
+            if event == "c_call" and arg is math.log and frame.f_code is observe:
+                logs += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(watch)
+        try:
+            run = engine.run()
+        finally:
+            sys.setprofile(previous)
+        assert len(run.records) == self.LAUNCHES
+        streams = run.runtime.sentinel.streams
+        # skipped steps still count: one observation per device and launch;
+        # each full step takes one log
+        assert sum(s.observations for s in streams.values()) == 2 * self.LAUNCHES
+        assert logs <= len(streams) * (WARMUP + 2)
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(
