@@ -6,16 +6,13 @@ The selector assumes its input is a race-free parallel loop nest
 "optimises" it the way a hurried port often does — dropping the output
 grid and writing the convolved value back **in place** — and shows the
 linter catching the resulting cross-thread races that the analytical
-models would happily mispredict over.  A `LintGate` then keeps the racy
-variant off the GPU at dispatch time while leaving the correct kernel's
-launch records bit-identical.
+models would happily mispredict over.
 """
 
 from repro.ir import Region
-from repro.lint import LintGate, lint_region
+from repro.lint import lint_region
 from repro.machines import PLATFORM_P9_V100
 from repro.polybench import benchmark_by_name
-from repro.runtime import ModelGuided, OffloadingRuntime
 
 
 def build_conv2d_inplace() -> Region:
@@ -50,24 +47,6 @@ def main() -> None:
     print("\n=== 2. the in-place 'optimisation' does not ===")
     racy = build_conv2d_inplace()
     print(lint_region(racy, env=env, platform=PLATFORM_P9_V100).render_text())
-
-    print("\n=== 3. the gate keeps the racy variant off the GPU ===")
-    runtime = OffloadingRuntime(
-        PLATFORM_P9_V100, policy=ModelGuided(), lint_gate=LintGate(mode="host")
-    )
-    runtime.compile_region(racy)
-    rec = runtime.launch("2dconv_inplace", env)
-    print(
-        f"policy wanted {rec.requested_target}, ran on {rec.target} "
-        f"(fallback={rec.fallback!r}, blocking codes={rec.lint.codes})"
-    )
-
-    runtime.compile_region(clean)
-    rec = runtime.launch(clean.name, env)
-    print(
-        f"clean kernel untouched: ran on {rec.target}, "
-        f"lint verdict in record: {rec.lint!r}"
-    )
 
 
 if __name__ == "__main__":

@@ -48,9 +48,6 @@ class ModelCalibration:
             raise ValueError("calibration scales must be positive")
 
 
-_IDENTITY_ENVS = ({"n": _CAL_N, "a": 2.0}, dict(_CAL_DOT))
-
-
 def fit_model_calibration(
     platform: Platform, *, num_threads: int | None = None
 ) -> ModelCalibration:

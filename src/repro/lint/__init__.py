@@ -4,7 +4,7 @@ Static analysis over the region IR that answers two questions before any
 offload: *is this parallel band actually safe to run with an unordered
 100k-thread schedule* (races, undeclared reductions, out-of-bounds
 indices), and *will it run well* (coalescing, false sharing, divergence,
-footprint).  See docs/LINT.md for the pass catalog and gate semantics.
+footprint).  See docs/LINT.md for the pass catalog.
 
 Quick use::
 
@@ -60,13 +60,6 @@ _LAZY = {
         "FalseSharingPass",
         "BranchDivergencePass",
         "FootprintPass",
-    ),
-    "gate": (
-        "FALLBACK_LINT",
-        "GATE_MODES",
-        "GateDecision",
-        "LintGate",
-        "LintGateError",
     ),
 }
 

@@ -2,8 +2,8 @@
 
 These decide whether a region is *safe to offload at all*: a cross-thread
 write conflict that a fork-join CPU schedule happens to mask will corrupt
-results (or worse) under a 100k-thread GPU schedule, so the runtime gate
-treats their findings as blocking.
+results (or worse) under a 100k-thread GPU schedule, so their findings
+are errors.
 
 Diagnostic codes
 ----------------

@@ -24,7 +24,7 @@ MAP005   warning   direction unanalysable (non-affine access); the
                    declared map cannot be verified
 =======  ========  =====================================================
 
-MAP001 is the only error — the lint gate blocks dispatch on it.  The
+MAP001 is the only error: silent data corruption, like a race.  The
 performance findings (MAP002–004) quantify the wasted traffic, and when
 the context carries an ``env`` and a platform they price the waste in
 predicted seconds on the region's bus.

@@ -1,6 +1,6 @@
 """Performance lints: offload-hostile patterns that are legal but slow.
 
-None of these block the runtime gate — they are advisory (warning / info)
+None of these are errors — they are advisory (warning / info)
 and mirror the cost terms of the paper's analytical models: the IPDA
 inter-thread stride feeding the coalesced/uncoalesced instruction split,
 cache-line contention on CPU stores, intra-warp branch divergence, and the

@@ -83,14 +83,6 @@ CATALOGUE: tuple[MetricSpec, ...] = (
         "injected or observed faults by error type",
     ),
     MetricSpec(
-        "lint_findings_total", "counter", ("severity",), "findings", "simulated",
-        "lint gate findings (`error` / `warning`) of gated launches",
-    ),
-    MetricSpec(
-        "lint_blocked_total", "counter", (), "launches", "simulated",
-        "launches the lint gate kept off the accelerator",
-    ),
-    MetricSpec(
         "drift_decisions_total", "counter", ("mode",), "launches", "simulated",
         "self-healing verdicts by mode (launches with a flagged stream)",
     ),

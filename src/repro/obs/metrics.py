@@ -2,7 +2,7 @@
 
 A :class:`MetricsRegistry` is fed by the same instrumentation points as
 the tracer (launches by device, retries, breaker trips, drift verdict
-transitions, lint findings by severity, predicted-vs-observed error) and
+transitions, predicted-vs-observed error) and
 renders to a deterministic :meth:`~MetricsRegistry.snapshot` dict — keys
 are ``name{label=value,...}`` strings with sorted labels, so two
 identical runs serialize byte-identically.

@@ -15,7 +15,7 @@ The default tracer is the :data:`NULL_TRACER` singleton: ``span()``
 returns a shared no-op context manager and nothing is recorded, so the
 un-instrumented fast path stays allocation-free and every record the
 runtimes produce is bit-identical to a tracer-less build — the same
-off-by-default discipline as the faults/lint/drift subsystems.
+off-by-default discipline as the faults/drift subsystems.
 
 Module-level functions (IPDA, the MCA scheduler, the simulators) reach
 the tracer through :func:`current_tracer`; a runtime makes its tracer

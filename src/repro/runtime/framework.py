@@ -7,10 +7,10 @@ the available accelerators", so a host with one GPU is the N = 1 case of
 one decision, not a separate runtime.  ``compile_region`` is the
 compile-time half: outline, analyse, store attributes.  ``launch`` is the
 runtime half, one body at every N: bind runtime values, measure every
-device, select, apply the lint gate, run the dispatch chain, then the
-watchdog and the hedge, observe, and record everything the experiments
-need (every device is simulated so policies can be scored against the
-oracle without re-running).
+device, select, run the dispatch chain, then the watchdog and the hedge,
+observe, and record everything the experiments need (every device is
+simulated so policies can be scored against the oracle without
+re-running).
 
 Selection is one rule at every N, and at N = 1 each step is trivial:
 
@@ -40,10 +40,7 @@ Dispatch is resilient (docs/ROBUSTNESS.md): an optional
 the runtime answers with bounded retry + exponential backoff (on a
 simulated clock), automatic fallback down the chain, a per-device circuit
 breaker and a :class:`~repro.faults.DeviceHealth` penalty that steers
-selection away from a flaky card.  It is *gated* (docs/LINT.md): an
-optional :class:`~repro.lint.LintGate` refuses to offload regions whose
-parallel band carries race-severity lint findings — raising, forcing the
-host, or merely recording, per its mode.  It is *drift-aware*: an optional
+selection away from a flaky card.  It is *drift-aware*: an optional
 :class:`~repro.drift.DriftSentinel` tracks predicted-vs-observed seconds
 per (device, region, sizes) stream and a :class:`~repro.drift.Watchdog`
 turns the executed device's prediction into a deadline (an overrun
@@ -53,9 +50,14 @@ health/breaker machinery).  Budgets and hedged host backups live in
 optional :class:`~repro.obs.Tracer` records nested ``launch`` →
 ``predict`` → ``dispatch`` spans and an optional
 :class:`~repro.obs.MetricsRegistry` counts launches, retries, fallbacks,
-lint/drift verdicts and prediction error.  Every collaborator defaults
-off, and idle (no injector, lint-clean regions, CALIBRATED streams, no
-tracer) it leaves every ``LaunchRecord`` bit-identical.
+drift verdicts and prediction error.  Every collaborator defaults off,
+and idle (no injector, CALIBRATED streams, no tracer) it leaves every
+``LaunchRecord`` bit-identical.
+
+Whether a region is safe to offload at all (races, undeclared
+reductions, under-mapped arrays) is a compile-time question:
+:func:`~repro.lint.lint_region` and ``repro-paper lint`` answer it
+(docs/LINT.md), and the runtime takes its regions as given.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ from ..faults.resilient import (
     FALLBACK_HEALTH,
 )
 from ..ir import Region
-from ..lint.gate import FALLBACK_LINT, GateDecision, LintGate, LintGateError
 from ..machines import Platform
 from ..models import SelectionPrediction
 from ..obs import (
@@ -130,11 +131,14 @@ class DeviceOutcome:
 class LaunchRecord:
     """Everything observed for one target-region launch.
 
-    The trailing fields are fault-tolerance provenance; their defaults
-    describe an untroubled launch, so fault-free runs produce records
-    identical to the pre-resilience runtime.  ``candidates`` is filled at
-    N > 1 only: at N = 1 ``prediction``, ``cpu_seconds`` and
-    ``gpu_seconds`` already hold both candidates.
+    The fields after ``executed_seconds`` are provenance: how the launch
+    reached the device that ran it (``requested_target`` through
+    ``overhead_seconds``) and what each optional collaborator did to it
+    (``drift``, ``admission``, ``transfers``, ``hedge``, ``tenant``).
+    Their defaults describe an untroubled launch, so an idle collaborator
+    leaves the record as a runtime without it would build it.
+    ``candidates`` is filled at N > 1 only: at N = 1 ``prediction``,
+    ``cpu_seconds`` and ``gpu_seconds`` already hold both candidates.
     """
 
     region_name: str
@@ -150,7 +154,6 @@ class LaunchRecord:
     fault_events: tuple[FaultEvent, ...] = ()
     fallback: str | None = None  # why the launch left the requested target
     overhead_seconds: float = 0.0  # simulated retry backoff
-    lint: GateDecision | None = None  # gate verdict (None = clean or no gate)
     drift: DriftDecision | None = None  # healing verdict (None = all calibrated)
     admission: str | None = None  # admission-control provenance (None = full path)
     transfers: str | None = None  # transfer sizing source (None = declared map)
@@ -221,7 +224,6 @@ class OffloadingRuntime:
     num_threads: int | None = None  # host team size (None = all hw threads)
     db: ProgramAttributeDatabase = field(default_factory=ProgramAttributeDatabase)
     injector: FaultInjector | None = None
-    lint_gate: LintGate | None = None
     sentinel: DriftSentinel | None = None
     watchdog: Watchdog | None = None
     health_decay_halflife_s: float | None = None  # simulated-time penalty decay
@@ -451,21 +453,19 @@ class OffloadingRuntime:
             )
         requested = order[0]
 
-        chain = (region_name, attrs, env, key, measured, order, predicted, decision, budget)
+        chain = (attrs, env, key, measured, order, predicted, decision, budget)
         if tracer.enabled:
             with tracer.span(
                 "dispatch", region=region_name, requested=labels[requested]
             ) as dspan:
                 outcome = self._dispatch(*chain)
-                executed, attempts, events, overhead, reason, lint, hedge = outcome
+                executed, attempts, events, overhead, reason, hedge = outcome
                 dspan.set("target", labels[executed])
                 dspan.set("attempts", attempts)
                 if reason is not None:
                     dspan.set("fallback", reason)
                 if overhead:
                     dspan.set("overhead_s", overhead)
-                if lint is not None:
-                    dspan.set("lint_action", lint.action)
                 if hedge is not None:
                     dspan.set("hedge_winner", hedge.winner)
                 for ev in events:
@@ -477,7 +477,7 @@ class OffloadingRuntime:
                     )
         else:
             outcome = self._dispatch(*chain)
-        executed, attempts, events, overhead, reason, lint, hedge = outcome
+        executed, attempts, events, overhead, reason, hedge = outcome
 
         if self.hedge is not None:
             for dev, seconds in zip(self._accels, measured[1:]):
@@ -502,7 +502,6 @@ class OffloadingRuntime:
             fault_events=events,
             fallback=reason,
             overhead_seconds=overhead,
-            lint=lint,
             drift=decision,
             transfers=None if transfers == "declared" else transfers,
             hedge=hedge,
@@ -513,7 +512,6 @@ class OffloadingRuntime:
 
     def _dispatch(
         self,
-        region_name: str,
         attrs: RegionAttributes,
         env: Mapping[str, int],
         key: str,
@@ -523,28 +521,19 @@ class OffloadingRuntime:
         decision: DriftDecision | None,
         budget: Budget | None,
     ):
-        """Run the lint gate, the dispatch chain, the watchdog and the hedge.
+        """Run the dispatch chain, the watchdog and the hedge.
 
-        Returns ``(executed, attempts, events, overhead, reason, lint,
-        hedge)``: the index of the device that ran the launch, the
-        accelerator attempts, the fault events, the simulated overhead,
-        why the launch left the request (None = it did not), the lint
-        verdict and the hedge outcome.
+        Returns ``(executed, attempts, events, overhead, reason, hedge)``:
+        the index of the device that ran the launch, the accelerator
+        attempts, the fault events, the simulated overhead, why the
+        launch left the request (None = it did not) and the hedge
+        outcome.
         """
         devices, memo = self._devices, self.memo
         requested = order[0]
-        lint = (
-            self.lint_gate.decide(attrs.region)
-            if self.lint_gate is not None
-            else None
-        )
         reason: str | None = None  # why the launch left the request
-        if requested and lint is not None and lint.blocked:
-            if lint.action == "raise":
-                raise LintGateError(region_name, lint.codes)
-            order, reason = (0,), FALLBACK_LINT
         plan = None
-        if order[0] and self.hedge is not None:
+        if requested and self.hedge is not None:
             plan = self.hedge.plan(
                 devices[requested].name,
                 key,
@@ -639,7 +628,7 @@ class OffloadingRuntime:
             )
             if hedge is not None and hedge.winner == "backup" and executed:
                 executed, reason = 0, FALLBACK_HEDGE
-        return executed, attempts, events, overhead, reason, lint, hedge
+        return executed, attempts, events, overhead, reason, hedge
 
     def _candidates(self, predicted, measured) -> tuple[DeviceOutcome, ...]:
         """Every device's outcome, host first; empty at N = 1."""
@@ -851,12 +840,6 @@ class OffloadingRuntime:
             fams["fault_events_total"].labels(ev.error_type).inc()
         for gauge, health in breaker_gauges:
             gauge.set(health.breaker.opens)
-        if record.lint is not None:
-            findings = fams["lint_findings_total"]
-            findings.labels("error").inc(record.lint.errors)
-            findings.labels("warning").inc(record.lint.warnings)
-            if record.lint.blocked:
-                fams["lint_blocked_total"].labels().inc()
         drift = record.drift
         if drift is not None:
             fams["drift_decisions_total"].labels(drift.mode).inc()

@@ -22,7 +22,6 @@ from repro.ir import Region, cmp
 from repro.ir.dataflow import Direction, analyze_transfers
 from repro.ir.region import evaluate_transfer_bytes
 from repro.lint import (
-    LintGate,
     Severity,
     default_pass_manager,
     lint_region,
@@ -313,14 +312,6 @@ class TestMapLint:
         )
         map_codes = [d.code for d in report if d.code.startswith("MAP")]
         assert not map_codes, report.render_text()
-
-    def test_gate_blocks_map001(self):
-        decision = LintGate(mode="host").decide(build_undermapped_output())
-        assert decision is not None and decision.blocked
-        assert "MAP001" in decision.codes
-
-    def test_gate_ignores_map_warnings(self):
-        assert LintGate(mode="host").decide(build_overmapped_input()) is None
 
 
 class TestPassOrdering:

@@ -112,7 +112,8 @@ OTHER_EXPERIMENTS = tuple(
 #: what neither a cold sweep nor a decision runs: numpy costs ~14 MB of
 #: RSS and only the functional executor needs it; the rest are the other
 #: experiments, the replay stack, the process pool, the analyses only
-#: a report or a probe command renders, and the IR parser and sign
+#: a report or a probe command renders, the lint passes (only the
+#: `lint` and `transfers` commands run them), and the IR parser and sign
 #: lattice that only tests and the lint passes use
 UNUSED_BY_SWEEPS = (
     "numpy",
@@ -129,6 +130,7 @@ UNUSED_BY_SWEEPS = (
     "repro.models.split",
     "repro.ir.parser",
     "repro.symbolic.signs",
+    "repro.lint.passes",
 )
 #: a decision reads no persistent cache, so it loads no sweep engine
 UNUSED_BY_DECISIONS = (*UNUSED_BY_SWEEPS, "repro.parallel")

@@ -1,4 +1,4 @@
-"""Tests for the region lint subsystem: diagnostics, passes, gate, CLI."""
+"""Tests for the region lint subsystem: diagnostics, passes, CLI."""
 
 import json
 import subprocess
@@ -12,10 +12,6 @@ from repro.ir.validate import ValidationError, structural_diagnostics, validate_
 from repro.ir.visit import memory_accesses
 from repro.lint import (
     Diagnostic,
-    FALLBACK_LINT,
-    GateDecision,
-    LintGate,
-    LintGateError,
     LintReport,
     PassManager,
     Severity,
@@ -28,18 +24,8 @@ from repro.lint import (
     render_reports_text,
     reports_to_json,
 )
-from repro.machines import (
-    NVLINK2,
-    PCIE3_X16,
-    POWER9,
-    TESLA_K80,
-    TESLA_V100,
-    AcceleratorSlot,
-    Platform,
-    platform_by_name,
-)
+from repro.machines import platform_by_name
 from repro.polybench import all_kernel_cases
-from repro.runtime import OffloadingRuntime
 
 from .kernels import (
     build_gemm,
@@ -422,116 +408,6 @@ class TestPolybenchClean:
             assert not report.by_code("RACE003"), report.render_text()
 
 
-class TestGate:
-    def test_clean_region_yields_no_decision(self):
-        gate = LintGate(mode="host")
-        assert gate.decide(build_vecadd()) is None
-
-    def test_blocked_region_decision(self):
-        gate = LintGate(mode="host")
-        decision = gate.decide(build_write_write_race())
-        assert decision is not None
-        assert decision.action == "force-host"
-        assert decision.blocked
-        assert "RACE001" in decision.codes
-
-    def test_warn_mode_not_blocking(self):
-        decision = LintGate(mode="warn").decide(build_write_write_race())
-        assert decision is not None and not decision.blocked
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            LintGate(mode="yolo")
-
-    def test_report_cached_per_region_name(self):
-        gate = LintGate()
-        r = build_write_write_race()
-        assert gate.inspect(r) is gate.inspect(r)
-
-    def test_perf_warnings_never_block(self):
-        decision = LintGate(mode="host").decide(build_rowwise())
-        assert decision is None  # PERF101 is warning severity
-
-
-DUAL = Platform(
-    "P9 + V100/NVLink + K80/PCIe",
-    POWER9,
-    (
-        AcceleratorSlot(TESLA_V100, NVLINK2),
-        AcceleratorSlot(TESLA_K80, PCIE3_X16),
-    ),
-)
-
-
-class TestRuntimeGate:
-    ENV = {"n": 64}
-
-    def _runtime(self, **kw):
-        rt = OffloadingRuntime(platform_by_name("p9-v100"), **kw)
-        rt.compile_region(build_write_write_race())
-        return rt
-
-    def test_force_host_records_lint_provenance(self):
-        rt = self._runtime(lint_gate=LintGate(mode="host"))
-        rec = rt.launch("ww_race", self.ENV)
-        assert rec.requested_target == "gpu"
-        assert rec.target == "cpu"
-        assert rec.fallback == FALLBACK_LINT == "lint"
-        assert rec.fell_back
-        assert isinstance(rec.lint, GateDecision)
-        assert rec.lint.codes == ("RACE001",)
-        assert rec.attempts == 0  # never reached the accelerator
-
-    def test_raise_mode_refuses_launch(self):
-        rt = self._runtime(lint_gate=LintGate(mode="raise"))
-        with pytest.raises(LintGateError, match="RACE001"):
-            rt.launch("ww_race", self.ENV)
-
-    def test_warn_mode_dispatches_but_records(self):
-        rt = self._runtime(lint_gate=LintGate(mode="warn"))
-        rec = rt.launch("ww_race", self.ENV)
-        assert rec.target == rec.requested_target == "gpu"
-        assert rec.fallback is None
-        assert rec.lint is not None and rec.lint.action == "warn"
-
-    def test_clean_run_bit_identical_with_and_without_gate(self):
-        plain = OffloadingRuntime(platform_by_name("p9-v100"))
-        gated = OffloadingRuntime(
-            platform_by_name("p9-v100"), lint_gate=LintGate(mode="host")
-        )
-        for rt in (plain, gated):
-            rt.compile_region(build_vecadd())
-        a = plain.launch("vecadd", {"n": 4096})
-        b = gated.launch("vecadd", {"n": 4096})
-        assert a == b
-        assert b.lint is None
-
-    def test_multi_runtime_forces_host(self):
-        mrt = OffloadingRuntime(DUAL, lint_gate=LintGate(mode="host"))
-        mrt.compile_region(build_write_write_race())
-        rec = mrt.launch("ww_race", self.ENV)
-        assert rec.target == "cpu"
-        assert rec.fallback == FALLBACK_LINT
-        assert rec.lint is not None and rec.lint.blocked
-        assert rec.attempts == 0
-
-    def test_multi_runtime_raise_mode(self):
-        mrt = OffloadingRuntime(DUAL, lint_gate=LintGate(mode="raise"))
-        mrt.compile_region(build_write_write_race())
-        with pytest.raises(LintGateError):
-            mrt.launch("ww_race", self.ENV)
-
-    def test_multi_clean_run_bit_identical(self):
-        plain = OffloadingRuntime(DUAL)
-        gated = OffloadingRuntime(DUAL, lint_gate=LintGate(mode="host"))
-        for rt in (plain, gated):
-            rt.compile_region(build_vecadd())
-        a = plain.launch("vecadd", {"n": 4096})
-        b = gated.launch("vecadd", {"n": 4096})
-        assert a == b
-        assert b.lint is None
-
-
 class TestPassManager:
     def test_default_catalog_names(self):
         names = default_pass_manager().pass_names()
@@ -555,7 +431,7 @@ class TestImportOrder:
         code = (
             f"import {first}\n"
             f"import {second}\n"
-            "from repro.lint import lint_region, LintGate\n"
+            "from repro.lint import lint_region\n"
             "from repro.ir.validate import structural_diagnostics\n"
         )
         proc = subprocess.run(
