@@ -27,10 +27,6 @@ class TransferEstimate:
     def total_seconds(self) -> float:
         return self.seconds_to_device + self.seconds_to_host
 
-    @property
-    def total_bytes(self) -> int:
-        return self.bytes_to_device + self.bytes_to_host
-
 
 def estimate_transfer(
     bytes_to_device: int,

@@ -42,10 +42,6 @@ class TransferSimResult:
         """
         return max(self.seconds_to_device, self.seconds_to_host)
 
-    @property
-    def total_bytes(self) -> int:
-        return self.bytes_to_device + self.bytes_to_host
-
 
 def simulate_dmas(
     to_device: Sequence[int],
