@@ -119,9 +119,6 @@ class LintReport:
     def has_errors(self) -> bool:
         return bool(self.errors)
 
-    def codes(self) -> tuple[str, ...]:
-        return tuple(sorted({d.code for d in self.diagnostics}))
-
     def by_code(self, code: str) -> tuple[Diagnostic, ...]:
         return tuple(d for d in self.diagnostics if d.code == code)
 

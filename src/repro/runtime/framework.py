@@ -210,10 +210,6 @@ class LaunchRecord:
         """Did resilience reroute this launch off the requested target?"""
         return self.fallback is not None
 
-    @property
-    def faulted(self) -> bool:
-        return bool(self.fault_events)
-
 
 @dataclass
 class OffloadingRuntime:
