@@ -1,4 +1,4 @@
-"""Tests for the region lint subsystem: diagnostics, passes, CLI."""
+"""Tests for the region lint subsystem: diagnostics, dependence test, passes."""
 
 import json
 import subprocess
